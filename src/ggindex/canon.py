@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Callable, Iterable, Sequence
 
 from .bitset import iter_bits
 from .formats import graph6_from_bits
@@ -84,6 +85,25 @@ def _encode(n: int, adj, lab) -> int:
     return bits
 
 
+def _orbit_find(n: int, perms: Iterable[Sequence[int]]) -> Callable[[int], int]:
+    """Union-find over the orbits of perms; find(v) is the smallest vertex
+    in v's orbit (path halving, the larger root joins the smaller)."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in perms:
+        for v in range(n):
+            a, b = find(v), find(g[v])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return find
+
+
 def canon_full(n: int, adj) -> CanonResult:
     if n < 1:
         raise ValueError("canonical form needs at least one vertex")
@@ -109,24 +129,9 @@ def canon_full(n: int, adj) -> CanonResult:
             gen_seen.add(tup)
             gens.append(tup)
 
-    def orbit_find(prefix: tuple[int, ...]):
-        """Union-find over the generators that fix prefix pointwise."""
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in gens:
-            if any(g[p] != p for p in prefix):
-                continue
-            for v in range(n):
-                a, b = find(v), find(g[v])
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        return find
+    def orbit_find(prefix: tuple[int, ...]) -> Callable[[int], int]:
+        """Orbits of the generators that fix prefix pointwise."""
+        return _orbit_find(n, [g for g in gens if all(g[p] == p for p in prefix)])
 
     def search(colors: list[int], prefix: tuple[int, ...]) -> None:
         nonlocal best_bits, best_lab, first_bits, first_lab
@@ -161,20 +166,8 @@ def canon_full(n: int, adj) -> CanonResult:
     search(_refine(n, neigh, [0] * n), ())
     assert best_bits is not None
 
-    parent = list(range(n))
-
-    def find_root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for v in range(n):
-            a, b = find_root(v), find_root(g[v])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    orbits = tuple(find_root(v) for v in range(n))
+    find = orbit_find(())
+    orbits = tuple(find(v) for v in range(n))
 
     return CanonResult(
         key=graph6_from_bits(n, best_bits).encode("ascii"),
@@ -204,22 +197,13 @@ def orbits_exhaustive(n: int, adj) -> tuple[int, ...]:
     """Automorphism orbits by checking every permutation; n <= 8."""
     if n > 8:
         raise ValueError("exhaustive orbit computation is limited to n <= 8")
-    parent = list(range(n))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in permutations(range(n)):
-        if all(
+    def automorphic(perm) -> bool:
+        return all(
             ((adj[perm[v]] >> perm[u]) & 1) == ((adj[v] >> u) & 1)
             for v in range(n)
             for u in range(v)
-        ):
-            for v in range(n):
-                a, b = find(v), find(perm[v])
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
+        )
+
+    find = _orbit_find(n, filter(automorphic, permutations(range(n))))
     return tuple(find(v) for v in range(n))

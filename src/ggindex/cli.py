@@ -27,55 +27,26 @@ from .enumeration import (
     Constraints,
     EnumerationBoundError,
     FeasibilityBounds,
-    count_classes,
     enumerate_connected,
-    enumerate_trees,
 )
 from .extremal import (
+    CLAIMS,
     DEFAULT_EPSILON,
     AsymptoticRow,
+    CheckRow,
     CrossoverRow,
     ExtremalError,
     VerificationReport,
-    asymptotic_check,
-    crossover_pattern_ok,
-    crossover_scan,
-    probe_conjecture,
-    residuals_positive_decreasing,
-    verify_max_bipartite,
-    verify_min_bipartite,
-    verify_tree_extremals,
+    verify,
 )
 from .families import FamilyError, construct, ngg_closed, parse_spec
-from .formats import FormatError, decode_graph6, parse_edge_list_block
+from .formats import FormatError, read_graphs
 from .graphs import Graph, GraphError, build_graph, to_graph6
 from .indices import abc_index, edge_splits, gg_index, ngg_index
 
 OK, VERIFY_FAILED, ERROR = 0, 1, 2
 
 _INDEX_FNS = {"gg": gg_index, "ngg": ngg_index, "abc": abc_index}
-
-VERIFY_CLAIMS = (
-    "max-bipartite",
-    "min-bipartite",
-    "trees",
-    "crossover",
-    "asymptote",
-    "conjecture1",
-    "conjecture2",
-    "conjecture3",
-)
-
-_DEFAULT_RANGES = {
-    "max-bipartite": "4..10",
-    "min-bipartite": "4..10",
-    "trees": "4..12",
-    "crossover": "5..99",
-    "asymptote": "100,1000,10000,100000,1000000",
-    "conjecture1": "5..8",
-    "conjecture2": "6..10",
-    "conjecture3": "6..12",
-}
 
 
 class CliError(ValueError):
@@ -156,55 +127,6 @@ def _write_output(text: str, out_path: Optional[str]) -> None:
 
 # ------------------------------------------------------------ input files ----
 
-def _load_graphs(path: str) -> list[tuple[str, int, Graph]]:
-    """Read one input file into (source, line, Graph) records.
-
-    Sniffing rule: a first nonblank line starting with a digit means
-    edge-list blocks (header "n m"), anything else means one graph6 string
-    per line. graph6 size bytes are always at or above '?' (63), so the two
-    are never ambiguous.
-    """
-    if path == "-":
-        lines = sys.stdin.read().splitlines()
-        label = "<stdin>"
-    else:
-        with open(path, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-        label = path
-    first = next((ln for ln in lines if ln.strip()), None)
-    if first is None:
-        raise FormatError(f"{label}: no graphs in input")
-    records = []
-    if first.strip()[0].isdigit():
-        block: list[str] = []
-        start = 1
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if line:
-                if not block:
-                    start = lineno
-                block.append(line)
-                continue
-            if block:
-                n, edges = parse_edge_list_block(block, where=f"{label}:{start}: ")
-                records.append((label, start, _build(label, start, n, edges)))
-                block = []
-        if block:
-            n, edges = parse_edge_list_block(block, where=f"{label}:{start}: ")
-            records.append((label, start, _build(label, start, n, edges)))
-    else:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                n, edges = decode_graph6(line)
-            except FormatError as exc:
-                raise FormatError(f"{label}:{lineno}: {exc}") from None
-            records.append((label, lineno, _build(label, lineno, n, edges)))
-    return records
-
-
 def _build(label: str, lineno: int, n: int, edges) -> Graph:
     try:
         return build_graph(n, edges)
@@ -250,7 +172,13 @@ def _cmd_index(args) -> int:
 
     records = []
     for path in args.inputs:
-        records.extend(_load_graphs(path))
+        if path == "-":
+            label, lines = "<stdin>", sys.stdin.read().splitlines()
+        else:
+            with open(path, encoding="ascii") as fh:
+                label, lines = path, fh.read().splitlines()
+        for lineno, n, edges in read_graphs(lines, label):
+            records.append((label, lineno, _build(label, lineno, n, edges)))
 
     if args.format == "json":
         payload = {"command": "index", "records": []}
@@ -324,10 +252,6 @@ def _stream_for(args, bounds: FeasibilityBounds):
         trees_only=args.trees,
         cyclomatic=args.cyclomatic,
     )
-    if cons.trees_only and cons.cyclomatic in (None, 0):
-        return cons, enumerate_trees(
-            args.n, max_degree=args.max_degree, bounds=bounds, workers=args.workers
-        )
     return cons, enumerate_connected(cons, bounds=bounds, workers=args.workers)
 
 
@@ -373,159 +297,74 @@ def _cmd_enumerate(args) -> int:
     return OK
 
 
-def _report_payload(report: VerificationReport) -> dict:
-    rows = []
-    for r in report.rows:
-        rows.append(
-            {
-                "n": r.n,
-                "passed": r.passed,
-                "label": r.label,
-                "value": r.value,
-                "expected": list(r.expected),
-                "witnesses": list(r.witnesses),
-                "exact_witnesses": list(r.exact_witnesses),
-                "classes": r.total_classes,
-                "note": r.note,
-            }
-        )
-    payload = {
-        "command": "verify",
-        "claim": report.claim,
-        "passed": report.passed,
-        "rows": rows,
-    }
-    if report.caveat:
-        payload["caveat"] = report.caveat
-    return payload
+def _check_line(r: CheckRow) -> str:
+    extra = f" [{r.note}]" if r.note else ""
+    line = (
+        f"  n={r.n}{extra} {r.label}: value={_fmt(r.value, 'text')}"
+        f" witnesses={','.join(r.witnesses)}"
+    )
+    if r.expected:
+        line += f" expected={','.join(r.expected)}"
+    return line + f" classes={r.classes}\n"
 
 
-def _render_report(report: VerificationReport, fmt: str) -> str:
+def _crossover_line(r: CrossoverRow) -> str:
+    return (
+        f"  n={r.n} k={r.k}  C'={_fmt(r.ngg_cycle_pendant, 'text')}"
+        f"  C''={_fmt(r.ngg_cycle_hook, 'text')}  {r.comparison}\n"
+    )
+
+
+def _asymptote_line(r: AsymptoticRow) -> str:
+    return f"  n={r.n}  ngg={_fmt(r.ngg_path, 'text')}  residual={_fmt(r.residual, 'text')}\n"
+
+
+_TEXT_LINE = {
+    CheckRow: _check_line,
+    CrossoverRow: _crossover_line,
+    AsymptoticRow: _asymptote_line,
+}
+
+
+def _render_verify(report: VerificationReport, fmt: str) -> str:
+    """JSON and CSV columns are the row's fields; CSV joins a tuple with ';'."""
     if fmt == "json":
-        return dump_json(_report_payload(report))
+        payload = {
+            "command": "verify",
+            "claim": report.claim,
+            "passed": report.passed,
+            "rows": [r._asdict() for r in report.rows],
+        }
+        if report.caveat:
+            payload["caveat"] = report.caveat
+        return dump_json(payload)
     if fmt == "csv":
-        text = _csv_line(
-            ["n", "passed", "label", "value", "expected", "witnesses", "exact_witnesses", "classes", "note"]
-        )
+        text = _csv_line(report.rows[0]._fields)
         for r in report.rows:
-            text += _csv_line(
-                [
-                    r.n,
-                    r.passed,
-                    r.label,
-                    r.value,
-                    ";".join(r.expected),
-                    ";".join(r.witnesses),
-                    ";".join(r.exact_witnesses),
-                    r.total_classes,
-                    r.note,
-                ]
-            )
+            text += _csv_line(";".join(c) if isinstance(c, tuple) else c for c in r)
         return text
     chunks = [f"claim {report.claim}: {'pass' if report.passed else 'FAIL'}\n"]
     if report.caveat:
         chunks.append(f"note: {report.caveat}\n")
-    for r in report.rows:
-        extra = f" [{r.note}]" if r.note else ""
-        chunks.append(
-            f"  n={r.n}{extra} {r.label}: value={_fmt(r.value, 'text')}"
-            f" witnesses={','.join(r.witnesses)}"
-        )
-        if r.expected:
-            chunks.append(f" expected={','.join(r.expected)}")
-        chunks.append(f" classes={r.total_classes}\n")
-    return "".join(chunks)
-
-
-def _render_crossover(rows: Sequence[CrossoverRow], passed: bool, fmt: str) -> str:
-    if fmt == "json":
-        payload = {
-            "command": "verify",
-            "claim": "crossover",
-            "passed": passed,
-            "rows": [
-                {
-                    "n": r.n,
-                    "k": r.k,
-                    "ngg_cycle_pendant": r.ngg_cycle_pendant,
-                    "ngg_cycle_hook": r.ngg_cycle_hook,
-                    "comparison": r.comparison,
-                }
-                for r in rows
-            ],
-        }
-        return dump_json(payload)
-    if fmt == "csv":
-        text = _csv_line(["n", "k", "ngg_cycle_pendant", "ngg_cycle_hook", "comparison"])
-        for r in rows:
-            text += _csv_line([r.n, r.k, r.ngg_cycle_pendant, r.ngg_cycle_hook, r.comparison])
-        return text
-    chunks = [f"claim crossover: {'pass' if passed else 'FAIL'}\n"]
-    for r in rows:
-        chunks.append(
-            f"  n={r.n} k={r.k}  C'={_fmt(r.ngg_cycle_pendant, 'text')}"
-            f"  C''={_fmt(r.ngg_cycle_hook, 'text')}  {r.comparison}\n"
-        )
-    return "".join(chunks)
-
-
-def _render_asymptote(rows: Sequence[AsymptoticRow], passed: bool, fmt: str) -> str:
-    if fmt == "json":
-        payload = {
-            "command": "verify",
-            "claim": "asymptote",
-            "passed": passed,
-            "rows": [
-                {"n": r.n, "ngg_path": r.ngg_path, "residual": r.residual} for r in rows
-            ],
-        }
-        return dump_json(payload)
-    if fmt == "csv":
-        text = _csv_line(["n", "ngg_path", "residual"])
-        for r in rows:
-            text += _csv_line([r.n, r.ngg_path, r.residual])
-        return text
-    chunks = [f"claim asymptote: {'pass' if passed else 'FAIL'}\n"]
-    for r in rows:
-        chunks.append(
-            f"  n={r.n}  ngg={_fmt(r.ngg_path, 'text')}  residual={_fmt(r.residual, 'text')}\n"
-        )
+    chunks.extend(_TEXT_LINE[type(r)](r) for r in report.rows)
     return "".join(chunks)
 
 
 def _cmd_verify(args) -> int:
     bounds = FeasibilityBounds.from_env().override(args.max_n)
-    ns = parse_n_values(args.n or _DEFAULT_RANGES[args.claim])
+    ns = parse_n_values(args.n) if args.n else CLAIMS[args.claim].orders
     t0 = time.perf_counter()
-
-    if args.claim == "crossover":
-        odd = [n for n in ns if n % 2 == 1 and n >= 5]
-        if not odd:
-            raise CliError("crossover wants odd orders >= 5 in --n")
-        rows = crossover_scan(odd)
-        passed = crossover_pattern_ok(rows)
-        text = _render_crossover(rows, passed, args.format)
-    elif args.claim == "asymptote":
-        rows = asymptotic_check(ns)
-        passed = residuals_positive_decreasing(rows)
-        text = _render_asymptote(rows, passed, args.format)
-    else:
-        kwargs = dict(epsilon=args.epsilon, bounds=bounds, workers=args.workers)
-        if args.claim == "max-bipartite":
-            report = verify_max_bipartite(ns, **kwargs)
-        elif args.claim == "min-bipartite":
-            report = verify_min_bipartite(ns, **kwargs)
-        elif args.claim == "trees":
-            report = verify_tree_extremals(ns, **kwargs)
-        else:
-            which = int(args.claim[-1])
-            report = probe_conjecture(which, ns, args.max_degree, **kwargs)
-        passed = report.passed
-        text = _render_report(report, args.format)
-
-    _write_output(text, args.out)
+    report = verify(
+        args.claim,
+        ns,
+        max_degree=args.max_degree,
+        epsilon=args.epsilon,
+        bounds=bounds,
+        workers=args.workers,
+    )
+    _write_output(_render_verify(report, args.format), args.out)
     print(f"verify {args.claim}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return OK if passed else VERIFY_FAILED
+    return OK if report.passed else VERIFY_FAILED
 
 
 # ------------------------------------------------------------------ parser ----
@@ -581,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run one extremal / closed-form check")
-    p.add_argument("claim", choices=VERIFY_CLAIMS)
+    p.add_argument("claim", choices=tuple(CLAIMS))
     p.add_argument("--n", default=None, help="orders: 8, 4..10, or 5,7,9 (claim default otherwise)")
     p.add_argument("--max-degree", type=int, default=3, help="degree bound for conjecture probes")
     common(p, epsilon=True, workers=True, max_n=True)

@@ -312,16 +312,10 @@ def enumerate_trees(
     bounds: Optional[FeasibilityBounds] = None,
     workers: int = 1,
 ) -> Iterator[Graph]:
-    """All unlabeled trees on n vertices (optionally degree-bounded).
-
-    Trees get a higher feasibility bound than the general stream; the forest
-    intermediates stay sparse enough to reach n = 14 comfortably.
-    """
-    bounds = bounds if bounds is not None else FeasibilityBounds.from_env()
-    if n > bounds.trees:
-        raise EnumerationBoundError(n, bounds.trees, "trees")
-    cons = Constraints(n, trees_only=True, max_degree=max_degree)
-    return (from_graph6(key.decode("ascii")) for key in _final_keys(cons, workers))
+    """All unlabeled trees on n vertices (optionally degree-bounded)."""
+    return enumerate_connected(
+        Constraints(n, trees_only=True, max_degree=max_degree), bounds=bounds, workers=workers
+    )
 
 
 def count_classes(

@@ -7,24 +7,19 @@ genuine tie (two graphs whose index values coincide as algebraic numbers) is
 distinguished from float noise. Witnesses are reported as graph6 strings of
 canonical forms, so they are directly comparable across runs and platforms.
 
-The verify_* and probe_* functions wrap find_extremal with the predicted
-witness sets for the theorem and conjecture checks and produce
-VerificationReport values that the CLI serializes.
+CLAIMS is the table of the claims `ggindex verify` checks: for each, the
+class to scan and the predicted witnesses and values, or a closed-form row
+function. verify runs any of them and produces the VerificationReport that
+the CLI serializes.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .enumeration import (
-    Constraints,
-    FeasibilityBounds,
-    enumerate_connected,
-    enumerate_trees,
-)
+from .enumeration import Constraints, FeasibilityBounds, enumerate_connected
 from .families import (
     almost_dendrimer,
     complete_bipartite,
@@ -184,8 +179,7 @@ def find_extremal(
 
 # ------------------------------------------------------------------ reports ----
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     n: int
     passed: bool
     label: str
@@ -193,16 +187,15 @@ class CheckRow:
     expected: tuple[str, ...]
     witnesses: tuple[str, ...]
     exact_witnesses: tuple[str, ...]
-    total_classes: int
+    classes: int
     note: str = ""
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     claim: str
-    rows: tuple[CheckRow, ...]
+    rows: tuple[CheckRow | CrossoverRow | AsymptoticRow, ...]
     passed: bool
-    runtime: float
     caveat: str = ""
 
     @property
@@ -212,64 +205,6 @@ class VerificationReport:
 
 def _key(g: Graph) -> str:
     return canonical_form(g).decode("ascii")
-
-
-def _theorem_row(
-    n: int,
-    result: ExtremalResult,
-    expected: Sequence[Graph],
-    expected_value: Optional[float],
-    note: str = "",
-) -> CheckRow:
-    expected_keys = tuple(sorted(_key(g) for g in expected))
-    ok = result.exact_witnesses == expected_keys
-    if len(expected_keys) == 1:
-        ok = ok and result.witnesses == expected_keys
-    if expected_value is not None:
-        ok = ok and abs(result.value - expected_value) <= VALUE_TOLERANCE
-    return CheckRow(
-        n=n,
-        passed=ok,
-        label="pass" if ok else "fail",
-        value=result.value,
-        expected=expected_keys,
-        witnesses=result.witnesses,
-        exact_witnesses=result.exact_witnesses,
-        total_classes=result.total_classes,
-        note=note,
-    )
-
-
-def verify_max_bipartite(
-    n_values: Iterable[int],
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-    bounds: Optional[FeasibilityBounds] = None,
-    workers: int = 1,
-) -> VerificationReport:
-    """Max NGG over connected bipartite graphs is the balanced complete
-    bipartite graph, uniquely, with value sqrt(floor(n/2) * ceil(n/2))."""
-    t0 = time.perf_counter()
-    rows = []
-    for n in n_values:
-        cons = Constraints(n, bipartite_only=True)
-        result = find_extremal(
-            enumerate_connected(cons, bounds=bounds, workers=workers),
-            Objective("max", "ngg"),
-            epsilon,
-            constraints=cons,
-        )
-        a, b = n // 2, n - n // 2
-        rows.append(
-            _theorem_row(n, result, [complete_bipartite(a, b)], math.sqrt(a * b))
-        )
-    rows = tuple(rows)
-    return VerificationReport(
-        claim="max-bipartite",
-        rows=rows,
-        passed=all(r.passed for r in rows),
-        runtime=time.perf_counter() - t0,
-    )
 
 
 def min_bipartite_expected(n: int) -> list[Graph]:
@@ -306,61 +241,6 @@ def min_bipartite_closed(n: int) -> float:
     if n <= 15:
         return 1.0 / math.sqrt(2 * k) + (n - 1) / half
     return (n + 1) / half
-
-
-def verify_min_bipartite(
-    n_values: Iterable[int],
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-    bounds: Optional[FeasibilityBounds] = None,
-    workers: int = 1,
-) -> VerificationReport:
-    t0 = time.perf_counter()
-    rows = []
-    for n in n_values:
-        cons = Constraints(n, bipartite_only=True)
-        result = find_extremal(
-            enumerate_connected(cons, bounds=bounds, workers=workers),
-            Objective("min", "ngg"),
-            epsilon,
-            constraints=cons,
-        )
-        expected = min_bipartite_expected(n)
-        note = "exact two-way tie expected" if n == 15 else ""
-        rows.append(_theorem_row(n, result, expected, min_bipartite_closed(n), note))
-    rows = tuple(rows)
-    return VerificationReport(
-        claim="min-bipartite",
-        rows=rows,
-        passed=all(r.passed for r in rows),
-        runtime=time.perf_counter() - t0,
-    )
-
-
-def verify_tree_extremals(
-    n_values: Iterable[int],
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-    bounds: Optional[FeasibilityBounds] = None,
-    workers: int = 1,
-) -> VerificationReport:
-    """Min GG over trees is the path; max GG over trees is the star."""
-    t0 = time.perf_counter()
-    rows = []
-    for n in n_values:
-        trees = list(enumerate_trees(n, bounds=bounds, workers=workers))
-        cons = Constraints(n, trees_only=True)
-        low = find_extremal(trees, Objective("min", "gg"), epsilon, constraints=cons)
-        high = find_extremal(trees, Objective("max", "gg"), epsilon, constraints=cons)
-        rows.append(_theorem_row(n, low, [path(n)], gg_index(path(n)), note="min over trees"))
-        rows.append(_theorem_row(n, high, [star(n)], gg_index(star(n)), note="max over trees"))
-    rows = tuple(rows)
-    return VerificationReport(
-        claim="trees",
-        rows=rows,
-        passed=all(r.passed for r in rows),
-        runtime=time.perf_counter() - t0,
-    )
 
 
 # ---------------------------------------------------------- closed-form scans ----
@@ -406,6 +286,14 @@ def crossover_pattern_ok(rows: Sequence[CrossoverRow]) -> bool:
     return True
 
 
+def _odd_crossover_scan(n_values: Iterable[int]) -> list[CrossoverRow]:
+    """crossover_scan over the odd orders >= 5 among n_values."""
+    odd = [n for n in n_values if n % 2 == 1 and n >= 5]
+    if not odd:
+        raise ExtremalError("crossover wants odd orders >= 5 in --n")
+    return crossover_scan(odd)
+
+
 class AsymptoticRow(NamedTuple):
     n: int
     ngg_path: float
@@ -437,75 +325,197 @@ def is_almost_regular(g: Graph, k: int) -> bool:
     return len(degs) >= 2 and degs[0] == k - 1 and all(d == k for d in degs[1:])
 
 
-def probe_conjecture(
-    which: int,
+# ------------------------------------------------------------- claim table ----
+
+@dataclass(frozen=True)
+class Check:
+    """One extremal scan per order: the objective and what it should find.
+
+    expected(n, max_degree) gives the predicted exact witnesses. A check with
+    accept instead predicts no witness set: every exact witness g must satisfy
+    accept(g, max_degree). value(n), when given, is the predicted extreme value.
+    """
+
+    objective: Objective
+    expected: Callable[[int, int], Sequence[Graph]] = lambda n, d: ()
+    accept: Optional[Callable[[Graph, int], bool]] = None
+    value: Optional[Callable[[int], float]] = None
+    note: Callable[[int], str] = lambda n: ""
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One verify claim: an exhaustive scan or a closed-form row function.
+
+    An exhaustive claim enumerates graph_class(n, max_degree) at each order
+    and runs every check on it. A theorem row passes when its exact witnesses
+    equal the expected ones, a unique expected witness is also alone in the
+    epsilon window, and the value matches; a probe row only compares witnesses
+    and is reported as consistent or counterexample found, with the caveat.
+    A closed-form claim maps the orders to rows with scan and passes when
+    pattern holds on them.
+    """
+
+    orders: tuple[int, ...]
+    graph_class: Optional[Callable[[int, int], Constraints]] = None
+    checks: tuple[Check, ...] = ()
+    theorem: bool = True
+    scan: Optional[Callable[[Iterable[int]], list]] = None
+    pattern: Optional[Callable[[Sequence], bool]] = None
+
+
+# The verify claims in the CLI's order. The rows hold no reference to the
+# enumeration, extremal or index functions: verify and the row lambdas look
+# them up as module globals at call time, so wrappers installed on those
+# globals (bench/spans.py) see every call.
+CLAIMS: dict[str, Claim] = {
+    # max NGG over connected bipartite graphs is the balanced complete
+    # bipartite graph, uniquely, with value sqrt(floor(n/2) * ceil(n/2))
+    "max-bipartite": Claim(
+        orders=tuple(range(4, 11)),
+        graph_class=lambda n, d: Constraints(n, bipartite_only=True),
+        checks=(
+            Check(
+                Objective("max", "ngg"),
+                expected=lambda n, d: [complete_bipartite(n // 2, n - n // 2)],
+                value=lambda n: math.sqrt((n // 2) * (n - n // 2)),
+            ),
+        ),
+    ),
+    "min-bipartite": Claim(
+        orders=tuple(range(4, 11)),
+        graph_class=lambda n, d: Constraints(n, bipartite_only=True),
+        checks=(
+            Check(
+                Objective("min", "ngg"),
+                expected=lambda n, d: min_bipartite_expected(n),
+                value=min_bipartite_closed,
+                note=lambda n: "exact two-way tie expected" if n == 15 else "",
+            ),
+        ),
+    ),
+    # min GG over trees is the path; max GG over trees is the star
+    "trees": Claim(
+        orders=tuple(range(4, 13)),
+        graph_class=lambda n, d: Constraints(n, trees_only=True),
+        checks=(
+            Check(
+                Objective("min", "gg"),
+                expected=lambda n, d: [path(n)],
+                value=lambda n: gg_index(path(n)),
+                note=lambda n: "min over trees",
+            ),
+            Check(
+                Objective("max", "gg"),
+                expected=lambda n, d: [star(n)],
+                value=lambda n: gg_index(star(n)),
+                note=lambda n: "max over trees",
+            ),
+        ),
+    ),
+    "crossover": Claim(
+        orders=tuple(range(5, 100)),
+        scan=_odd_crossover_scan,
+        pattern=crossover_pattern_ok,
+    ),
+    "asymptote": Claim(
+        orders=(100, 1000, 10000, 100000, 1000000),
+        scan=asymptotic_check,
+        pattern=residuals_positive_decreasing,
+    ),
+    # GG maximizers among connected graphs with degree bound D are D-regular
+    # or D-regular but for one vertex of degree D - 1
+    "conjecture1": Claim(
+        orders=tuple(range(5, 9)),
+        graph_class=lambda n, d: Constraints(n, max_degree=d),
+        checks=(Check(Objective("max", "gg"), accept=is_almost_regular),),
+        theorem=False,
+    ),
+    # the GG minimizer in the same class is the cycle
+    "conjecture2": Claim(
+        orders=tuple(range(6, 11)),
+        graph_class=lambda n, d: Constraints(n, max_degree=d),
+        checks=(Check(Objective("min", "gg"), expected=lambda n, d: [cycle(n)]),),
+        theorem=False,
+    ),
+    # the GG maximizer among degree-bounded trees is the greedy breadth-first
+    # tree built by almost_dendrimer
+    "conjecture3": Claim(
+        orders=tuple(range(6, 13)),
+        graph_class=lambda n, d: Constraints(n, trees_only=True, max_degree=d),
+        checks=(
+            Check(Objective("max", "gg"), expected=lambda n, d: [almost_dendrimer(n, d)]),
+        ),
+        theorem=False,
+    ),
+}
+
+
+def _check_row(
+    n: int, max_degree: int, result: ExtremalResult, check: Check, theorem: bool
+) -> CheckRow:
+    if check.accept is not None:
+        expected: tuple[str, ...] = ()
+        ok = all(check.accept(from_graph6(key), max_degree) for key in result.exact_witnesses)
+    else:
+        expected = tuple(sorted(_key(g) for g in check.expected(n, max_degree)))
+        ok = result.exact_witnesses == expected
+    if theorem:
+        if len(expected) == 1:
+            ok = ok and result.witnesses == expected
+        if check.value is not None:
+            ok = ok and abs(result.value - check.value(n)) <= VALUE_TOLERANCE
+        label = "pass" if ok else "fail"
+    else:
+        label = "consistent" if ok else "counterexample found"
+    return CheckRow(
+        n=n,
+        passed=ok,
+        label=label,
+        value=result.value,
+        expected=expected,
+        witnesses=result.witnesses,
+        exact_witnesses=result.exact_witnesses,
+        classes=result.total_classes,
+        note=check.note(n),
+    )
+
+
+def verify(
+    claim: str,
     n_values: Iterable[int],
-    max_degree: int,
     *,
+    max_degree: int = 3,
     epsilon: float = DEFAULT_EPSILON,
     bounds: Optional[FeasibilityBounds] = None,
     workers: int = 1,
 ) -> VerificationReport:
-    """Exhaustively test one of the three structure conjectures at small n.
+    """Check one claim of CLAIMS at the given orders.
 
-    1: GG maximizers among connected graphs with degree bound are (almost)
-       regular at the bound. 2: GG minimizers in the same class are the
-       cycle. 3: GG maximizers among degree-bounded trees are the greedy
-       breadth-first tree built by almost_dendrimer. Outcomes are labeled
-       consistent or counterexample found; either way the scan is evidence
-       at the listed orders only.
+    max_degree is the degree bound of the conjecture probes; the theorem
+    claims ignore it. Probe outcomes are evidence at the listed orders only.
     """
-    if which not in (1, 2, 3):
-        raise ExtremalError(f"conjecture selector must be 1, 2 or 3, got {which}")
-    if max_degree < 2:
+    spec = CLAIMS.get(claim)
+    if spec is None:
+        raise ExtremalError(f"unknown claim {claim!r}; known claims: {', '.join(CLAIMS)}")
+    if spec.scan is not None:
+        rows = tuple(spec.scan(n_values))
+        return VerificationReport(claim=claim, rows=rows, passed=spec.pattern(rows))
+    if not spec.theorem and max_degree < 2:
         raise ExtremalError("a degree bound below 2 leaves nothing to scan")
-    t0 = time.perf_counter()
-    rows = []
+    out = []
     for n in n_values:
-        if which == 3:
-            cons = Constraints(n, trees_only=True, max_degree=max_degree)
-            stream = enumerate_trees(
-                n, max_degree=max_degree, bounds=bounds, workers=workers
-            )
-            result = find_extremal(
-                stream, Objective("max", "gg"), epsilon, constraints=cons
-            )
-            expected = almost_dendrimer(n, max_degree)
-            ok = result.exact_witnesses == (_key(expected),)
-            expected_keys = (_key(expected),)
-        else:
-            cons = Constraints(n, max_degree=max_degree)
-            stream = enumerate_connected(cons, bounds=bounds, workers=workers)
-            sense = "max" if which == 1 else "min"
-            result = find_extremal(
-                stream, Objective(sense, "gg"), epsilon, constraints=cons
-            )
-            if which == 1:
-                ok = all(
-                    is_almost_regular(from_graph6(key), max_degree)
-                    for key in result.exact_witnesses
-                )
-                expected_keys = ()
-            else:
-                expected_keys = (_key(cycle(n)),)
-                ok = result.exact_witnesses == expected_keys
-        rows.append(
-            CheckRow(
-                n=n,
-                passed=ok,
-                label="consistent" if ok else "counterexample found",
-                value=result.value,
-                expected=expected_keys,
-                witnesses=result.witnesses,
-                exact_witnesses=result.exact_witnesses,
-                total_classes=result.total_classes,
-            )
-        )
-    rows = tuple(rows)
+        cons = spec.graph_class(n, max_degree)
+        stream = enumerate_connected(cons, bounds=bounds, workers=workers)
+        if len(spec.checks) > 1:
+            stream = list(stream)
+        for check in spec.checks:
+            result = find_extremal(stream, check.objective, epsilon, constraints=cons)
+            out.append(_check_row(n, max_degree, result, check, spec.theorem))
+    rows = tuple(out)
     return VerificationReport(
-        claim=f"conjecture{which}",
+        claim=claim,
         rows=rows,
         passed=all(r.passed for r in rows),
-        runtime=time.perf_counter() - t0,
-        caveat=EVIDENCE_CAVEAT,
+        caveat="" if spec.theorem else EVIDENCE_CAVEAT,
     )

@@ -10,7 +10,7 @@ holding n as an 18-bit big-endian value (6 bits per byte, +63) for
 
 The edge-list text format is: first line "n m", then m lines "u v". Files may
 hold several graphs: one graph6 string per line, or blank-line-separated
-edge-list blocks.
+edge-list blocks; read_graphs tells the two apart.
 
 This module works on (n, edges) pairs and adjacency bitmasks so it has no
 dependency on the Graph type; graph-level wrappers live in graphs.py.
@@ -125,18 +125,6 @@ def write_graph6_file(items: Iterable[tuple[int, Sequence[int]]], path) -> int:
     return count
 
 
-def read_graph6_file(path) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                yield decode_graph6(line)
-            except FormatError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-
-
 # ------------------------------------------------------------- edge lists ----
 
 def format_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> str:
@@ -167,19 +155,43 @@ def parse_edge_list_block(lines: Sequence[str], where: str = "") -> tuple[int, l
     return n, edges
 
 
-def read_edge_list_file(path) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """Yield (n, edges) for each blank-line-separated block in the file."""
-    with open(path, encoding="ascii") as fh:
-        block: list[str] = []
-        start = 1
-        for lineno, raw in enumerate(fh, start=1):
+# ---------------------------------------------------------------- reading ----
+
+def read_graphs(
+    lines: Sequence[str], label: str
+) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+    """Yield (line, n, edges) for each graph in the lines of one input file.
+
+    Sniffing rule: a first nonblank line starting with a digit means
+    edge-list blocks (header "n m"), anything else means one graph6 string
+    per line. graph6 size bytes are always at or above '?' (63), so the two
+    are never ambiguous. line is where the graph starts; errors are prefixed
+    with "label:line: ".
+    """
+    first = next((ln for ln in lines if ln.strip()), None)
+    if first is None:
+        raise FormatError(f"{label}: no graphs in input")
+    if not first.strip()[0].isdigit():
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
-            if line:
-                if not block:
-                    start = lineno
-                block.append(line)
-            elif block:
-                yield parse_edge_list_block(block, where=f"{path}:{start}: ")
-                block = []
-        if block:
-            yield parse_edge_list_block(block, where=f"{path}:{start}: ")
+            if not line:
+                continue
+            try:
+                n, edges = decode_graph6(line)
+            except FormatError as exc:
+                raise FormatError(f"{label}:{lineno}: {exc}") from None
+            yield lineno, n, edges
+        return
+    block: list[str] = []
+    start = 1
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line:
+            if not block:
+                start = lineno
+            block.append(line)
+        elif block:
+            yield (start, *parse_edge_list_block(block, where=f"{label}:{start}: "))
+            block = []
+    if block:
+        yield (start, *parse_edge_list_block(block, where=f"{label}:{start}: "))

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from . import canon as _canon
 from . import formats as _formats
-from .bitset import iter_bits
+from .bitset import iter_bits, reach
 
 DistanceMatrix = tuple[tuple[int, ...], ...]
 CanonicalForm = bytes
@@ -59,16 +59,7 @@ class Graph:
                 normalized.append((u, v))
         normalized.sort()
         object.__setattr__(self, "edges", tuple(normalized))
-        # connectivity (bitset BFS from vertex 0)
-        adj = self.adjacency_bits
-        seen_mask = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & ~seen_mask
-            seen_mask |= frontier
+        seen_mask = reach(self.adjacency_bits, 0)
         if seen_mask != (1 << self.n) - 1:
             missing = (~seen_mask & ((1 << self.n) - 1) & -(~seen_mask)).bit_length() - 1
             raise GraphError(

@@ -20,11 +20,8 @@ from ggindex.extremal import (
     asymptotic_check,
     crossover_pattern_ok,
     crossover_scan,
-    probe_conjecture,
     residuals_positive_decreasing,
-    verify_max_bipartite,
-    verify_min_bipartite,
-    verify_tree_extremals,
+    verify,
 )
 from ggindex.families import (
     complete,
@@ -98,7 +95,7 @@ def test_criterion_02_bipartite_split_relation():
 
 def test_criterion_03_max_bipartite():
     t0 = time.perf_counter()
-    rep = verify_max_bipartite(range(4, 11))
+    rep = verify("max-bipartite", range(4, 11))
     ok = rep.passed
     for row in rep.rows:
         a, b = row.n // 2, row.n - row.n // 2
@@ -111,7 +108,7 @@ def test_criterion_03_max_bipartite():
 
 def test_criterion_04_min_bipartite():
     t0 = time.perf_counter()
-    rep = verify_min_bipartite(range(4, 11))
+    rep = verify("min-bipartite", range(4, 11))
     ok = rep.passed
     for row in rep.rows:
         # each predicted minimizer is unique at epsilon = 1e-9 in this range
@@ -123,7 +120,7 @@ def test_criterion_04_min_bipartite():
 
 def test_criterion_05_tree_extremes():
     t0 = time.perf_counter()
-    rep = verify_tree_extremals(range(4, 13))
+    rep = verify("trees", range(4, 13))
     ok = rep.passed
     for row in rep.rows:
         want = path(row.n) if row.note == "min over trees" else star(row.n)
@@ -192,11 +189,11 @@ def test_criterion_09_generator_vs_brute_force():
 
 def test_criterion_10_conjecture_probes():
     t0 = time.perf_counter()
-    probe2 = probe_conjecture(2, range(6, 11), 3)
-    probe3 = [probe_conjecture(3, range(6, 13), d) for d in (3, 4)]
+    probe2 = verify("conjecture2", range(6, 11), max_degree=3)
+    probe3 = [verify("conjecture3", range(6, 13), max_degree=d) for d in (3, 4)]
     anchors_ok = True
     for n in range(6, 11):
-        rep = probe_conjecture(3, [n], n - 1)
+        rep = verify("conjecture3", [n], max_degree=n - 1)
         anchors_ok = anchors_ok and rep.rows[0].exact_witnesses == (key(star(n)),)
 
     # At degree bound 3 the path undercuts the cycle at n = 6 and 7, so the

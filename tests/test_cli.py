@@ -212,6 +212,42 @@ def test_verify_conjecture2_reports_counterexample(capsys):
     assert "counterexample found" in out
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden" / "verify"
+
+# (claim, orders, exit code), each run in every output format. The orders
+# cover the exact ties (crossover n = 15, conjecture 1 n = 5) and the
+# conjecture-2 counterexamples at n = 6, 7. A golden file holds the stdout of
+# `PYTHONPATH=src python -m ggindex verify <claim> --n <orders> --format <fmt>`.
+VERIFY_GOLDEN = [
+    ("max-bipartite", "4..7", 0),
+    ("min-bipartite", "4..8", 0),
+    ("trees", "4..8", 0),
+    ("crossover", "5..31", 0),
+    ("asymptote", "100,1000,10000", 0),
+    ("conjecture1", "5..6", 1),
+    ("conjecture2", "6..7", 1),
+    ("conjecture3", "6..9", 0),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("claim, orders, exit_code", VERIFY_GOLDEN)
+def test_verify_golden_bytes(capsys, claim, orders, exit_code, fmt):
+    code, out, _ = run(capsys, "verify", claim, "--n", orders, "--format", fmt)
+    assert code == exit_code
+    assert out == (GOLDEN / f"{claim}.{fmt}").read_bytes().decode("ascii")
+
+
+def test_verify_help_golden(capsys, monkeypatch):
+    # argparse wraps help text at the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    want = (GOLDEN / "help.text").read_bytes().decode("ascii")
+    assert capsys.readouterr().out == want
+
+
 def test_verify_json_deterministic_across_runs_and_workers(capsys):
     args = ["verify", "max-bipartite", "--n", "4..7", "--format", "json"]
     code1, out1, _ = run(capsys, *args)

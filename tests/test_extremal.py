@@ -17,11 +17,8 @@ from ggindex.extremal import (
     min_bipartite_closed,
     min_bipartite_expected,
     parse_objective,
-    probe_conjecture,
     residuals_positive_decreasing,
-    verify_max_bipartite,
-    verify_min_bipartite,
-    verify_tree_extremals,
+    verify,
 )
 from ggindex.families import (
     complete_bipartite,
@@ -109,7 +106,7 @@ def test_find_extremal_order_invariance():
 
 
 def test_verify_max_bipartite_small():
-    report = verify_max_bipartite(range(4, 8))
+    report = verify("max-bipartite", range(4, 8))
     assert report.passed and report.n_range == (4, 5, 6, 7)
     for row in report.rows:
         a, b = row.n // 2, row.n - row.n // 2
@@ -118,14 +115,14 @@ def test_verify_max_bipartite_small():
 
 
 def test_verify_min_bipartite_small():
-    report = verify_min_bipartite(range(4, 8))
+    report = verify("min-bipartite", range(4, 8))
     assert report.passed
     for row in report.rows:
         assert row.exact_witnesses == (key(path(row.n)),)
 
 
 def test_verify_tree_extremals_small():
-    report = verify_tree_extremals(range(4, 9))
+    report = verify("trees", range(4, 9))
     assert report.passed
     assert len(report.rows) == 10
     for row in report.rows:
@@ -210,13 +207,13 @@ def test_is_almost_regular():
 
 def test_probe_conjecture_validation():
     with pytest.raises(ExtremalError):
-        probe_conjecture(4, [6], 3)
+        verify("conjecture4", [6], max_degree=3)
     with pytest.raises(ExtremalError):
-        probe_conjecture(2, [6], 1)
+        verify("conjecture2", [6], max_degree=1)
 
 
 def test_probe_conjecture_two_finds_the_small_counterexamples():
-    report = probe_conjecture(2, [6, 7, 8], 3)
+    report = verify("conjecture2", [6, 7, 8], max_degree=3)
     assert report.claim == "conjecture2"
     assert not report.passed
     assert report.caveat
@@ -261,7 +258,7 @@ def test_conjecture_two_counterexamples_against_graph_atlas(n, classes):
     assert runner_up > best + 1e-9
     assert _networkx_gg(nx, nx.cycle_graph(n)) > best + 1e-9
 
-    row = probe_conjecture(2, [n], 3).rows[0]
+    row = verify("conjecture2", [n], max_degree=3).rows[0]
     assert row.value == pytest.approx(best, abs=1e-12)
     (witness,) = row.exact_witnesses
     assert nx.is_isomorphic(nx.from_graph6_bytes(witness.encode("ascii")), best_g)
@@ -270,7 +267,7 @@ def test_conjecture_two_counterexamples_against_graph_atlas(n, classes):
 def test_probe_conjecture_one_exact_three_way_tie():
     # the degree-3 maximizers at n = 5 tie exactly at 3 sqrt(2); two of the
     # three are not almost-regular, so the scan reports a counterexample
-    report = probe_conjecture(1, [5], 3)
+    report = verify("conjecture1", [5], max_degree=3)
     row = report.rows[0]
     assert not row.passed
     assert len(row.exact_witnesses) == 3
@@ -283,12 +280,12 @@ def test_probe_conjecture_one_exact_three_way_tie():
 
 
 def test_probe_conjecture_one_consistent_6_to_7():
-    report = probe_conjecture(1, [6, 7], 3)
+    report = verify("conjecture1", [6, 7], max_degree=3)
     assert report.passed
 
 
 def test_probe_conjecture_three_consistent():
-    report = probe_conjecture(3, [6, 7, 8], 3)
+    report = verify("conjecture3", [6, 7, 8], max_degree=3)
     assert report.passed
     for row in report.rows:
         assert row.label == "consistent"
@@ -298,6 +295,6 @@ def test_probe_conjecture_three_consistent():
 def test_probe_conjecture_star_anchor():
     # with the degree bound lifted to n - 1 the tree maximizer is the star
     for n in (6, 8):
-        report = probe_conjecture(3, [n], n - 1)
+        report = verify("conjecture3", [n], max_degree=n - 1)
         assert report.passed
         assert report.rows[0].exact_witnesses == (key(star(n)),)

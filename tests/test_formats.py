@@ -8,8 +8,7 @@ from ggindex.formats import (
     encode_graph6,
     format_edge_list,
     parse_edge_list_block,
-    read_edge_list_file,
-    read_graph6_file,
+    read_graphs,
     write_graph6_file,
 )
 
@@ -79,6 +78,10 @@ def test_decode_rejects_garbage():
         decode_graph6(chr(30) + "x")  # size byte below '?'
 
 
+def read_file(p):
+    return [(n, edges) for _, n, edges in read_graphs(p.read_text().splitlines(), str(p))]
+
+
 def test_graph6_file_round_trip(tmp_path):
     p = tmp_path / "graphs.g6"
     items = [
@@ -86,7 +89,7 @@ def test_graph6_file_round_trip(tmp_path):
         (4, _masks(4, [(0, 1), (1, 2), (2, 3), (0, 3)])),
     ]
     assert write_graph6_file(items, p) == 2
-    got = list(read_graph6_file(p))
+    got = read_file(p)
     assert got[0] == (3, [(0, 1), (1, 2)])
     assert got[1][0] == 4 and len(got[1][1]) == 4
 
@@ -95,7 +98,7 @@ def test_graph6_file_error_names_line(tmp_path):
     p = tmp_path / "bad.g6"
     p.write_text("A_\n!!!!\n")
     with pytest.raises(FormatError, match=r"bad\.g6:2"):
-        list(read_graph6_file(p))
+        read_file(p)
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -105,7 +108,7 @@ def test_edge_list_round_trip(tmp_path):
 
     p = tmp_path / "graphs.txt"
     p.write_text("3 2\n0 1\n1 2\n\n2 1\n0 1\n")
-    assert list(read_edge_list_file(p)) == [(3, [(0, 1), (1, 2)]), (2, [(0, 1)])]
+    assert read_file(p) == [(3, [(0, 1), (1, 2)]), (2, [(0, 1)])]
 
 
 def test_edge_list_block_errors():
