@@ -42,7 +42,7 @@ from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
 from .bitset import iter_bits
-from .formats import graph6_from_bits
+from .formats import graph6_from_bits, upper_triangle_bits
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,6 @@ def _individualize(colors: list[int], v: int) -> list[int]:
         c + 1 if (c > cv or (c == cv and u != v)) else c
         for u, c in enumerate(colors)
     ]
-
-
-def _encode(n: int, adj, lab) -> int:
-    """Upper-triangle bits of the relabeled graph, column-major, msb first."""
-    bits = 0
-    for j in range(1, n):
-        row = adj[lab[j]]
-        for i in range(j):
-            bits = (bits << 1) | ((row >> lab[i]) & 1)
-    return bits
 
 
 def _orbit_find(n: int, perms: Iterable[Sequence[int]]) -> Callable[[int], int]:
@@ -138,7 +128,7 @@ def canon_full(n: int, adj) -> CanonResult:
         ncells = max(colors) + 1
         if ncells == n:
             lab = tuple(sorted(range(n), key=colors.__getitem__))
-            bits = _encode(n, adj, lab)
+            bits = upper_triangle_bits(n, adj, lab)
             if first_bits is None:
                 first_bits, first_lab = bits, lab
             elif bits == first_bits and lab != first_lab:
@@ -189,7 +179,7 @@ def canon_key_exhaustive(n: int, adj) -> bytes:
         raise ValueError("exhaustive canonical form is limited to n <= 8")
     if n == 1:
         return graph6_from_bits(1, 0).encode("ascii")
-    best = min(_encode(n, adj, lab) for lab in permutations(range(n)))
+    best = min(upper_triangle_bits(n, adj, lab) for lab in permutations(range(n)))
     return graph6_from_bits(n, best).encode("ascii")
 
 

@@ -42,11 +42,11 @@ from .extremal import (
 from .families import FamilyError, construct, ngg_closed, parse_spec
 from .formats import FormatError, read_graphs
 from .graphs import Graph, GraphError, build_graph, to_graph6
-from .indices import abc_index, edge_splits, gg_index, ngg_index
+from .indices import INDEX_FNS as _INDEX_FNS, SPLIT_SUMS, edge_splits
 
 OK, VERIFY_FAILED, ERROR = 0, 1, 2
 
-_INDEX_FNS = {"gg": gg_index, "ngg": ngg_index, "abc": abc_index}
+_INDEX_NAMES = ",".join(_INDEX_FNS)
 
 
 class CliError(ValueError):
@@ -166,11 +166,13 @@ def _cmd_index(args) -> int:
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     bad = [w for w in which if w not in _INDEX_FNS]
     if bad or not which:
-        raise CliError(f"--which takes a comma subset of gg,ngg,abc, got {args.which!r}")
+        raise CliError(f"--which takes a comma subset of {_INDEX_NAMES}, got {args.which!r}")
     if args.splits and args.format == "csv":
         raise CliError("--splits is not representable in csv; use json or text")
+    need_splits = args.splits or any(w in SPLIT_SUMS for w in which)
 
     records = []
+    chunks = [_csv_line(["source", "line", "n", "m", *which])] if args.format == "csv" else []
     for path in args.inputs:
         if path == "-":
             label, lines = "<stdin>", sys.stdin.read().splitlines()
@@ -178,36 +180,31 @@ def _cmd_index(args) -> int:
             with open(path, encoding="ascii") as fh:
                 label, lines = path, fh.read().splitlines()
         for lineno, n, edges in read_graphs(lines, label):
-            records.append((label, lineno, _build(label, lineno, n, edges)))
-
-    if args.format == "json":
-        payload = {"command": "index", "records": []}
-        for label, lineno, g in records:
-            rec = {"source": label, "line": lineno, "n": g.n, "m": g.m}
-            for w in which:
-                rec[w] = _INDEX_FNS[w](g)
-            if args.splits:
-                rec["splits"] = [
-                    [s.edge[0], s.edge[1], s.n_u, s.n_v] for s in edge_splits(g)
-                ]
-            payload["records"].append(rec)
-        _write_output(dump_json(payload), args.out)
-    elif args.format == "csv":
-        text = _csv_line(["source", "line", "n", "m", *which])
-        for label, lineno, g in records:
-            text += _csv_line([label, lineno, g.n, g.m, *(_INDEX_FNS[w](g) for w in which)])
-        _write_output(text, args.out)
-    else:
-        chunks = []
-        for label, lineno, g in records:
-            vals = "  ".join(f"{w} {_fmt(_INDEX_FNS[w](g), 'text')}" for w in which)
-            chunks.append(f"{label}:{lineno}  n={g.n} m={g.m}  {vals}\n")
-            if args.splits:
-                for s in edge_splits(g):
-                    chunks.append(
+            g = _build(label, lineno, n, edges)
+            splits = edge_splits(g) if need_splits else ()
+            values = [
+                SPLIT_SUMS[w](splits) if w in SPLIT_SUMS else _INDEX_FNS[w](g) for w in which
+            ]
+            if args.format == "json":
+                rec = {"source": label, "line": lineno, "n": g.n, "m": g.m}
+                rec.update(zip(which, values))
+                if args.splits:
+                    rec["splits"] = [[s.edge[0], s.edge[1], s.n_u, s.n_v] for s in splits]
+                records.append(rec)
+            elif args.format == "csv":
+                chunks.append(_csv_line([label, lineno, g.n, g.m, *values]))
+            else:
+                vals = "  ".join(f"{w} {_fmt(v, 'text')}" for w, v in zip(which, values))
+                chunks.append(f"{label}:{lineno}  n={g.n} m={g.m}  {vals}\n")
+                if args.splits:
+                    chunks.extend(
                         f"    edge {s.edge[0]}-{s.edge[1]}: n_u={s.n_u} n_v={s.n_v}\n"
+                        for s in splits
                     )
-        _write_output("".join(chunks), args.out)
+    if args.format == "json":
+        chunks.append(dump_json({"command": "index", "records": records}))
+    # written only now, so a malformed graph anywhere leaves no partial output
+    _write_output("".join(chunks), args.out)
     return OK
 
 
@@ -400,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="compute GG/NGG/ABC for graphs in files")
     p.add_argument("inputs", nargs="+", help="graph6 or edge-list files ('-' for stdin)")
-    p.add_argument("--which", default="gg,ngg,abc", help="comma subset of gg,ngg,abc")
+    p.add_argument("--which", default=_INDEX_NAMES, help=f"comma subset of {_INDEX_NAMES}")
     p.add_argument("--splits", action="store_true", help="include per-edge n_u/n_v")
     common(p)
     p.set_defaults(fn=_cmd_index)

@@ -41,7 +41,7 @@ from typing import Iterator, Optional
 
 from . import canon as _canon
 from .bitset import components, iter_bits, mask_of, reach
-from .graphs import Graph, build_graph, canonical_form, from_graph6
+from .graphs import Graph, build_graph, canonical_form, from_graph6, is_bipartite
 
 ENV_MAX_N = "GGINDEX_MAX_N"
 
@@ -279,12 +279,20 @@ def _graph_from_masks(masks) -> Graph:
     return build_graph(n, edges)
 
 
-def _bound_for(cons: Constraints, bounds: FeasibilityBounds) -> tuple[int, str]:
+def _class_keys(
+    cons: Constraints, bounds: Optional[FeasibilityBounds], workers: int
+) -> list[bytes]:
+    """_final_keys after the feasibility-bound check, which raises first."""
+    bounds = bounds if bounds is not None else FeasibilityBounds.from_env()
     if cons.forest_growth:
-        return bounds.trees, cons.describe()
-    if cons.bipartite_only:
-        return bounds.bipartite, cons.describe()
-    return bounds.general, cons.describe()
+        limit = bounds.trees
+    elif cons.bipartite_only:
+        limit = bounds.bipartite
+    else:
+        limit = bounds.general
+    if cons.n > limit:
+        raise EnumerationBoundError(cons.n, limit, cons.describe())
+    return _final_keys(cons, workers)
 
 
 def enumerate_connected(
@@ -298,11 +306,7 @@ def enumerate_connected(
     Emitted graphs carry their canonical labeling, so to_graph6 of the k-th
     graph is exactly the k-th key in the stream's sort order.
     """
-    bounds = bounds if bounds is not None else FeasibilityBounds.from_env()
-    limit, what = _bound_for(cons, bounds)
-    if cons.n > limit:
-        raise EnumerationBoundError(cons.n, limit, what)
-    return (from_graph6(key.decode("ascii")) for key in _final_keys(cons, workers))
+    return (from_graph6(key.decode("ascii")) for key in _class_keys(cons, bounds, workers))
 
 
 def enumerate_trees(
@@ -325,19 +329,13 @@ def count_classes(
     workers: int = 1,
 ) -> int:
     """Cardinality of the stream without building Graph objects."""
-    bounds = bounds if bounds is not None else FeasibilityBounds.from_env()
-    limit, what = _bound_for(cons, bounds)
-    if cons.n > limit:
-        raise EnumerationBoundError(cons.n, limit, what)
-    return len(_final_keys(cons, workers))
+    return len(_class_keys(cons, bounds, workers))
 
 
 # ------------------------------------------------------------ oracle no. 1 ----
 
 def _matches(g: Graph, cons: Constraints) -> bool:
     if cons.bipartite_only or cons.trees_only:
-        from .graphs import is_bipartite
-
         if cons.trees_only and not g.is_tree:
             return False
         if not is_bipartite(g):

@@ -21,17 +21,18 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .enumeration import Constraints, FeasibilityBounds, enumerate_connected
 from .families import (
+    FamilySpec,
     almost_dendrimer,
     complete_bipartite,
+    construct,
     cycle,
-    cycle_hook,
-    cycle_pendant,
+    ngg_closed,
     ngg_path_closed,
     path,
     star,
 )
 from .graphs import Graph, canonical_form, from_graph6
-from .indices import abc_index, edge_splits, gg_index, ngg_index
+from .indices import INDEX_FNS as _FLOAT_FN, edge_splits, gg_index
 from .radicals import RadicalSum
 
 DEFAULT_EPSILON = 1e-9
@@ -54,8 +55,9 @@ class Objective:
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
             raise ExtremalError(f"objective sense must be min or max, got {self.sense!r}")
-        if self.index not in ("gg", "ngg", "abc"):
-            raise ExtremalError(f"objective index must be gg, ngg or abc, got {self.index!r}")
+        if self.index not in _FLOAT_FN:
+            names = ", ".join(_FLOAT_FN)
+            raise ExtremalError(f"objective index must be one of {names}, got {self.index!r}")
 
     @property
     def text(self) -> str:
@@ -67,9 +69,6 @@ def parse_objective(text: str) -> Objective:
     if not sep:
         raise ExtremalError(f"objective must look like min-ngg, got {text!r}")
     return Objective(sense, index)
-
-
-_FLOAT_FN = {"gg": gg_index, "ngg": ngg_index, "abc": abc_index}
 
 
 def index_value(g: Graph, index: str) -> float:
@@ -207,6 +206,23 @@ def _key(g: Graph) -> str:
     return canonical_form(g).decode("ascii")
 
 
+def _min_bipartite_families(n: int) -> tuple[FamilySpec, ...]:
+    """The families predicted to minimize NGG over bipartite graphs of order n."""
+    if n < 4:
+        raise ExtremalError(f"the minimum-bipartite table starts at n = 4, got {n}")
+    if n < 8:
+        kinds = ("path",)
+    elif n % 2 == 0:
+        kinds = ("cycle",)
+    elif n < 15:
+        kinds = ("cycle_pendant",)
+    elif n == 15:
+        kinds = ("cycle_pendant", "cycle_hook")
+    else:
+        kinds = ("cycle_hook",)
+    return tuple(FamilySpec(kind, (n,)) for kind in kinds)
+
+
 def min_bipartite_expected(n: int) -> list[Graph]:
     """Predicted minimizers of NGG over connected bipartite graphs.
 
@@ -215,32 +231,12 @@ def min_bipartite_expected(n: int) -> list[Graph]:
     equal value (both 8/sqrt(14)), so both are expected and uniqueness is
     deliberately not claimed there.
     """
-    if n < 4:
-        raise ExtremalError(f"the minimum-bipartite table starts at n = 4, got {n}")
-    if n < 8:
-        return [path(n)]
-    if n % 2 == 0:
-        return [cycle(n)]
-    if n <= 13:
-        return [cycle_pendant(n)]
-    if n == 15:
-        return [cycle_pendant(15), cycle_hook(15)]
-    return [cycle_hook(n)]
+    return [construct(spec) for spec in _min_bipartite_families(n)]
 
 
 def min_bipartite_closed(n: int) -> float:
     """Closed form of the predicted minimum NGG over bipartite graphs."""
-    if n < 4:
-        raise ExtremalError(f"the minimum-bipartite table starts at n = 4, got {n}")
-    if n < 8:
-        return ngg_path_closed(n)
-    if n % 2 == 0:
-        return 2.0
-    k = (n - 1) // 2
-    half = math.sqrt(k * (k + 1))
-    if n <= 15:
-        return 1.0 / math.sqrt(2 * k) + (n - 1) / half
-    return (n + 1) / half
+    return ngg_closed(_min_bipartite_families(n)[0])
 
 
 # ---------------------------------------------------------- closed-form scans ----

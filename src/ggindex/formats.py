@@ -74,15 +74,20 @@ def graph6_from_bits(n: int, bits: int) -> str:
     return _size_header(n) + pack_payload(bits, n * (n - 1) // 2)
 
 
+def upper_triangle_bits(n: int, adj: Sequence[int], lab: Sequence[int]) -> int:
+    """graph6 payload bits (column-major, msb first) of the graph relabeled by
+    lab (position -> vertex). canon_full runs this at every search leaf."""
+    bits = 0
+    for j in range(1, n):
+        row = adj[lab[j]]
+        for i in range(j):
+            bits = (bits << 1) | ((row >> lab[i]) & 1)
+    return bits
+
+
 def encode_graph6(n: int, adjacency_bits: Sequence[int]) -> str:
     """graph6 string of the labeled graph given by adjacency bitmasks."""
-    bits = 0
-    nbits = n * (n - 1) // 2
-    for j in range(1, n):
-        col = adjacency_bits[j]
-        for i in range(j):
-            bits = (bits << 1) | ((col >> i) & 1)
-    return _size_header(n) + pack_payload(bits, nbits)
+    return graph6_from_bits(n, upper_triangle_bits(n, adjacency_bits, tuple(range(n))))
 
 
 def decode_graph6(line: str) -> tuple[int, list[tuple[int, int]]]:

@@ -48,14 +48,20 @@ def edge_splits(g: Graph) -> tuple[EdgeSplit, ...]:
     return tuple(out)
 
 
+def gg_sum(splits) -> float:
+    return math.fsum(math.sqrt((nu + nv - 2) / (nu * nv)) for _, nu, nv in splits)
+
+
+def ngg_sum(splits) -> float:
+    return math.fsum(1.0 / math.sqrt(nu * nv) for _, nu, nv in splits)
+
+
 def gg_index(g: Graph) -> float:
-    return math.fsum(
-        math.sqrt((nu + nv - 2) / (nu * nv)) for _, nu, nv in edge_splits(g)
-    )
+    return gg_sum(edge_splits(g))
 
 
 def ngg_index(g: Graph) -> float:
-    return math.fsum(1.0 / math.sqrt(nu * nv) for _, nu, nv in edge_splits(g))
+    return ngg_sum(edge_splits(g))
 
 
 def abc_index(g: Graph) -> float:
@@ -65,12 +71,19 @@ def abc_index(g: Graph) -> float:
     )
 
 
+# The index names and their float values. cli and extremal bind this dict
+# itself, so replacing an entry (as bench/spans.py does) reaches every caller.
+INDEX_FNS = {"gg": gg_index, "ngg": ngg_index, "abc": abc_index}
+
+# The indices that are edge sums over splits; a caller holding a graph's
+# splits takes these values from them without another distance pass.
+SPLIT_SUMS = {"gg": gg_sum, "ngg": ngg_sum}
+
+
 def all_indices(g: Graph) -> IndexValues:
     """gg, ngg and abc computed off a single distance pass."""
     splits = edge_splits(g)
-    gg = math.fsum(math.sqrt((nu + nv - 2) / (nu * nv)) for _, nu, nv in splits)
-    ngg = math.fsum(1.0 / math.sqrt(nu * nv) for _, nu, nv in splits)
-    return IndexValues(gg, ngg, abc_index(g))
+    return IndexValues(gg_sum(splits), ngg_sum(splits), abc_index(g))
 
 
 def check_bipartite_relation(g: Graph, rel_tol: float = DEFAULT_RELATION_RTOL) -> bool:
@@ -83,7 +96,6 @@ def check_bipartite_relation(g: Graph, rel_tol: float = DEFAULT_RELATION_RTOL) -
     """
     splits = edge_splits(g)
     if is_bipartite(g):
-        gg = math.fsum(math.sqrt((nu + nv - 2) / (nu * nv)) for _, nu, nv in splits)
-        ngg = math.fsum(1.0 / math.sqrt(nu * nv) for _, nu, nv in splits)
+        gg, ngg = gg_sum(splits), ngg_sum(splits)
         return abs(gg - ngg * math.sqrt(g.n - 2)) <= rel_tol * abs(gg) if gg else True
     return any(nu + nv < g.n for _, nu, nv in splits)

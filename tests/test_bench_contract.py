@@ -13,6 +13,7 @@ import pytest
 
 import ggindex.cli as cli
 import ggindex.extremal as extremal
+import ggindex.indices as indices
 from ggindex.indices import abc_index, gg_index, ngg_index
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -42,3 +43,9 @@ def test_trace_target_resolves(module, attr, span):
 )
 def test_patched_index_tables(table):
     assert table == {"gg": gg_index, "ngg": ngg_index, "abc": abc_index}
+
+
+def test_index_tables_are_one_dict():
+    # the tracer replaces dict entries in place, so one patch reaches every binding
+    assert cli._INDEX_FNS is indices.INDEX_FNS
+    assert extremal._FLOAT_FN is indices.INDEX_FNS

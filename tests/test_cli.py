@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,10 +10,13 @@ from pathlib import Path
 
 import pytest
 
+import ggindex.indices
 from ggindex.cli import CliError, main, parse_n_values
 from ggindex.families import construct, ngg_closed, parse_spec
 from ggindex.graphs import canonical_form, from_graph6, to_graph6
 from ggindex.indices import ngg_index
+
+from conftest import random_connected_graph
 
 
 def run(capsys, *argv):
@@ -246,6 +250,98 @@ def test_verify_help_golden(capsys, monkeypatch):
     assert exc.value.code == 0
     want = (GOLDEN / "help.text").read_bytes().decode("ascii")
     assert capsys.readouterr().out == want
+
+
+INDEX_GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "index"
+
+# (name, arguments, file fed to stdin). Each case runs in every output format
+# but csv for --splits, which csv cannot carry. It runs from INDEX_GOLDEN_DIR,
+# so the source labels are the relative names; a golden file holds the stdout
+# of `ggindex index <arguments> --format <fmt>` run there. The inputs hold
+# graph6 and edge-list graphs, n = 1 and a four-byte graph6 size header.
+INDEX_GOLDEN = [
+    ("default", ("graphs.g6", "graphs.edges"), None),
+    ("splits", ("graphs.g6", "graphs.edges", "--splits"), None),
+    ("ngg-splits", ("graphs.g6", "graphs.edges", "--which", "ngg", "--splits"), None),
+    ("abc", ("graphs.g6", "graphs.edges", "--which", "abc"), None),
+    ("stdin", ("-", "graphs.g6"), "graphs.edges"),
+]
+INDEX_GOLDEN_RUNS = [
+    pytest.param(args, stdin, fmt, id=f"{name}.{fmt}")
+    for name, args, stdin in INDEX_GOLDEN
+    for fmt in ("text", "json", "csv")
+    if not (fmt == "csv" and "--splits" in args)
+]
+
+
+@pytest.mark.parametrize("args, stdin, fmt", INDEX_GOLDEN_RUNS)
+def test_index_golden_bytes(capsys, monkeypatch, request, args, stdin, fmt):
+    monkeypatch.chdir(INDEX_GOLDEN_DIR)
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO((INDEX_GOLDEN_DIR / stdin).read_text()))
+    code, out, _ = run(capsys, "index", *args, "--format", fmt)
+    assert code == 0
+    assert out == (INDEX_GOLDEN_DIR / request.node.callspec.id).read_bytes().decode("ascii")
+
+
+@pytest.mark.parametrize(
+    "args, per_graph",
+    [
+        (("--splits",), 1),
+        (("--which", "ngg", "--splits"), 1),
+        (("--which", "gg,ngg"), 1),
+        (("--which", "abc"), 0),
+    ],
+    ids=["splits", "ngg-splits", "gg-ngg", "abc"],
+)
+def test_index_distance_passes_per_graph(capsys, monkeypatch, args, per_graph):
+    # every value and every split of a graph come from one distance pass
+    calls = []
+    apsp = ggindex.indices.all_pairs_distances
+    monkeypatch.setattr(
+        ggindex.indices, "all_pairs_distances", lambda g: calls.append(g) or apsp(g)
+    )
+    monkeypatch.chdir(INDEX_GOLDEN_DIR)
+    code, out, _ = run(capsys, "index", "graphs.g6", "graphs.edges", *args, "--format", "json")
+    assert code == 0
+    graphs = len(json.loads(out)["records"])
+    assert graphs == 13
+    assert len(calls) == per_graph * graphs
+
+
+def test_index_splits_against_networkx(capsys, tmp_path):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(4)
+    graphs = [
+        random_connected_graph(rng, n, extra)
+        for n, extra in [(2, 0), (5, 1), (7, 4), (9, 0), (11, 6), (14, 10), (17, 3), (20, 25)]
+    ]
+    f = tmp_path / "random.g6"
+    f.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    code, out, _ = run(capsys, "index", str(f), "--splits", "--format", "json")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == len(graphs)
+    for g, rec in zip(graphs, records):
+        rows = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edges))).values()
+        want = [
+            [u, v, sum(d[u] < d[v] for d in rows), sum(d[v] < d[u] for d in rows)]
+            for u, v in g.edges
+        ]
+        assert rec["splits"] == want
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_index_bad_second_file_writes_nothing(capsys, tmp_path, p4_file, to_file):
+    bad = tmp_path / "bad.g6"
+    bad.write_text("Dhc\nC~\nDh\n")
+    dest = tmp_path / "out.txt"
+    out_args = ("--out", str(dest)) if to_file else ()
+    code, out, err = run(capsys, "index", p4_file, str(bad), *out_args)
+    assert code == 2
+    assert "bad.g6:3" in err
+    assert out == ""
+    assert not dest.exists()
 
 
 def test_verify_json_deterministic_across_runs_and_workers(capsys):

@@ -25,6 +25,8 @@ from ggindex.families import (
     cycle,
     cycle_hook,
     cycle_pendant,
+    ngg_closed,
+    parse_spec,
     path,
     star,
 )
@@ -149,6 +151,14 @@ def test_min_bipartite_closed_matches_graphs():
         want = min(ngg_index(g) for g in graphs)
         assert min_bipartite_closed(n) == pytest.approx(want, abs=1e-10), n
     assert min_bipartite_closed(12) == 2.0
+
+
+def test_min_bipartite_closed_is_the_closed_form_of_the_first_family():
+    for n in range(4, 42):
+        code = "P" if n < 8 else "C" if n % 2 == 0 else "CP" if n <= 15 else "CH"
+        assert min_bipartite_closed(n) == ngg_closed(parse_spec(f"{code}:{n}")), n
+    with pytest.raises(ExtremalError):
+        min_bipartite_closed(3)
 
 
 def test_crossover_scan_pattern():
