@@ -75,9 +75,12 @@ def _individualize(colors: list[int], v: int) -> list[int]:
     ]
 
 
-def _orbit_find(n: int, perms: Iterable[Sequence[int]]) -> Callable[[int], int]:
-    """Union-find over the orbits of perms; find(v) is the smallest vertex
-    in v's orbit (path halving, the larger root joins the smaller)."""
+def _orbit_union(
+    n: int,
+) -> tuple[Callable[[int], int], Callable[[Iterable[Sequence[int]]], None]]:
+    """Union-find over vertex orbits: join(perms) merges the orbits of perms,
+    find(v) is the smallest vertex in v's orbit so far (path halving, the
+    larger root joins the smaller)."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -86,12 +89,15 @@ def _orbit_find(n: int, perms: Iterable[Sequence[int]]) -> Callable[[int], int]:
             x = parent[x]
         return x
 
-    for g in perms:
-        for v in range(n):
-            a, b = find(v), find(g[v])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return find
+    def join(perms: Iterable[Sequence[int]]) -> None:
+        for g in perms:
+            for v, w in enumerate(g):
+                if v != w:
+                    a, b = find(v), find(w)
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+
+    return find, join
 
 
 def canon_full(n: int, adj) -> CanonResult:
@@ -119,10 +125,6 @@ def canon_full(n: int, adj) -> CanonResult:
             gen_seen.add(tup)
             gens.append(tup)
 
-    def orbit_find(prefix: tuple[int, ...]) -> Callable[[int], int]:
-        """Orbits of the generators that fix prefix pointwise."""
-        return _orbit_find(n, [g for g in gens if all(g[p] == p for p in prefix)])
-
     def search(colors: list[int], prefix: tuple[int, ...]) -> None:
         nonlocal best_bits, best_lab, first_bits, first_lab
         ncells = max(colors) + 1
@@ -143,10 +145,16 @@ def canon_full(n: int, adj) -> CanonResult:
             counts[c] += 1
         target = next(c for c in range(ncells) if counts[c] > 1)
         cell = [v for v in range(n) if colors[v] == target]
+        # orbits of the generators that fix prefix pointwise; gens only
+        # grows, so each one is joined once, when a sibling is next tested
+        find, join = _orbit_union(n)
+        joined = 0
         explored: list[int] = []
         for v in cell:
             if explored:
-                find = orbit_find(prefix)
+                if joined < len(gens):
+                    join(g for g in gens[joined:] if all(g[p] == p for p in prefix))
+                    joined = len(gens)
                 rv = find(v)
                 if any(find(u) == rv for u in explored):
                     continue
@@ -156,7 +164,8 @@ def canon_full(n: int, adj) -> CanonResult:
     search(_refine(n, neigh, [0] * n), ())
     assert best_bits is not None
 
-    find = orbit_find(())
+    find, join = _orbit_union(n)
+    join(gens)
     orbits = tuple(find(v) for v in range(n))
 
     return CanonResult(
@@ -195,5 +204,6 @@ def orbits_exhaustive(n: int, adj) -> tuple[int, ...]:
             for u in range(v)
         )
 
-    find = _orbit_find(n, filter(automorphic, permutations(range(n))))
+    find, join = _orbit_union(n)
+    join(filter(automorphic, permutations(range(n))))
     return tuple(find(v) for v in range(n))

@@ -7,7 +7,12 @@ disconnected, connectivity is enforced on the last level by requiring the
 new vertex to touch every component. A child survives only if the vertex
 just added sits in the same automorphism orbit as the child's canonical-last
 vertex, so every class is produced from exactly one parent class and exactly
-once overall. Constraint classes are pruned hereditarily:
+once overall. A child whose new vertex has less than the child's maximum
+degree is rejected before any canonical search: the refinement orders its
+cells by degree first and later only splits cells in place, so the
+canonical-last vertex always has maximum degree, and a vertex of lower degree
+can share no orbit with it. The filter therefore rejects exactly children the
+orbit test would reject. Constraint classes are pruned hereditarily:
 
   * bipartite: the new neighborhood must hit only one color class per
     component; admissible neighborhoods are generated directly from the
@@ -227,6 +232,9 @@ def _expand_parent(masks, cons: Constraints, final: bool) -> dict[bytes, tuple[i
             r_child = m_child - (k + 1) + c_child
             if r_child > target_r or (final and r_child != target_r):
                 continue
+        deg = s.bit_count()
+        if any(x.bit_count() > deg for x in child):
+            continue  # not of maximum degree, so never canonical-last
         res = _canon.canon_full(k + 1, child)
         if res.orbits[k] != res.orbits[res.last_vertex]:
             continue

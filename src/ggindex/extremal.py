@@ -4,7 +4,9 @@ find_extremal is a plain fold over a graph stream: track the best objective
 value, keep every candidate within an absolute tie window epsilon of it, then
 re-compare the surviving candidates with exact radical arithmetic so that a
 genuine tie (two graphs whose index values coincide as algebraic numbers) is
-distinguished from float noise. Witnesses are reported as graph6 strings of
+distinguished from float noise. verify runs that fold for every check of a
+claim in one pass over the class stream, computing each class's value once
+per index the checks use. Witnesses are reported as graph6 strings of
 canonical forms, so they are directly comparable across runs and platforms.
 
 CLAIMS is the table of the claims `ggindex verify` checks: for each, the
@@ -106,6 +108,63 @@ class ExtremalResult:
     total_classes: int
 
 
+class _Extremum:
+    """The fold behind find_extremal for one objective: the running best
+    value, the candidates within epsilon of it, and the class count."""
+
+    def __init__(self, objective: Objective, epsilon: float) -> None:
+        self.objective = objective
+        self.epsilon = epsilon
+        self.want_min = objective.sense == "min"
+        self.best: Optional[float] = None
+        self.window: dict[str, tuple[float, Graph]] = {}
+        self.total = 0
+
+    def offer(self, v: float, g: Graph) -> None:
+        self.total += 1
+        best, epsilon = self.best, self.epsilon
+        if best is None or (v < best if self.want_min else v > best):
+            best = self.best = v
+            self.window = {
+                key: pair
+                for key, pair in self.window.items()
+                if abs(pair[0] - best) <= epsilon
+            }
+        if abs(v - best) <= epsilon:
+            self.window.setdefault(canonical_form(g).decode("ascii"), (v, g))
+
+    def result(self, constraints: Optional[Constraints]) -> ExtremalResult:
+        """Re-rank the window exactly once the stream is exhausted."""
+        if self.best is None:
+            raise ExtremalError("cannot take an extremum of an empty graph stream")
+        window = self.window
+        witnesses = tuple(sorted(window))
+        if len(window) == 1:
+            exact_witnesses = witnesses
+        else:
+            index = self.objective.index
+            exact = {key: exact_index_value(pair[1], index) for key, pair in window.items()}
+            champion: Optional[RadicalSum] = None
+            for val in exact.values():
+                if champion is None:
+                    champion = val
+                    continue
+                c = val.compare(champion)
+                if (self.want_min and c < 0) or (not self.want_min and c > 0):
+                    champion = val
+            exact_witnesses = tuple(sorted(k for k, val in exact.items() if val == champion))
+
+        return ExtremalResult(
+            objective=self.objective,
+            constraints=constraints,
+            value=self.best,
+            witnesses=witnesses,
+            exact_witnesses=exact_witnesses,
+            epsilon=self.epsilon,
+            total_classes=self.total,
+        )
+
+
 def find_extremal(
     stream: Iterable[Graph],
     objective: "Objective | str",
@@ -129,51 +188,10 @@ def find_extremal(
             f" got {type(objective).__name__}"
         )
     fn = _FLOAT_FN[objective.index]
-    want_min = objective.sense == "min"
-    best: Optional[float] = None
-    window: dict[str, tuple[float, Graph]] = {}
-    total = 0
-
+    fold = _Extremum(objective, epsilon)
     for g in stream:
-        total += 1
-        v = fn(g)
-        if best is None or (v < best if want_min else v > best):
-            best = v
-            window = {
-                key: pair
-                for key, pair in window.items()
-                if abs(pair[0] - best) <= epsilon
-            }
-        if abs(v - best) <= epsilon:
-            window.setdefault(canonical_form(g).decode("ascii"), (v, g))
-
-    if best is None:
-        raise ExtremalError("cannot take an extremum of an empty graph stream")
-
-    witnesses = tuple(sorted(window))
-    if len(window) == 1:
-        exact_witnesses = witnesses
-    else:
-        exact = {key: exact_index_value(pair[1], objective.index) for key, pair in window.items()}
-        champion: Optional[RadicalSum] = None
-        for val in exact.values():
-            if champion is None:
-                champion = val
-                continue
-            c = val.compare(champion)
-            if (want_min and c < 0) or (not want_min and c > 0):
-                champion = val
-        exact_witnesses = tuple(sorted(k for k, val in exact.items() if val == champion))
-
-    return ExtremalResult(
-        objective=objective,
-        constraints=constraints,
-        value=best,
-        witnesses=witnesses,
-        exact_witnesses=exact_witnesses,
-        epsilon=epsilon,
-        total_classes=total,
-    )
+        fold.offer(fn(g), g)
+    return fold.result(constraints)
 
 
 # ------------------------------------------------------------------ reports ----
@@ -499,15 +517,17 @@ def verify(
         return VerificationReport(claim=claim, rows=rows, passed=spec.pattern(rows))
     if not spec.theorem and max_degree < 2:
         raise ExtremalError("a degree bound below 2 leaves nothing to scan")
+    indices = tuple(dict.fromkeys(check.objective.index for check in spec.checks))
     out = []
     for n in n_values:
         cons = spec.graph_class(n, max_degree)
-        stream = enumerate_connected(cons, bounds=bounds, workers=workers)
-        if len(spec.checks) > 1:
-            stream = list(stream)
-        for check in spec.checks:
-            result = find_extremal(stream, check.objective, epsilon, constraints=cons)
-            out.append(_check_row(n, max_degree, result, check, spec.theorem))
+        folds = [_Extremum(check.objective, epsilon) for check in spec.checks]
+        for g in enumerate_connected(cons, bounds=bounds, workers=workers):
+            values = {index: _FLOAT_FN[index](g) for index in indices}
+            for fold in folds:
+                fold.offer(values[fold.objective.index], g)
+        for check, fold in zip(spec.checks, folds):
+            out.append(_check_row(n, max_degree, fold.result(cons), check, spec.theorem))
     rows = tuple(out)
     return VerificationReport(
         claim=claim,

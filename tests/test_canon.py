@@ -10,7 +10,11 @@ compare partitions and invariants, never the raw byte choice.
 import random
 from collections import defaultdict
 
+from hypothesis import given, settings, strategies as st
+
+from ggindex.bitset import iter_bits
 from ggindex.canon import (
+    _refine,
     canon_full,
     canon_key,
     canon_key_exhaustive,
@@ -126,6 +130,28 @@ def test_labeling_and_last_vertex():
         res = canon_full(n, adj)
         assert sorted(res.labeling) == list(range(n))
         assert res.labeling[n - 1] == res.last_vertex
+
+
+@st.composite
+def _any_graphs(draw):
+    # every edge density, so disconnected graphs and isolated vertices (as in
+    # forest-growth intermediates) are drawn too
+    n = draw(st.integers(2, 10))
+    p = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return n, _random_masks(random.Random(seed), n, p)
+
+
+@settings(max_examples=300)
+@given(_any_graphs())
+def test_last_vertex_has_maximum_degree_and_ends_the_root_refinement(graph):
+    # the enumerator's degree pre-filter rests on both facts
+    n, adj = graph
+    last = canon_full(n, adj).last_vertex
+    assert adj[last].bit_count() == max(x.bit_count() for x in adj)
+    neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
+    root = _refine(n, neigh, [0] * n)
+    assert root[last] == max(root)
 
 
 def test_regular_graphs_have_single_orbit():

@@ -1,9 +1,13 @@
 import pytest
 
+from ggindex import canon
+from ggindex.bitset import components, iter_bits
 from ggindex.enumeration import (
     Constraints,
     EnumerationBoundError,
     FeasibilityBounds,
+    _expand_parent,
+    _neighborhood_options,
     ahu_certificate,
     brute_force_classes,
     count_classes,
@@ -192,3 +196,64 @@ def test_prufer_tree_counts():
     assert [len(prufer_trees(n)) for n in range(2, 9)] == [1, 1, 2, 3, 6, 11, 23]
     with pytest.raises(ValueError):
         prufer_trees(9)
+
+
+def _expand_unfiltered(masks, cons, final):
+    """_expand_parent without the degree pre-filter: the canonical-deletion
+    test alone, run on every admissible child."""
+    k = len(masks)
+    out = {}
+    for s in _neighborhood_options(masks, cons, final):
+        child = list(masks) + [s]
+        for u in iter_bits(s):
+            child[u] |= 1 << k
+        if cons.cyclomatic:
+            edges = sum(x.bit_count() for x in child) // 2
+            r = edges - (k + 1) + len(components(child, k + 1))
+            if r > cons.cyclomatic or (final and r != cons.cyclomatic):
+                continue
+        res = canon.canon_full(k + 1, child)
+        if res.orbits[k] == res.orbits[res.last_vertex]:
+            out.setdefault(res.key, tuple(child))
+    return out
+
+
+PREFILTER_CLASSES = [
+    Constraints(7),
+    Constraints(8, bipartite_only=True),
+    Constraints(8, max_degree=3),
+    Constraints(8, trees_only=True),
+    Constraints(8, cyclomatic=2),
+]
+
+
+@pytest.mark.parametrize("cons", PREFILTER_CLASSES, ids=lambda c: c.describe() + f" n<={c.n}")
+def test_degree_prefilter_keeps_every_canonical_child(cons):
+    # every parent class of every level up to cons.n, expanded both as an
+    # inner and as a final level: the filtered expansion returns the same
+    # keys and the same representatives as the unfiltered test
+    level = [(0,)]
+    for k in range(1, cons.n):
+        nxt = {}
+        for masks in level:
+            for final in (False, True) if k < cons.n - 1 else (True,):
+                got = _expand_parent(masks, cons, final)
+                assert got == _expand_unfiltered(masks, cons, final)
+                if not final:
+                    nxt.update(got)
+        level = [nxt[key] for key in sorted(nxt)]
+
+
+def test_canon_runs_only_on_children_whose_new_vertex_has_maximum_degree(monkeypatch):
+    full = canon.canon_full
+    calls = []
+
+    def checked(n, adj):
+        calls.append(n)
+        assert adj[n - 1].bit_count() == max(x.bit_count() for x in adj)
+        return full(n, adj)
+
+    monkeypatch.setattr(canon, "canon_full", checked)
+    assert count_classes(Constraints(8, bipartite_only=True)) == 182
+    assert count_classes(Constraints(9, trees_only=True)) == 47
+    assert calls
