@@ -43,3 +43,23 @@ def components(adj: tuple[int, ...] | list[int], n: int) -> list[int]:
         out.append(comp)
         left &= ~comp
     return out
+
+
+def bipartition(adj: tuple[int, ...] | list[int], start: int) -> tuple[int, int] | None:
+    """The two color-class masks of start's component, start's side first, or
+    None on an odd cycle (BFS layers alternate sides; an odd cycle shows as
+    an edge inside one layer)."""
+    sides = [0, 0]
+    seen = frontier = 1 << start
+    side = 0
+    while frontier:
+        sides[side] |= frontier
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= adj[v]
+        if nxt & frontier:
+            return None
+        frontier = nxt & ~seen
+        seen |= frontier
+        side ^= 1
+    return sides[0], sides[1]

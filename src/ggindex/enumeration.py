@@ -1,6 +1,11 @@
 """Isomorph-free exhaustive generation of small connected graphs.
 
-The generator grows graphs one vertex at a time (canonical augmentation).
+Trees (trees_only, or cyclomatic number 0) grow leaf by leaf: a child is its
+parent plus one leaf on a vertex below the degree bound, and repeated classes
+collapse in the dict of canonical keys each level is collected into. A tree
+minus a leaf is a tree within the same bound, so every class is reached.
+
+Every other class grows one vertex at a time (canonical augmentation).
 Level k holds one representative per isomorphism class of k-vertex graphs
 that can still extend to a valid final graph; intermediate graphs may be
 disconnected, connectivity is enforced on the last level by requiring the
@@ -19,7 +24,6 @@ orbit test would reject. Constraint classes are pruned hereditarily:
     parent's two-coloring instead of filtered afterwards;
   * bounded degree: saturated vertices are excluded, the neighborhood size
     is capped;
-  * forests (trees at the end): at most one neighbor per component;
   * fixed cyclomatic number r: children whose cycle count already exceeds r
     are dropped, and the last level keeps exact matches only.
 
@@ -32,7 +36,7 @@ edge-set bitmask and partitions them into isomorphism classes by flood fill
 under adjacent-transposition relabelings (which generate the full symmetric
 group), touching no canonical-labeling code at all. prufer_trees decodes all
 n^(n-2) Prufer sequences (n <= 8) and deduplicates the labeled trees with an
-AHU-style certificate.
+AHU-style certificate. The tests also hold trees against networkx.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from itertools import combinations, product
 from typing import Iterator, Optional
 
 from . import canon as _canon
-from .bitset import components, iter_bits, mask_of, reach
+from .bitset import bipartition, components, iter_bits, mask_of, reach
 from .graphs import Graph, build_graph, canonical_form, from_graph6, is_bipartite
 
 ENV_MAX_N = "GGINDEX_MAX_N"
@@ -84,7 +88,7 @@ class Constraints:
             raise ValueError("trees_only contradicts a nonzero cyclomatic number")
 
     @property
-    def forest_growth(self) -> bool:
+    def tree_class(self) -> bool:
         return self.trees_only or self.cyclomatic == 0
 
     def describe(self) -> str:
@@ -129,29 +133,6 @@ class FeasibilityBounds:
 
 # ----------------------------------------------------------- augmentation ----
 
-def _bipartition_sides(masks, comps) -> list[tuple[int, int]]:
-    """Per component, the two color-class masks of the (bipartite) parent."""
-    color = {}
-    sides = []
-    for comp in comps:
-        start = (comp & -comp).bit_length() - 1
-        color[start] = 0
-        a, b = 1 << start, 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in iter_bits(masks[u]):
-                if w not in color:
-                    color[w] = color[u] ^ 1
-                    if color[w]:
-                        b |= 1 << w
-                    else:
-                        a |= 1 << w
-                    stack.append(w)
-        sides.append((a, b))
-    return sides
-
-
 def _nonempty_submasks(mask: int, cap: int) -> list[int]:
     verts = list(iter_bits(mask))
     out = []
@@ -184,19 +165,14 @@ def _neighborhood_options(masks, cons: Constraints, final: bool) -> list[int]:
     else:
         allowed = (1 << k) - 1
         cap = k
+    if cons.tree_class:
+        return [1 << v for v in iter_bits(allowed)]
     comps = components(masks, k)
-
-    if cons.forest_growth:
-        option_lists = []
-        for comp in comps:
-            opts = [] if final else [0]
-            opts.extend(1 << v for v in iter_bits(comp & allowed))
-            option_lists.append(opts)
-        return _assemble(option_lists, cap)
 
     if cons.bipartite_only:
         option_lists = []
-        for comp, (a, b) in zip(comps, _bipartition_sides(masks, comps)):
+        for comp in comps:
+            a, b = bipartition(masks, (comp & -comp).bit_length() - 1)
             opts = [] if final else [0]
             opts.extend(_nonempty_submasks(a & allowed, cap))
             opts.extend(_nonempty_submasks(b & allowed, cap))
@@ -216,16 +192,24 @@ def _neighborhood_options(masks, cons: Constraints, final: bool) -> list[int]:
 
 
 def _expand_parent(masks, cons: Constraints, final: bool) -> dict[bytes, tuple[int, ...]]:
-    """Children of one parent class that pass the canonical-deletion test."""
+    """Children of one parent class, one per class: every leaf extension of a
+    tree, otherwise those that pass the canonical-deletion test."""
     k = len(masks)
     m_parent = sum(x.bit_count() for x in masks) // 2
     target_r = cons.cyclomatic
+    # past two vertices the canonical-last vertex of a tree has maximum
+    # degree and is never a leaf, so canonical deletion cannot grow trees by
+    # leaves; the key dict removes repeated classes instead
+    tree = cons.tree_class
     out: dict[bytes, tuple[int, ...]] = {}
     for s in _neighborhood_options(masks, cons, final):
         child = list(masks)
         child.append(s)
         for u in iter_bits(s):
             child[u] |= 1 << k
+        if tree:
+            out.setdefault(_canon.canon_key(k + 1, child), tuple(child))
+            continue
         if target_r is not None and target_r > 0:
             m_child = m_parent + s.bit_count()
             c_child = len(components(child, k + 1))
@@ -292,7 +276,7 @@ def _class_keys(
 ) -> list[bytes]:
     """_final_keys after the feasibility-bound check, which raises first."""
     bounds = bounds if bounds is not None else FeasibilityBounds.from_env()
-    if cons.forest_growth:
+    if cons.tree_class:
         limit = bounds.trees
     elif cons.bipartite_only:
         limit = bounds.bipartite

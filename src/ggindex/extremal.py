@@ -302,9 +302,10 @@ def crossover_pattern_ok(rows: Sequence[CrossoverRow]) -> bool:
 
 def _odd_crossover_scan(n_values: Iterable[int]) -> list[CrossoverRow]:
     """crossover_scan over the odd orders >= 5 among n_values."""
-    odd = [n for n in n_values if n % 2 == 1 and n >= 5]
+    given = list(n_values)
+    odd = [n for n in given if n % 2 == 1 and n >= 5]
     if not odd:
-        raise ExtremalError("crossover wants odd orders >= 5 in --n")
+        raise ExtremalError(f"crossover wants an odd order >= 5, got {given}")
     return crossover_scan(odd)
 
 

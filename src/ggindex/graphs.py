@@ -1,9 +1,9 @@
 """Immutable connected simple graphs on vertices 0..n-1.
 
 The constructor validates and normalizes its input once; after that a Graph
-is hashable, comparable and safe to share. Adjacency is kept both as sorted
-neighbor tuples and as per-vertex bitmasks (arbitrary-size Python ints, so
-nothing breaks past 64 vertices, the enumerator just never goes there).
+is hashable, comparable and safe to share. Adjacency is kept as per-vertex
+bitmasks (arbitrary-size Python ints, so nothing breaks past 64 vertices,
+the enumerator just never goes there).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from . import canon as _canon
 from . import formats as _formats
-from .bitset import iter_bits, reach
+from .bitset import bipartition, iter_bits, reach
 
 DistanceMatrix = tuple[tuple[int, ...], ...]
 CanonicalForm = bytes
@@ -73,14 +73,6 @@ class Graph:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
         return tuple(bits)
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            out[u].append(v)
-            out[v].append(u)
-        return tuple(tuple(sorted(x)) for x in out)
 
     @property
     def m(self) -> int:
@@ -143,23 +135,14 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
 def two_coloring(g: Graph) -> Optional[tuple[int, ...]]:
     """A proper 2-coloring (vertex 0 colored 0), or None if none exists."""
-    color = [-1] * g.n
-    color[0] = 0
-    queue = [0]
-    adj = g.neighbors
-    while queue:
-        u = queue.pop()
-        for w in adj[u]:
-            if color[w] < 0:
-                color[w] = color[u] ^ 1
-                queue.append(w)
-            elif color[w] == color[u]:
-                return None
-    return tuple(color)
+    sides = bipartition(g.adjacency_bits, 0)
+    if sides is None:
+        return None
+    return tuple((sides[1] >> v) & 1 for v in range(g.n))
 
 
 def is_bipartite(g: Graph) -> bool:
-    return two_coloring(g) is not None
+    return bipartition(g.adjacency_bits, 0) is not None
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

@@ -135,7 +135,7 @@ def test_labeling_and_last_vertex():
 @st.composite
 def _any_graphs(draw):
     # every edge density, so disconnected graphs and isolated vertices (as in
-    # forest-growth intermediates) are drawn too
+    # the intermediate levels of canonical augmentation) are drawn too
     n = draw(st.integers(2, 10))
     p = draw(st.floats(0.0, 1.0))
     seed = draw(st.integers(0, 2 ** 32 - 1))

@@ -252,6 +252,24 @@ def test_verify_help_golden(capsys, monkeypatch):
     assert capsys.readouterr().out == want
 
 
+ENUMERATE_GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "enumerate"
+
+# (golden file, arguments): a golden file holds the stdout of
+# `PYTHONPATH=src python -m ggindex enumerate <arguments>`
+ENUMERATE_GOLDEN = [
+    ("trees-12.text", ["--trees", "--n", "12"]),
+    ("trees-12-maxdeg3.text", ["--trees", "--n", "12", "--max-degree", "3"]),
+    ("cyclomatic0-10.json", ["--n", "10", "--cyclomatic", "0", "--format", "json"]),
+]
+
+
+@pytest.mark.parametrize("name, args", ENUMERATE_GOLDEN, ids=[n for n, _ in ENUMERATE_GOLDEN])
+def test_enumerate_golden_bytes(capsys, name, args):
+    code, out, _ = run(capsys, "enumerate", *args)
+    assert code == 0
+    assert out == (ENUMERATE_GOLDEN_DIR / name).read_bytes().decode("ascii")
+
+
 INDEX_GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "index"
 
 # (name, arguments, file fed to stdin). Each case runs in every output format

@@ -15,7 +15,7 @@ from ggindex.enumeration import (
     enumerate_trees,
     prufer_trees,
 )
-from ggindex.graphs import canonical_form, is_bipartite, to_graph6
+from ggindex.graphs import build_graph, canonical_form, is_bipartite, to_graph6
 
 # reference counts, cross-checked against brute_force_classes below for the
 # orders the brute scan can reach
@@ -85,6 +85,18 @@ def test_generator_agrees_with_prufer_oracle(n):
     got = set(keys(enumerate_trees(n)))
     want = {canonical_form(g).decode("ascii") for g in prufer_trees(n)}
     assert got == want
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_generator_agrees_with_networkx_trees(n):
+    # third tree oracle: networkx's Wright-Richmond-Odlyzko-McKay generator,
+    # filtered by max degree for the degree-bounded streams
+    nx = pytest.importorskip("networkx")
+    oracle = [build_graph(n, t.edges()) for t in nx.nonisomorphic_trees(n)]
+    assert keys(enumerate_trees(n)) == sorted(canonical_form(g).decode("ascii") for g in oracle)
+    for d in (2, 3, 4):
+        want = sorted(canonical_form(g).decode("ascii") for g in oracle if g.max_degree <= d)
+        assert keys(enumerate_trees(n, max_degree=d)) == want
 
 
 def test_trees_flag_matches_tree_stream():
@@ -170,7 +182,7 @@ def test_constraints_validation():
         Constraints(5, trees_only=True, cyclomatic=2)
     # trees_only with cyclomatic=0 is redundant but consistent
     Constraints(5, trees_only=True, cyclomatic=0)
-    assert Constraints(5, cyclomatic=0).forest_growth
+    assert Constraints(5, cyclomatic=0).tree_class
     assert "max degree 3" in Constraints(5, max_degree=3).describe()
 
 
@@ -222,7 +234,6 @@ PREFILTER_CLASSES = [
     Constraints(7),
     Constraints(8, bipartite_only=True),
     Constraints(8, max_degree=3),
-    Constraints(8, trees_only=True),
     Constraints(8, cyclomatic=2),
 ]
 
@@ -255,5 +266,37 @@ def test_canon_runs_only_on_children_whose_new_vertex_has_maximum_degree(monkeyp
 
     monkeypatch.setattr(canon, "canon_full", checked)
     assert count_classes(Constraints(8, bipartite_only=True)) == 182
-    assert count_classes(Constraints(9, trees_only=True)) == 47
     assert calls
+
+
+def test_trees_grow_by_one_leaf_on_an_unsaturated_vertex(monkeypatch):
+    # the tree path runs no canonical-deletion test: canon sees exactly one
+    # child per (parent class, unsaturated vertex) pair, each child a tree
+    # whose new vertex is a leaf on a vertex that was below the degree bound
+    bounded_pairs = sum(
+        sum(1 for d in g.degrees if d < 3)
+        for k in range(1, 9)
+        for g in enumerate_trees(k, max_degree=3)
+    )
+    full = canon.canon_full
+    calls = []
+    bound = {"max_degree": None}
+
+    def checked(n, adj):
+        calls.append(n)
+        assert sum(x.bit_count() for x in adj) == 2 * (n - 1)
+        assert len(components(adj, n)) == 1
+        assert adj[n - 1].bit_count() == 1
+        parent_degree = adj[adj[n - 1].bit_length() - 1].bit_count() - 1
+        assert bound["max_degree"] is None or parent_degree < bound["max_degree"]
+        return full(n, adj)
+
+    monkeypatch.setattr(canon, "canon_full", checked)
+    assert count_classes(Constraints(9, trees_only=True)) == 47
+    # every vertex of an unbounded tree is unsaturated: sum of k * t(k), k < 9
+    assert len(calls) == sum(k * TREES[k] for k in range(1, 9)) == 326
+
+    calls.clear()
+    bound["max_degree"] = 3
+    assert count_classes(Constraints(9, trees_only=True, max_degree=3)) == 18
+    assert len(calls) == bounded_pairs

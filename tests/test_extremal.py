@@ -189,6 +189,13 @@ def test_crossover_scan_rejects_even():
         crossover_scan([3])
 
 
+def test_verify_crossover_names_the_orders_it_was_given():
+    # the library error speaks of the orders, not of a CLI flag
+    with pytest.raises(ExtremalError, match=r"\[4, 6\]") as info:
+        verify("crossover", [4, 6])
+    assert "--n" not in str(info.value)
+
+
 def test_pattern_check_notices_wrong_rows():
     rows = crossover_scan([9, 15, 17])
     bad = [rows[0]._replace(comparison="equal")] + rows[1:]
