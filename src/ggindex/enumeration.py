@@ -1,9 +1,17 @@
 """Isomorph-free exhaustive generation of small connected graphs.
 
+Each level holds one representative per isomorphism class together with
+generators of its automorphism group, as found by the canonical search that
+keyed it. A parent's automorphism maps one admissible neighborhood of the new
+vertex onto another that gives an isomorphic child, so only the first
+neighborhood of each orbit of the parent's group is tried (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+
 Trees (trees_only, or cyclomatic number 0) grow leaf by leaf: a child is its
-parent plus one leaf on a vertex below the degree bound, and repeated classes
-collapse in the dict of canonical keys each level is collected into. A tree
-minus a leaf is a tree within the same bound, so every class is reached.
+parent plus one leaf on a vertex below the degree bound, one vertex per
+orbit, and repeated classes collapse in the dict of canonical keys each level
+is collected into. A tree minus a leaf is a tree within the same bound, so
+every class is reached.
 
 Every other class grows one vertex at a time (canonical augmentation).
 Level k holds one representative per isomorphism class of k-vertex graphs
@@ -12,12 +20,13 @@ disconnected, connectivity is enforced on the last level by requiring the
 new vertex to touch every component. A child survives only if the vertex
 just added sits in the same automorphism orbit as the child's canonical-last
 vertex, so every class is produced from exactly one parent class and exactly
-once overall. A child whose new vertex has less than the child's maximum
-degree is rejected before any canonical search: the refinement orders its
-cells by degree first and later only splits cells in place, so the
-canonical-last vertex always has maximum degree, and a vertex of lower degree
-can share no orbit with it. The filter therefore rejects exactly children the
-orbit test would reject. Constraint classes are pruned hereditarily:
+once overall. Two cheaper tests reject a child before any backtracking. The
+canonical-last vertex has maximum degree and lies in the last cell of the
+root refinement, because the refinement orders its cells by degree first and
+the search only splits cells in place. A new vertex of lower degree, or
+outside that cell, shares no orbit with it. Both tests therefore reject
+exactly children the orbit test would reject. Constraint classes are pruned
+hereditarily:
 
   * bipartite: the new neighborhood must hit only one color class per
     component; admissible neighborhoods are generated directly from the
@@ -191,9 +200,43 @@ def _neighborhood_options(masks, cons: Constraints, final: bool) -> list[int]:
     return out
 
 
-def _expand_parent(masks, cons: Constraints, final: bool) -> dict[bytes, tuple[int, ...]]:
-    """Children of one parent class, one per class: every leaf extension of a
-    tree, otherwise those that pass the canonical-deletion test."""
+def _orbit_representatives(options: list[int], generators) -> list[int]:
+    """The first option of each orbit, in the order of options, of the group
+    the vertex permutations in generators generate acting on vertex sets."""
+    if not generators:
+        return options
+    images = [[1 << w for w in g] for g in generators]
+    seen: set[int] = set()
+    reps = []
+    for s in options:
+        if s in seen:
+            continue
+        reps.append(s)
+        seen.add(s)
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for image in images:
+                y, rest = 0, x
+                while rest:
+                    low = rest & -rest
+                    y |= image[low.bit_length() - 1]
+                    rest ^= low
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return reps
+
+
+Entry = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (masks, generators)
+
+
+def _expand_parent(masks, generators, cons: Constraints, final: bool) -> dict[bytes, Entry]:
+    """Children of one parent class, one per class, each with the automorphism
+    generators of its representative: every leaf extension of a tree,
+    otherwise those that pass the canonical-deletion test. generators generate
+    the parent's automorphism group; an automorphism maps a neighborhood to
+    one giving an isomorphic child, so one neighborhood per orbit is tried."""
     k = len(masks)
     m_parent = sum(x.bit_count() for x in masks) // 2
     target_r = cons.cyclomatic
@@ -201,36 +244,36 @@ def _expand_parent(masks, cons: Constraints, final: bool) -> dict[bytes, tuple[i
     # degree and is never a leaf, so canonical deletion cannot grow trees by
     # leaves; the key dict removes repeated classes instead
     tree = cons.tree_class
-    out: dict[bytes, tuple[int, ...]] = {}
-    for s in _neighborhood_options(masks, cons, final):
+    out: dict[bytes, Entry] = {}
+    for s in _orbit_representatives(_neighborhood_options(masks, cons, final), generators):
         child = list(masks)
         child.append(s)
         for u in iter_bits(s):
             child[u] |= 1 << k
         if tree:
-            out.setdefault(_canon.canon_key(k + 1, child), tuple(child))
-            continue
-        if target_r is not None and target_r > 0:
-            m_child = m_parent + s.bit_count()
-            c_child = len(components(child, k + 1))
-            r_child = m_child - (k + 1) + c_child
-            if r_child > target_r or (final and r_child != target_r):
+            res = _canon.canon_full(k + 1, child)
+        else:
+            if target_r is not None and target_r > 0:
+                m_child = m_parent + s.bit_count()
+                c_child = len(components(child, k + 1))
+                r_child = m_child - (k + 1) + c_child
+                if r_child > target_r or (final and r_child != target_r):
+                    continue
+            deg = s.bit_count()
+            if any(x.bit_count() > deg for x in child):
+                continue  # not of maximum degree, so never canonical-last
+            res = _canon.canon_full(k + 1, child, last=k)
+            if res is None or res.orbits[k] != res.orbits[res.last_vertex]:
                 continue
-        deg = s.bit_count()
-        if any(x.bit_count() > deg for x in child):
-            continue  # not of maximum degree, so never canonical-last
-        res = _canon.canon_full(k + 1, child)
-        if res.orbits[k] != res.orbits[res.last_vertex]:
-            continue
-        out.setdefault(res.key, tuple(child))
+        out.setdefault(res.key, (tuple(child), res.generators))
     return out
 
 
-def _expand_chunk(args) -> dict[bytes, tuple[int, ...]]:
+def _expand_chunk(args) -> dict[bytes, Entry]:
     chunk, cons, final = args
-    merged: dict[bytes, tuple[int, ...]] = {}
-    for masks in chunk:
-        merged.update(_expand_parent(masks, cons, final))
+    merged: dict[bytes, Entry] = {}
+    for masks, generators in chunk:
+        merged.update(_expand_parent(masks, generators, cons, final))
     return merged
 
 
@@ -241,20 +284,20 @@ def _final_keys(cons: Constraints, workers: int = 1) -> list[bytes]:
         if not _matches(build_graph(1, []), cons):
             return []
         return [_canon.canon_full(1, (0,)).key]
-    level: list[tuple[int, ...]] = [(0,)]
+    level: list[Entry] = [((0,), ())]
     keys: list[bytes] = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for k in range(1, n):
             final = k == n - 1
-            merged: dict[bytes, tuple[int, ...]] = {}
+            merged: dict[bytes, Entry] = {}
             if pool is not None and len(level) > 2 * workers:
                 chunks = [level[i::workers] for i in range(workers)]
                 for part in pool.map(_expand_chunk, [(c, cons, final) for c in chunks]):
                     merged.update(part)
             else:
-                for masks in level:
-                    merged.update(_expand_parent(masks, cons, final))
+                for masks, generators in level:
+                    merged.update(_expand_parent(masks, generators, cons, final))
             if final:
                 keys = sorted(merged)
             else:

@@ -33,7 +33,7 @@ from .families import (
     path,
     star,
 )
-from .graphs import Graph, canonical_form, from_graph6
+from .graphs import Graph, canonical_form, from_graph6, to_graph6
 from .indices import INDEX_FNS as _FLOAT_FN, edge_splits, gg_index
 from .radicals import RadicalSum
 
@@ -110,11 +110,16 @@ class ExtremalResult:
 
 class _Extremum:
     """The fold behind find_extremal for one objective: the running best
-    value, the candidates within epsilon of it, and the class count."""
+    value, the candidates within epsilon of it keyed by their class key
+    (key(g) must be the graph6 of a canonical labeling of g), and the class
+    count."""
 
-    def __init__(self, objective: Objective, epsilon: float) -> None:
+    def __init__(
+        self, objective: Objective, epsilon: float, key: Callable[[Graph], str]
+    ) -> None:
         self.objective = objective
         self.epsilon = epsilon
+        self.key = key
         self.want_min = objective.sense == "min"
         self.best: Optional[float] = None
         self.window: dict[str, tuple[float, Graph]] = {}
@@ -131,7 +136,7 @@ class _Extremum:
                 if abs(pair[0] - best) <= epsilon
             }
         if abs(v - best) <= epsilon:
-            self.window.setdefault(canonical_form(g).decode("ascii"), (v, g))
+            self.window.setdefault(self.key(g), (v, g))
 
     def result(self, constraints: Optional[Constraints]) -> ExtremalResult:
         """Re-rank the window exactly once the stream is exhausted."""
@@ -188,7 +193,7 @@ def find_extremal(
             f" got {type(objective).__name__}"
         )
     fn = _FLOAT_FN[objective.index]
-    fold = _Extremum(objective, epsilon)
+    fold = _Extremum(objective, epsilon, _key)
     for g in stream:
         fold.offer(fn(g), g)
     return fold.result(constraints)
@@ -522,7 +527,8 @@ def verify(
     out = []
     for n in n_values:
         cons = spec.graph_class(n, max_degree)
-        folds = [_Extremum(check.objective, epsilon) for check in spec.checks]
+        # the stream is canonically labeled, so its graph6 is the class key
+        folds = [_Extremum(check.objective, epsilon, to_graph6) for check in spec.checks]
         for g in enumerate_connected(cons, bounds=bounds, workers=workers):
             values = {index: _FLOAT_FN[index](g) for index in indices}
             for fold in folds:

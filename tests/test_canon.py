@@ -9,10 +9,12 @@ compare partitions and invariants, never the raw byte choice.
 
 import random
 from collections import defaultdict
+from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ggindex.bitset import iter_bits
+from ggindex.bitset import iter_bits, mask_of
 from ggindex.canon import (
     _refine,
     canon_full,
@@ -154,6 +156,20 @@ def test_last_vertex_has_maximum_degree_and_ends_the_root_refinement(graph):
     assert root[last] == max(root)
 
 
+@settings(max_examples=200)
+@given(_any_graphs())
+def test_last_outside_the_last_root_cell_is_rejected_before_the_search(graph):
+    # canon_full(last=v) is None exactly when v is outside the last cell of
+    # the root refinement, and the plain result otherwise
+    n, adj = graph
+    neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
+    root = _refine(n, neigh, [0] * n)
+    plain = canon_full(n, adj)
+    for v in range(n):
+        got = canon_full(n, adj, last=v)
+        assert got == (plain if root[v] == max(root) else None)
+
+
 def test_regular_graphs_have_single_orbit():
     # the 5-cycle and the complete graph are vertex-transitive
     c5 = [0] * 5
@@ -167,7 +183,170 @@ def test_regular_graphs_have_single_orbit():
 
 
 def test_exhaustive_oracle_rejects_big_n():
-    import pytest
-
     with pytest.raises(ValueError):
         canon_key_exhaustive(9, [0] * 9)
+
+
+# ------------------------------------------------- automorphism generators ----
+
+def _is_automorphism(adj, perm):
+    return all(
+        adj[perm[v]] == mask_of(perm[u] for u in iter_bits(adj[v])) for v in range(len(adj))
+    )
+
+
+def _generated_group(n, generators):
+    """Every product of the generators, as permutation tuples."""
+    identity = tuple(range(n))
+    group = {identity}
+    stack = [identity]
+    while stack:
+        a = stack.pop()
+        for g in generators:
+            b = tuple(g[x] for x in a)
+            if b not in group:
+                group.add(b)
+                stack.append(b)
+    return group
+
+
+def _orbits_of(n, generators):
+    """Orbit id (smallest member) per vertex, by closure under generators."""
+    out = list(range(n))
+    for v in range(n):
+        seen, stack = {v}, [v]
+        while stack:
+            x = stack.pop()
+            for g in generators:
+                if g[x] not in seen:
+                    seen.add(g[x])
+                    stack.append(g[x])
+        out[v] = min(seen)
+    return tuple(out)
+
+
+def _check_generators(n, adj):
+    gens = canon_full(n, adj).generators
+    assert all(_is_automorphism(adj, g) for g in gens)
+    auts = {p for p in permutations(range(n)) if _is_automorphism(adj, p)}
+    assert _generated_group(n, gens) == auts
+    assert _orbits_of(n, gens) == orbits_exhaustive(n, adj)
+
+
+def test_generators_generate_the_automorphism_group_up_to_five_vertices():
+    # every labeled graph: each generator is an automorphism, together they
+    # generate the brute-force group, and their orbits are the exhaustive ones
+    for n in range(1, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            _check_generators(n, _masks_from_bitmask(n, mask))
+
+
+def test_generators_generate_the_automorphism_group_six_and_seven(rng):
+    for n, samples in ((6, 30), (7, 15)):
+        for _ in range(samples):
+            _check_generators(n, _random_masks(rng, n, p=rng.choice([0.2, 0.5, 0.8])))
+    # the full symmetric group, as empty and as complete graph, and the path
+    _check_generators(7, [0] * 7)
+    _check_generators(7, [127 ^ (1 << v) for v in range(7)])
+    _check_generators(7, [0b10, 0b101, 0b1010, 0b10100, 0b101000, 0b1010000, 0b100000])
+
+
+# ------------------------------------------ symmetric graphs against networkx ----
+
+CIRCULANTS = [
+    (11, [1, 2, 4]),
+    (12, [1, 5]),
+    (13, [1, 3, 4]),  # the quadratic residues mod 13: isomorphic to paley13
+    (13, [1, 5]),
+    (14, [1, 4]),
+    (15, [1, 4]),
+    (15, [1, 3, 6]),
+    (16, [1, 6]),
+    (17, [1, 4]),
+    (18, [1, 4]),
+    (19, [1, 7]),
+    (20, [1, 4]),
+    (20, [2, 5]),
+]
+
+
+def _symmetric_graphs(nx):
+    """networkx's symmetric named graphs and circulants (n <= 20), each also
+    with one pendant leaf, which leaves an automorphism group with several
+    orbits."""
+    named = {
+        "petersen": nx.petersen_graph(),
+        "heawood": nx.heawood_graph(),
+        "pappus": nx.pappus_graph(),
+        "desargues": nx.desargues_graph(),
+        "moebius_kantor": nx.moebius_kantor_graph(),
+        "dodecahedral": nx.dodecahedral_graph(),
+        "hypercube4": nx.hypercube_graph(4),
+        "paley13": nx.paley_graph(13).to_undirected(),
+    }
+    for n, offsets in CIRCULANTS:
+        named[f"circulant{n}_{'_'.join(map(str, offsets))}"] = nx.circulant_graph(n, offsets)
+    out = {}
+    for name, g in named.items():
+        g = nx.convert_node_labels_to_integers(nx.Graph(g))
+        out[name] = g
+        pendant = g.copy()
+        pendant.add_edge(0, g.number_of_nodes())
+        out[name + "+leaf"] = pendant
+    return out
+
+
+def _nx_masks(g):
+    adj = [0] * g.number_of_nodes()
+    for u, v in g.edges():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+@pytest.fixture(scope="module")
+def symmetric_graphs():
+    nx = pytest.importorskip("networkx")
+    return nx, _symmetric_graphs(nx)
+
+
+def test_symmetric_graph_keys_are_relabeling_invariant(symmetric_graphs):
+    _, graphs = symmetric_graphs
+    rng = random.Random(0x5EED)
+    for name, g in graphs.items():
+        n, adj = g.number_of_nodes(), _nx_masks(g)
+        key = canon_key(n, adj)
+        for _ in range(4):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canon_key(n, _relabel(n, adj, perm)) == key, name
+
+
+def test_symmetric_graph_keys_agree_with_vf2(symmetric_graphs):
+    # equal keys exactly when VF2 finds an isomorphism, over every pair of
+    # the same order and size (several cubic graphs share both)
+    nx, graphs = symmetric_graphs
+    keyed = []
+    for name, g in graphs.items():
+        n, size = g.number_of_nodes(), g.number_of_edges()
+        keyed.append((name, g, (n, size), canon_key(n, _nx_masks(g))))
+    pairs = same = 0
+    for i, (a, ga, size_a, ka) in enumerate(keyed):
+        for b, gb, size_b, kb in keyed[i + 1:]:
+            if size_a == size_b:
+                pairs += 1
+                same += ka == kb
+                assert (ka == kb) == nx.is_isomorphic(ga, gb), (a, b)
+    assert pairs > same > 0
+
+
+def test_symmetric_graph_orbits_match_vf2_automorphisms(symmetric_graphs):
+    nx, graphs = symmetric_graphs
+    for name, g in graphs.items():
+        n = g.number_of_nodes()
+        res = canon_full(n, _nx_masks(g))
+        matcher = nx.isomorphism.GraphMatcher(g, g)
+        auts = [tuple(m[v] for v in range(n)) for m in matcher.isomorphisms_iter()]
+        assert res.orbits == _orbits_of(n, auts), name
+        assert all(_is_automorphism(_nx_masks(g), p) for p in res.generators), name
+        assert len(_generated_group(n, res.generators)) == len(auts), name

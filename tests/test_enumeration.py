@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from ggindex import canon
@@ -23,6 +25,10 @@ CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 CONNECTED_BIPARTITE = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
 TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235}
 UNICYCLIC = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33}
+
+# each order's oracle trees are decoded once per session (n = 8 alone takes
+# all 262 144 Prufer sequences)
+_prufer_trees = functools.cache(prufer_trees)
 
 
 def keys(stream):
@@ -83,7 +89,7 @@ def test_brute_force_refuses_large_n():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_generator_agrees_with_prufer_oracle(n):
     got = set(keys(enumerate_trees(n)))
-    want = {canonical_form(g).decode("ascii") for g in prufer_trees(n)}
+    want = {canonical_form(g).decode("ascii") for g in _prufer_trees(n)}
     assert got == want
 
 
@@ -205,14 +211,14 @@ def test_ahu_certificate_distinguishes_and_unifies():
 
 
 def test_prufer_tree_counts():
-    assert [len(prufer_trees(n)) for n in range(2, 9)] == [1, 1, 2, 3, 6, 11, 23]
+    assert [len(_prufer_trees(n)) for n in range(2, 9)] == [1, 1, 2, 3, 6, 11, 23]
     with pytest.raises(ValueError):
         prufer_trees(9)
 
 
 def _expand_unfiltered(masks, cons, final):
-    """_expand_parent without the degree pre-filter: the canonical-deletion
-    test alone, run on every admissible child."""
+    """_expand_parent without the orbit, degree and root-cell pre-filters: the
+    canonical-deletion test alone, run on every admissible child."""
     k = len(masks)
     out = {}
     for s in _neighborhood_options(masks, cons, final):
@@ -241,15 +247,17 @@ PREFILTER_CLASSES = [
 @pytest.mark.parametrize("cons", PREFILTER_CLASSES, ids=lambda c: c.describe() + f" n<={c.n}")
 def test_degree_prefilter_keeps_every_canonical_child(cons):
     # every parent class of every level up to cons.n, expanded both as an
-    # inner and as a final level: the filtered expansion returns the same
-    # keys and the same representatives as the unfiltered test
-    level = [(0,)]
+    # inner and as a final level with its automorphism generators: the
+    # filtered expansion returns the same keys and the same representatives
+    # as the unfiltered test
+    level = [((0,), ())]
     for k in range(1, cons.n):
         nxt = {}
-        for masks in level:
+        for masks, generators in level:
             for final in (False, True) if k < cons.n - 1 else (True,):
-                got = _expand_parent(masks, cons, final)
-                assert got == _expand_unfiltered(masks, cons, final)
+                got = _expand_parent(masks, generators, cons, final)
+                reps = {key: child for key, (child, _) in got.items()}
+                assert reps == _expand_unfiltered(masks, cons, final)
                 if not final:
                     nxt.update(got)
         level = [nxt[key] for key in sorted(nxt)]
@@ -259,42 +267,53 @@ def test_canon_runs_only_on_children_whose_new_vertex_has_maximum_degree(monkeyp
     full = canon.canon_full
     calls = []
 
-    def checked(n, adj):
+    def checked(n, adj, **kwargs):
         calls.append(n)
         assert adj[n - 1].bit_count() == max(x.bit_count() for x in adj)
-        return full(n, adj)
+        return full(n, adj, **kwargs)
 
     monkeypatch.setattr(canon, "canon_full", checked)
     assert count_classes(Constraints(8, bipartite_only=True)) == 182
     assert calls
 
 
+def _unsaturated_orbit_counts():
+    """(parent class, orbit of vertices below the bound) pairs over the trees
+    on 1..8 vertices, unbounded and at max degree 3; orbits by brute force
+    over every permutation."""
+    unbounded = bounded = 0
+    for k in range(1, 9):
+        for g in enumerate_trees(k):
+            orbits = canon.orbits_exhaustive(k, g.adjacency_bits)
+            unbounded += len(set(orbits))
+            if g.max_degree <= 3:
+                bounded += len({orbits[v] for v, d in enumerate(g.degrees) if d < 3})
+    return unbounded, bounded
+
+
 def test_trees_grow_by_one_leaf_on_an_unsaturated_vertex(monkeypatch):
     # the tree path runs no canonical-deletion test: canon sees exactly one
-    # child per (parent class, unsaturated vertex) pair, each child a tree
-    # whose new vertex is a leaf on a vertex that was below the degree bound
-    bounded_pairs = sum(
-        sum(1 for d in g.degrees if d < 3)
-        for k in range(1, 9)
-        for g in enumerate_trees(k, max_degree=3)
-    )
+    # child per (parent class, orbit of unsaturated vertices) pair, each child
+    # a tree whose new vertex is a leaf on a vertex that was below the bound
+    unbounded_pairs, bounded_pairs = _unsaturated_orbit_counts()
     full = canon.canon_full
     calls = []
     bound = {"max_degree": None}
 
-    def checked(n, adj):
+    def checked(n, adj, **kwargs):
         calls.append(n)
         assert sum(x.bit_count() for x in adj) == 2 * (n - 1)
         assert len(components(adj, n)) == 1
         assert adj[n - 1].bit_count() == 1
         parent_degree = adj[adj[n - 1].bit_length() - 1].bit_count() - 1
         assert bound["max_degree"] is None or parent_degree < bound["max_degree"]
-        return full(n, adj)
+        return full(n, adj, **kwargs)
 
     monkeypatch.setattr(canon, "canon_full", checked)
     assert count_classes(Constraints(9, trees_only=True)) == 47
-    # every vertex of an unbounded tree is unsaturated: sum of k * t(k), k < 9
-    assert len(calls) == sum(k * TREES[k] for k in range(1, 9)) == 326
+    # every vertex of an unbounded tree is unsaturated: one call per vertex
+    # orbit of every tree on fewer than 9 vertices
+    assert len(calls) == unbounded_pairs == 200
 
     calls.clear()
     bound["max_degree"] = 3

@@ -132,6 +132,24 @@ def test_verify_tree_extremals_small():
         assert row.exact_witnesses == (key(want),)
 
 
+def test_verify_canonicalizes_only_the_expected_graphs(monkeypatch):
+    # the class stream is canonically labeled, so window entries are keyed by
+    # their graph6 and canonical_form runs once per expected witness only
+    from ggindex import extremal
+
+    real = extremal.canonical_form
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(extremal, "canonical_form", counted)
+    report = verify("trees", range(4, 9))
+    assert report.passed
+    assert len(calls) == len(report.rows) == 10
+
+
 def test_min_bipartite_expected_table():
     assert [key(g) for g in min_bipartite_expected(6)] == [key(path(6))]
     assert [key(g) for g in min_bipartite_expected(10)] == [key(cycle(10))]
