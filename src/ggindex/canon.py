@@ -122,16 +122,16 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
     if n < 1:
         raise ValueError("canonical form needs at least one vertex")
     if n == 1:
-        return CanonResult(graph6_from_bits(1, 0).encode("ascii"), (0,), (0,), 0, ())
+        return CanonResult(graph6_from_bits(1, "").encode("ascii"), (0,), (0,), 0, ())
 
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
     identity = tuple(range(n))
     gens: list[tuple[int, ...]] = []
     gen_seen = {identity}
 
-    best_bits: int | None = None
+    best_bits: str | None = None
     best_lab: tuple[int, ...] = identity
-    first_bits: int | None = None
+    first_bits: str | None = None
     first_lab: tuple[int, ...] = identity
 
     def record(lab_a: tuple[int, ...], lab_b: tuple[int, ...]) -> None:
@@ -209,7 +209,7 @@ def canon_key_exhaustive(n: int, adj) -> bytes:
     if n > 8:
         raise ValueError("exhaustive canonical form is limited to n <= 8")
     if n == 1:
-        return graph6_from_bits(1, 0).encode("ascii")
+        return graph6_from_bits(1, "").encode("ascii")
     best = min(upper_triangle_bits(n, adj, lab) for lab in permutations(range(n)))
     return graph6_from_bits(n, best).encode("ascii")
 

@@ -58,36 +58,36 @@ def _parse_size(s: str) -> tuple[int, str]:
     return c - 63, s[1:]
 
 
-def pack_payload(bits: int, nbits: int) -> str:
-    """Pack an msb-first bitstring (held in an int) into graph6 payload chars."""
-    pad = (-nbits) % 6
-    bits <<= pad
-    total = nbits + pad
-    out = []
-    for shift in range(total - 6, -6, -6):
-        out.append(chr(((bits >> shift) & 63) + 63))
-    return "".join(out)
+# One payload character per 6-bit group, and back.
+_SIX_TO_CHAR = {format(v, "06b"): chr(v + 63) for v in range(64)}
+_CHAR_TO_SIX = {c: six for six, c in _SIX_TO_CHAR.items()}
 
 
-def graph6_from_bits(n: int, bits: int) -> str:
-    """graph6 string from a pre-packed column-major upper-triangle bitstring."""
-    return _size_header(n) + pack_payload(bits, n * (n - 1) // 2)
+def graph6_from_bits(n: int, bits: str) -> str:
+    """graph6 string from the column-major upper-triangle bitstring ('0'/'1'
+    characters, n(n-1)/2 of them), zero-padded to whole 6-bit groups."""
+    bits += "0" * (-len(bits) % 6)
+    return _size_header(n) + "".join(
+        [_SIX_TO_CHAR[bits[i:i + 6]] for i in range(0, len(bits), 6)]
+    )
 
 
-def upper_triangle_bits(n: int, adj: Sequence[int], lab: Sequence[int]) -> int:
-    """graph6 payload bits (column-major, msb first) of the graph relabeled by
-    lab (position -> vertex). canon_full runs this at every search leaf."""
-    bits = 0
-    for j in range(1, n):
-        row = adj[lab[j]]
-        for i in range(j):
-            bits = (bits << 1) | ((row >> lab[i]) & 1)
-    return bits
+def upper_triangle_bits(n: int, adj: Sequence[int], lab: Sequence[int]) -> str:
+    """graph6 payload bits (column-major, '0'/'1' characters) of the graph
+    relabeled by lab (position -> vertex). canon_full runs this at every
+    search leaf; bitstrings of one order compare like the integers they spell."""
+    return "".join(
+        ["1" if adj[lab[j]] >> lab[i] & 1 else "0" for j in range(1, n) for i in range(j)]
+    )
 
 
 def encode_graph6(n: int, adjacency_bits: Sequence[int]) -> str:
     """graph6 string of the labeled graph given by adjacency bitmasks."""
-    return graph6_from_bits(n, upper_triangle_bits(n, adjacency_bits, tuple(range(n))))
+    # column j lists x(0,j) .. x(j-1,j): the low j bits of row j, lowest first
+    columns = (
+        format(adjacency_bits[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)
+    )
+    return graph6_from_bits(n, "".join(columns))
 
 
 def decode_graph6(line: str) -> tuple[int, list[tuple[int, int]]]:
@@ -102,20 +102,20 @@ def decode_graph6(line: str) -> tuple[int, list[tuple[int, int]]]:
         raise FormatError(
             f"graph6 payload for n={n} needs {want} characters, got {len(payload)}"
         )
-    bits = 0
-    for ch in payload:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
-            raise FormatError(f"invalid graph6 payload byte {ch!r}")
-        bits = (bits << 6) | v
-    bits >>= (-nbits) % 6
+    try:
+        bits = "".join(map(_CHAR_TO_SIX.__getitem__, payload))
+    except KeyError as exc:
+        raise FormatError(f"invalid graph6 payload byte {exc.args[0]!r}") from None
+    # column j holds bits start .. start+j-1, one per row i < j
     edges = []
-    pos = nbits - 1
-    for j in range(1, n):
-        for i in range(j):
-            if (bits >> pos) & 1:
-                edges.append((i, j))
-            pos -= 1
+    j, start = 1, 0
+    p = bits.find("1", 0, nbits)
+    while p >= 0:
+        while p >= start + j:
+            start += j
+            j += 1
+        edges.append((p - start, j))
+        p = bits.find("1", p + 1, nbits)
     return n, edges
 
 

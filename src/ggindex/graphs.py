@@ -110,7 +110,11 @@ def relabel(g: Graph, perm) -> Graph:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; entry [u][v] is the hop distance."""
+    """BFS from every vertex; entry [u][v] is the hop distance.
+
+    The value layer does not call this: edge_splits runs its own
+    bit-parallel pass. The dense table is the reference the splits are
+    checked against."""
     adj = g.adjacency_bits
     n = g.n
     full = (1 << n) - 1

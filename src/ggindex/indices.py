@@ -16,10 +16,10 @@ depend on labeling or edge order.
 from __future__ import annotations
 
 import math
-import operator
+from operator import add, or_
 from typing import NamedTuple
 
-from .graphs import Graph, all_pairs_distances, is_bipartite
+from .graphs import Graph, is_bipartite
 
 DEFAULT_RELATION_RTOL = 1e-12
 
@@ -37,15 +37,63 @@ class IndexValues(NamedTuple):
 
 
 def edge_splits(g: Graph) -> tuple[EdgeSplit, ...]:
-    """Closer-vertex counts (n_u, n_v) for every edge, in edge order."""
-    dist = all_pairs_distances(g)
-    lt = operator.lt
-    gt = operator.gt
-    out = []
-    for u, v in g.edges:
-        du, dv = dist[u], dist[v]
-        out.append(EdgeSplit((u, v), sum(map(lt, du, dv)), sum(map(gt, du, dv))))
-    return tuple(out)
+    """Closer-vertex counts (n_u, n_v) for every edge, in edge order.
+
+    One bit-parallel pass runs all n breadth-first searches together:
+    ball[u] is the bitmask of the vertices within distance k of u, and ORing
+    in the balls of u's neighbours takes it to radius k + 1. Across an edge
+    uv distances differ by at most one, so a vertex closer to u lies in
+    ball[u] but not in ball[v] at exactly one radius k, and no other vertex
+    ever does. n_u is thus the sum over the rounds of
+
+        popcount(ball[u] & ~ball[v]) = popcount(ball[u] | ball[v]) - popcount(ball[v]),
+
+    kept as one running total of union sizes per edge and one of ball sizes
+    per vertex until every ball is full. That is O(m * diameter) operations
+    on n-bit masks, with 2n masks in memory.
+    """
+    n, edges = g.n, g.edges
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    # Balls are stored by position in descending-degree order. The vertices
+    # with a j-th neighbour are then a prefix of the positions, and a round
+    # ORs in column j (the positions of those neighbours) with one map.
+    order = sorted(range(n), key=lambda v: len(nbrs[v]), reverse=True)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    rows = [[pos[w] for w in nbrs[v]] for v in order]
+    columns = []
+    k = n
+    for j in range(len(rows[0])):
+        while len(rows[k - 1]) <= j:
+            k -= 1
+        columns.append([r[j] for r in rows[:k]])
+    eu = [pos[u] for u, _ in edges]
+    ev = [pos[v] for _, v in edges]
+
+    bit_count = int.bit_count
+    ball = [1 << i for i in range(n)]
+    union_total = [0] * len(edges)
+    size_total = [0] * n
+    while True:
+        sizes = list(map(bit_count, ball))
+        if sum(sizes) == n * n:
+            break
+        size_total = list(map(add, size_total, sizes))
+        get = ball.__getitem__
+        unions = map(or_, map(get, eu), map(get, ev))
+        union_total = list(map(add, union_total, map(bit_count, unions)))
+        grown = ball[:]
+        for col in columns:
+            grown[:len(col)] = map(or_, grown, map(get, col))
+        ball = grown
+    return tuple(
+        EdgeSplit(e, t - size_total[b], t - size_total[a])
+        for e, t, a, b in zip(edges, union_total, eu, ev)
+    )
 
 
 def gg_sum(splits) -> float:
@@ -76,12 +124,12 @@ def abc_index(g: Graph) -> float:
 INDEX_FNS = {"gg": gg_index, "ngg": ngg_index, "abc": abc_index}
 
 # The indices that are edge sums over splits; a caller holding a graph's
-# splits takes these values from them without another distance pass.
+# splits takes these values from them without another split pass.
 SPLIT_SUMS = {"gg": gg_sum, "ngg": ngg_sum}
 
 
 def all_indices(g: Graph) -> IndexValues:
-    """gg, ngg and abc computed off a single distance pass."""
+    """gg, ngg and abc computed off a single split pass."""
     splits = edge_splits(g)
     return IndexValues(gg_sum(splits), ngg_sum(splits), abc_index(g))
 

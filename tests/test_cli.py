@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import ggindex.cli
 import ggindex.indices
 from ggindex.cli import CliError, main, parse_n_values
 from ggindex.families import construct, ngg_closed, parse_spec
@@ -313,12 +314,17 @@ def test_index_golden_bytes(capsys, monkeypatch, request, args, stdin, fmt):
     ids=["splits", "ngg-splits", "gg-ngg", "abc"],
 )
 def test_index_distance_passes_per_graph(capsys, monkeypatch, args, per_graph):
-    # every value and every split of a graph come from one distance pass
+    # every value and every split of a graph come from one split pass, whether
+    # cli calls it directly or through an index function of ggindex.indices
     calls = []
-    apsp = ggindex.indices.all_pairs_distances
-    monkeypatch.setattr(
-        ggindex.indices, "all_pairs_distances", lambda g: calls.append(g) or apsp(g)
-    )
+    splits = ggindex.indices.edge_splits
+
+    def counted(g):
+        calls.append(g)
+        return splits(g)
+
+    for module in (ggindex.cli, ggindex.indices):
+        monkeypatch.setattr(module, "edge_splits", counted)
     monkeypatch.chdir(INDEX_GOLDEN_DIR)
     code, out, _ = run(capsys, "index", "graphs.g6", "graphs.edges", *args, "--format", "json")
     assert code == 0

@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -67,15 +69,45 @@ def test_large_order_header():
     assert m == 63 and sorted(back) == edges
 
 
+def _large_graphs(n):
+    """A path, a cycle and a seeded sparse graph on n vertices."""
+    rng = random.Random(n)
+    sparse = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(sparse) < n + n // 10:
+        sparse.add(tuple(sorted(rng.sample(range(n), 2))))
+    path = [(i, i + 1) for i in range(n - 1)]
+    return {"path": path, "cycle": path + [(0, n - 1)], "sparse": sorted(sparse)}
+
+
+@pytest.mark.parametrize("n", [63, 300, 1000])
+def test_large_round_trips_agree_with_networkx(n):
+    for name, edges in _large_graphs(n).items():
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(edges)
+        theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
+        ours = encode_graph6(n, _masks(n, edges))
+        assert ours == theirs, name
+        m, back = decode_graph6(theirs)
+        assert m == n and sorted(back) == sorted(edges), name
+        back = nx.from_graph6_bytes(ours.encode()).edges()
+        assert sorted(tuple(sorted(e)) for e in back) == sorted(edges), name
+
+
 def test_decode_rejects_garbage():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="empty graph6 string"):
         decode_graph6("")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="needs 1 characters, got 0"):
         decode_graph6("C")  # truncated payload for n=4
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"invalid graph6 payload byte '\\x14'"):
         decode_graph6("C" + chr(20))  # payload byte out of range
     with pytest.raises(FormatError):
         decode_graph6(chr(30) + "x")  # size byte below '?'
+    # a bad byte deep in a long payload is still named
+    bad = list(encode_graph6(300, _masks(300, _large_graphs(300)["sparse"])))
+    bad[-7] = chr(127)
+    with pytest.raises(FormatError, match=r"invalid graph6 payload byte '\\x7f'"):
+        decode_graph6("".join(bad))
 
 
 def read_file(p):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ggindex.families import complete, complete_bipartite, cycle, path, star
-from ggindex.graphs import build_graph, relabel
+from ggindex.graphs import all_pairs_distances, build_graph, relabel
 from ggindex.indices import (
     abc_index,
     all_indices,
@@ -108,3 +108,66 @@ def test_relation_check_catches_a_lie():
     tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     assert check_bipartite_relation(tri)
     assert all(s.n_u + s.n_v < 3 for s in edge_splits(tri))
+
+
+# ------------------------------------------------ the split pass vs oracles ----
+
+@st.composite
+def long_sparse_graphs(draw, max_n=150):
+    """Connected graphs past one 64-bit word: a cycle of any length (an odd
+    one leaves a vertex equidistant from each of its edges' ends) with random
+    trees hanging off it and a few chords, randomly labeled."""
+    n = draw(st.integers(3, max_n))
+    c = draw(st.integers(3, n))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = {(i, i + 1) for i in range(c - 1)} | {(0, c - 1)}
+    edges.update((rng.randrange(v), v) for v in range(c, n))
+    for _ in range(draw(st.integers(0, 3))):
+        edges.add(tuple(rng.sample(range(n), 2)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(build_graph(n, edges), perm)
+
+
+def reference_splits(g, dist):
+    """(edge, n_u, n_v) in edge order, counted from a distance table."""
+    return [
+        (
+            (u, v),
+            sum(dist[u][w] < dist[v][w] for w in range(g.n)),
+            sum(dist[v][w] < dist[u][w] for w in range(g.n)),
+        )
+        for u, v in g.edges
+    ]
+
+
+@given(long_sparse_graphs())
+def test_edge_splits_match_distance_oracles(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(g.edges)
+    ours = [tuple(s) for s in edge_splits(g)]
+    assert ours == reference_splits(g, all_pairs_distances(g))
+    assert ours == reference_splits(g, dict(nx.all_pairs_shortest_path_length(h)))
+
+
+def test_path_splits_closed_form():
+    n = 400
+    assert [tuple(s) for s in edge_splits(path(n))] == [
+        ((i, i + 1), i + 1, n - 1 - i) for i in range(n - 1)
+    ]
+
+
+@pytest.mark.parametrize("n", [400, 401])
+def test_cycle_splits_closed_form(n):
+    # C_401 leaves one vertex equidistant from the ends of each edge
+    splits = edge_splits(cycle(n))
+    assert len(splits) == n
+    assert all((s.n_u, s.n_v) == (200, 200) for s in splits)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 7), (3, 5), (40, 50), (70, 3)])
+def test_complete_bipartite_splits_closed_form(a, b):
+    # vertices 0..a-1 form the a side, and every edge lists its a-side end first
+    splits = edge_splits(complete_bipartite(a, b))
+    assert len(splits) == a * b
+    assert all(s.edge[0] < a <= s.edge[1] and (s.n_u, s.n_v) == (b, a) for s in splits)
