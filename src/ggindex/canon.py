@@ -30,6 +30,19 @@ there, so the test suite compares them against a permutation brute force on
 every graph with up to 5 vertices and on random larger ones, and against
 networkx's VF2 automorphisms on symmetric graphs with up to 21 vertices.
 
+The keys depend on the exact color numbering the refinement gives, which is
+that of ranking every vertex by (color, sorted tuple of neighbor colors) in
+synchronous rounds until nothing changes. The refinement reproduces it with
+less work. The first round of the unit coloring ranks by degree. After it,
+vertices of one color have equal degree, and for equal-length sorted tuples
+A < B exactly when A's vector of per-color neighbor counts is
+lexicographically greater than B's. So each round signs a vertex by the
+integer with digit (n+1)**(last color - c) per neighbor of color c, ranks a
+cell's signatures in descending order, and numbers the pieces of split cells
+in place, shifting later colors. A singleton cell cannot split and is not
+signed. tests/test_canon.py keeps the round-based ranking as the reference
+and checks the two agree at the root and along chains of individualizations.
+
 The canonical-last vertex always lies in the last cell of the root
 refinement, because the search only ever splits cells in place. Given the
 vertex the caller wants to be last, canon_full returns None without
@@ -64,17 +77,47 @@ class CanonResult:
 
 
 def _refine(n: int, neigh: list[tuple[int, ...]], colors: list[int]) -> list[int]:
-    """Stable iso-invariant coloring refinement (1-WL), classes renumbered."""
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in neigh[v])))
-            for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
+    """Stable iso-invariant coloring refinement (1-WL), classes renumbered.
+
+    colors is the all-zero coloring or one in which vertices of one color have
+    equal degree. Each round splits every cell by the neighbor colors of its
+    vertices and numbers the new cells in order, shifting later colors by the
+    cells inserted before them; singleton cells are carried over unsigned.
+    """
+    colors = list(colors)
+    if not any(colors):
+        # the first round of the unit coloring ranks by degree, ascending
+        rank = {d: i for i, d in enumerate(sorted({len(nb) for nb in neigh}))}
+        colors = [rank[len(nb)] for nb in neigh]
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    base = n + 1
+    while len(cells) < n:
+        # a vertex's signature has digit base**(last - c) per neighbor of
+        # color c; on equal degrees, a larger signature means a smaller
+        # sorted tuple of neighbor colors, so it takes the lower color
+        powers = [base ** e for e in range(len(cells) - 1, -1, -1)]
+        digit = [powers[c] for c in colors]
+        split: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            by_sig: dict[int, list[int]] = {}
+            for v in cell:
+                by_sig.setdefault(sum(map(digit.__getitem__, neigh[v])), []).append(v)
+            if len(by_sig) == 1:
+                split.append(cell)
+            else:
+                split.extend(by_sig[s] for s in sorted(by_sig, reverse=True))
+        if len(split) == len(cells):
+            break
+        cells = split
+        for c, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = c
+    return colors
 
 
 def _individualize(colors: list[int], v: int) -> list[int]:

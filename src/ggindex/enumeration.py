@@ -15,9 +15,9 @@ every class is reached.
 
 Every other class grows one vertex at a time (canonical augmentation).
 Level k holds one representative per isomorphism class of k-vertex graphs
-that can still extend to a valid final graph; intermediate graphs may be
-disconnected, connectivity is enforced on the last level by requiring the
-new vertex to touch every component. A child survives only if the vertex
+in the class; intermediate graphs may be disconnected, connectivity is
+enforced on the last level by requiring the new vertex to touch every
+component. A child survives only if the vertex
 just added sits in the same automorphism orbit as the child's canonical-last
 vertex, so every class is produced from exactly one parent class and exactly
 once overall. Two cheaper tests reject a child before any backtracking. The
@@ -36,8 +36,19 @@ hereditarily:
   * fixed cyclomatic number r: children whose cycle count already exceeds r
     are dropped, and the last level keeps exact matches only.
 
-Emission is sorted by canonical form, so output order is a function of the
-constraint set alone; worker count changes wall time, never bytes.
+The levels below the last do not depend on the order asked for, so one walk
+serves several orders of one class. A tree level holds every tree of its
+order. The other classes (bipartite, bounded degree, cyclomatic number at
+most r) are closed under deleting a vertex, so level k holds every k-vertex
+member, disconnected ones included. Keys do not depend on the path that found
+a class. The classes of a lower order k are therefore the members of level k
+that are connected and, for cyclomatic number r, have exactly r; only the
+last level is grown with the connectivity and exact-r rules. The walk is
+breadth-first, one level at a time.
+
+Emission is sorted by canonical form within each order, so output order is a
+function of the constraint sets alone; worker count changes wall time, never
+bytes.
 
 Two independent oracles cross-check the generator in the test suite.
 brute_force_classes walks every labeled graph on n <= 7 vertices as an
@@ -52,13 +63,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import canon as _canon
 from .bitset import bipartition, components, iter_bits, mask_of, reach
+from .formats import graph6_from_bits
 from .graphs import Graph, build_graph, canonical_form, from_graph6, is_bipartite
 
 ENV_MAX_N = "GGINDEX_MAX_N"
@@ -230,6 +242,8 @@ def _orbit_representatives(options: list[int], generators) -> list[int]:
 
 Entry = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (masks, generators)
 
+_K1 = graph6_from_bits(1, "").encode("ascii")  # the key of the one-vertex graph
+
 
 def _expand_parent(masks, generators, cons: Constraints, final: bool) -> dict[bytes, Entry]:
     """Children of one parent class, one per class, each with the automorphism
@@ -277,35 +291,51 @@ def _expand_chunk(args) -> dict[bytes, Entry]:
     return merged
 
 
-def _final_keys(cons: Constraints, workers: int = 1) -> list[bytes]:
-    """Sorted canonical keys of every class matching cons."""
-    n = cons.n
-    if n == 1:
-        if not _matches(build_graph(1, []), cons):
-            return []
-        return [_canon.canon_full(1, (0,)).key]
-    level: list[Entry] = [((0,), ())]
-    keys: list[bytes] = []
+def _emitted(masks, cons: Constraints) -> bool:
+    """Whether a member of a level is one of the classes cons asks for: the
+    levels hold every class of the hereditary class, disconnected ones and
+    those below a cyclomatic number too."""
+    k = len(masks)
+    if reach(masks, 0) != (1 << k) - 1:
+        return False
+    r = cons.cyclomatic
+    return r is None or sum(x.bit_count() for x in masks) // 2 - k + 1 == r
+
+
+def _walk(conses: Sequence[Constraints], workers: int = 1) -> list[list[bytes]]:
+    """Sorted canonical keys of every class matching each of conses, which
+    must differ only in n, from one walk up to the largest n."""
+    if not conses:
+        return []
+    cons = conses[0]
+    if len({replace(c, n=1) for c in conses}) > 1:
+        raise ValueError("one walk serves constraints that differ only in n")
+    top = max(c.n for c in conses)
+    wanted = {c.n for c in conses}
+    keys: dict[int, list[bytes]] = {}
+    level: dict[bytes, Entry] = {_K1: ((0,), ())}
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for k in range(1, n):
-            final = k == n - 1
-            merged: dict[bytes, Entry] = {}
-            if pool is not None and len(level) > 2 * workers:
-                chunks = [level[i::workers] for i in range(workers)]
+        for k in range(1, top + 1):
+            ordered = sorted(level)
+            if k in wanted:
+                keys[k] = [key for key in ordered if _emitted(level[key][0], cons)]
+            if k == top:
+                break
+            final = k == top - 1
+            parents = [level[key] for key in ordered]
+            level = {}
+            if pool is not None and len(parents) > 2 * workers:
+                chunks = [parents[i::workers] for i in range(workers)]
                 for part in pool.map(_expand_chunk, [(c, cons, final) for c in chunks]):
-                    merged.update(part)
+                    level.update(part)
             else:
-                for masks, generators in level:
-                    merged.update(_expand_parent(masks, generators, cons, final))
-            if final:
-                keys = sorted(merged)
-            else:
-                level = [merged[key] for key in sorted(merged)]
+                for masks, generators in parents:
+                    level.update(_expand_parent(masks, generators, cons, final))
     finally:
         if pool is not None:
             pool.shutdown()
-    return keys
+    return [keys[c.n] for c in conses]
 
 
 def _graph_from_masks(masks) -> Graph:
@@ -314,10 +344,9 @@ def _graph_from_masks(masks) -> Graph:
     return build_graph(n, edges)
 
 
-def _class_keys(
-    cons: Constraints, bounds: Optional[FeasibilityBounds], workers: int
-) -> list[bytes]:
-    """_final_keys after the feasibility-bound check, which raises first."""
+def check_bound(cons: Constraints, bounds: Optional[FeasibilityBounds] = None) -> None:
+    """Raise EnumerationBoundError when cons.n exceeds the bound of its class;
+    bounds default to FeasibilityBounds.from_env()."""
     bounds = bounds if bounds is not None else FeasibilityBounds.from_env()
     if cons.tree_class:
         limit = bounds.trees
@@ -327,21 +356,26 @@ def _class_keys(
         limit = bounds.general
     if cons.n > limit:
         raise EnumerationBoundError(cons.n, limit, cons.describe())
-    return _final_keys(cons, workers)
 
 
 def enumerate_connected(
-    cons: Constraints,
-    *,
+    *cons: Constraints,
     bounds: Optional[FeasibilityBounds] = None,
     workers: int = 1,
 ) -> Iterator[Graph]:
     """One Graph per isomorphism class matching cons, in canonical-form order.
 
+    Given several constraint sets that differ only in n, one walk serves
+    them all, and the stream holds the classes of each in turn, in the order
+    given. Every bound is checked, in that order, when the function is called.
     Emitted graphs carry their canonical labeling, so to_graph6 of the k-th
-    graph is exactly the k-th key in the stream's sort order.
+    graph of an order is exactly the k-th key in that order's sort order.
     """
-    return (from_graph6(key.decode("ascii")) for key in _class_keys(cons, bounds, workers))
+    for c in cons:
+        check_bound(c, bounds)
+    return (
+        from_graph6(key.decode("ascii")) for keys in _walk(cons, workers) for key in keys
+    )
 
 
 def enumerate_trees(
@@ -364,7 +398,8 @@ def count_classes(
     workers: int = 1,
 ) -> int:
     """Cardinality of the stream without building Graph objects."""
-    return len(_class_keys(cons, bounds, workers))
+    check_bound(cons, bounds)
+    return len(_walk([cons], workers)[0])
 
 
 # ------------------------------------------------------------ oracle no. 1 ----

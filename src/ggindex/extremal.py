@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .enumeration import Constraints, FeasibilityBounds, enumerate_connected
+from .enumeration import Constraints, FeasibilityBounds, check_bound, enumerate_connected
 from .families import (
     FamilySpec,
     almost_dendrimer,
@@ -523,19 +523,29 @@ def verify(
         return VerificationReport(claim=claim, rows=rows, passed=spec.pattern(rows))
     if not spec.theorem and max_degree < 2:
         raise ExtremalError("a degree bound below 2 leaves nothing to scan")
-    indices = tuple(dict.fromkeys(check.objective.index for check in spec.checks))
-    out = []
-    for n in n_values:
+    orders = list(n_values)
+    # every order's class and bound are checked, in the order given, before
+    # one walk enumerates them all; a repeated order repeats its rows
+    classes: dict[int, Constraints] = {}
+    for n in orders:
         cons = spec.graph_class(n, max_degree)
-        # the stream is canonically labeled, so its graph6 is the class key
-        folds = [_Extremum(check.objective, epsilon, to_graph6) for check in spec.checks]
-        for g in enumerate_connected(cons, bounds=bounds, workers=workers):
-            values = {index: _FLOAT_FN[index](g) for index in indices}
-            for fold in folds:
-                fold.offer(values[fold.objective.index], g)
-        for check, fold in zip(spec.checks, folds):
-            out.append(_check_row(n, max_degree, fold.result(cons), check, spec.theorem))
-    rows = tuple(out)
+        check_bound(cons, bounds)
+        classes.setdefault(n, cons)
+    indices = tuple(dict.fromkeys(check.objective.index for check in spec.checks))
+    # the stream is canonically labeled, so its graph6 is the class key
+    folds = {
+        n: [_Extremum(check.objective, epsilon, to_graph6) for check in spec.checks]
+        for n in classes
+    }
+    for g in enumerate_connected(*classes.values(), bounds=bounds, workers=workers):
+        values = {index: _FLOAT_FN[index](g) for index in indices}
+        for fold in folds[g.n]:
+            fold.offer(values[fold.objective.index], g)
+    rows = tuple(
+        _check_row(n, max_degree, fold.result(classes[n]), check, spec.theorem)
+        for n in orders
+        for check, fold in zip(spec.checks, folds[n])
+    )
     return VerificationReport(
         claim=claim,
         rows=rows,

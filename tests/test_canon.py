@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from ggindex.bitset import iter_bits, mask_of
 from ggindex.canon import (
+    _individualize,
     _refine,
     canon_full,
     canon_key,
@@ -168,6 +169,46 @@ def test_last_outside_the_last_root_cell_is_rejected_before_the_search(graph):
     for v in range(n):
         got = canon_full(n, adj, last=v)
         assert got == (plain if root[v] == max(root) else None)
+
+
+def _refine_by_rounds(n, neigh, colors):
+    """The reference refinement: every round ranks every vertex by (color,
+    sorted neighbor colors) until nothing changes. _refine must return the
+    same list, since the numbering it gives picks the canonical labeling."""
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in neigh[v])))
+            for v in range(n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+@st.composite
+def _graphs_and_picks(draw):
+    n = draw(st.integers(1, 12))
+    p = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return n, _random_masks(random.Random(seed), n, p), random.Random(seed + 1)
+
+
+@settings(max_examples=400)
+@given(_graphs_and_picks())
+def test_refine_matches_the_round_based_reference(graph):
+    # at the root, then along a chain of individualizations of random vertices
+    # in non-singleton cells down to the discrete coloring, as the search does
+    n, adj, pick = graph
+    neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
+    colors = _refine_by_rounds(n, neigh, [0] * n)
+    assert _refine(n, neigh, [0] * n) == colors
+    while max(colors) + 1 < n:
+        v = pick.choice([v for v in range(n) if colors.count(colors[v]) > 1])
+        start = _individualize(colors, v)
+        colors = _refine_by_rounds(n, neigh, start)
+        assert _refine(n, neigh, start) == colors
 
 
 def test_regular_graphs_have_single_orbit():

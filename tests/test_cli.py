@@ -253,6 +253,68 @@ def test_verify_help_golden(capsys, monkeypatch):
     assert capsys.readouterr().out == want
 
 
+# (orders, stderr) of verify max-bipartite runs that fail before any row is
+# printed: each order's class and bound are checked, in the order given,
+# before anything is enumerated
+_BIPARTITE_12_REFUSED = (
+    "error: enumerating connected bipartite graphs at n=12 exceeds the configured"
+    " bound n <= 11; pass --max-n (or set GGINDEX_MAX_N) to raise it if you accept"
+    " the runtime\n"
+)
+VERIFY_ERRORS = [
+    ("4,12", _BIPARTITE_12_REFUSED),
+    ("0,4", "error: Constraints.n must be at least 1\n"),
+    ("12,0", _BIPARTITE_12_REFUSED),
+]
+
+
+@pytest.mark.parametrize("orders, want_err", VERIFY_ERRORS)
+def test_verify_order_errors(capsys, monkeypatch, orders, want_err):
+    monkeypatch.delenv("GGINDEX_MAX_N", raising=False)
+    code, out, err = run(capsys, "verify", "max-bipartite", "--n", orders)
+    assert (code, out, err) == (2, "", want_err)
+
+
+# Unsorted orders with a repeat: one row (per check) for every order as given.
+VERIFY_REPEATED = [
+    (
+        ("max-bipartite", "--n", "7,5,7"),
+        0,
+        "claim max-bipartite: pass\n"
+        "  n=7 pass: value=3.4641 witnesses=F?~v_ expected=F?~v_ classes=44\n"
+        "  n=5 pass: value=2.4495 witnesses=DFw expected=DFw classes=5\n"
+        "  n=7 pass: value=3.4641 witnesses=F?~v_ expected=F?~v_ classes=44\n",
+    ),
+    (
+        ("trees", "--n", "7,5,7", "--format", "csv"),
+        0,
+        "n,passed,label,value,expected,witnesses,exact_witnesses,classes,note\n"
+        "7,True,pass,4.530949869,FQGOW,FQGOW,FQGOW,11,min over trees\n"
+        "7,True,pass,5.477225575,F??Fw,F??Fw,F??Fw,11,max over trees\n"
+        "5,True,pass,3.14626437,DQK,DQK,DQK,3,min over trees\n"
+        "5,True,pass,3.464101615,D?{,D?{,D?{,3,max over trees\n"
+        "7,True,pass,4.530949869,FQGOW,FQGOW,FQGOW,11,min over trees\n"
+        "7,True,pass,5.477225575,F??Fw,F??Fw,F??Fw,11,max over trees\n",
+    ),
+    (
+        ("conjecture1", "--n", "7,5,7", "--max-degree", "3", "--format", "csv"),
+        1,
+        "n,passed,label,value,expected,witnesses,exact_witnesses,classes,note\n"
+        "7,True,consistent,6.990187583,,FqSpW,FqSpW,64,\n"
+        "5,False,counterexample found,4.242640687,,DFw;Dd[;Dr[,DFw;Dd[;Dr[,10,\n"
+        "7,True,consistent,6.990187583,,FqSpW,FqSpW,64,\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, exit_code, want", VERIFY_REPEATED, ids=[args[0] for args, _, _ in VERIFY_REPEATED]
+)
+def test_verify_unsorted_repeated_orders(capsys, args, exit_code, want):
+    code, out, _ = run(capsys, "verify", *args)
+    assert (code, out) == (exit_code, want)
+
+
 ENUMERATE_GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "enumerate"
 
 # (golden file, arguments): a golden file holds the stdout of

@@ -1,8 +1,9 @@
 import functools
+from dataclasses import replace
 
 import pytest
 
-from ggindex import canon
+from ggindex import canon, enumeration
 from ggindex.bitset import components, iter_bits
 from ggindex.enumeration import (
     Constraints,
@@ -17,6 +18,7 @@ from ggindex.enumeration import (
     enumerate_trees,
     prufer_trees,
 )
+from ggindex.extremal import verify
 from ggindex.graphs import build_graph, canonical_form, is_bipartite, to_graph6
 
 # reference counts, cross-checked against brute_force_classes below for the
@@ -319,3 +321,52 @@ def test_trees_grow_by_one_leaf_on_an_unsaturated_vertex(monkeypatch):
     bound["max_degree"] = 3
     assert count_classes(Constraints(9, trees_only=True, max_degree=3)) == 18
     assert len(calls) == bounded_pairs
+
+
+WALK_CLASSES = [
+    Constraints(1, bipartite_only=True),
+    Constraints(1, max_degree=3),
+    Constraints(1, trees_only=True),
+    Constraints(1, trees_only=True, max_degree=3),
+    Constraints(1, cyclomatic=2),
+    Constraints(1),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cls", WALK_CLASSES, ids=lambda c: c.describe())
+def test_one_walk_gives_every_order_its_own_walks_keys(cls, workers):
+    # the connected members of an intermediate level are exactly the classes
+    # of that order, so one walk to n = 8 serves orders 1..8, in any order
+    orders = [3, 8, 1, 5, 2, 7, 4, 6]
+    conses = [replace(cls, n=n) for n in orders]
+    alone = [keys(enumerate_connected(c, workers=workers)) for c in conses]
+    walk = list(enumerate_connected(*conses, workers=workers))
+    assert keys(walk) == [key for order_keys in alone for key in order_keys]
+    by_order = {}
+    for g in walk:
+        by_order.setdefault(g.n, []).append(to_graph6(g))
+    assert [by_order.get(n, []) for n in orders] == alone
+
+
+def test_one_walk_checks_every_bound_first():
+    with pytest.raises(EnumerationBoundError, match="n=11"):
+        enumerate_connected(Constraints(4), Constraints(11), Constraints(12))
+    with pytest.raises(ValueError, match="differ only in n"):
+        enumerate_connected(Constraints(4), Constraints(5, bipartite_only=True))
+
+
+def test_verify_walks_the_levels_once(monkeypatch):
+    # verify at orders 4..8 expands exactly the parents one walk to n = 8 does
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return _expand_parent(*args)
+
+    monkeypatch.setattr(enumeration, "_expand_parent", counted)
+    assert count_classes(Constraints(8, bipartite_only=True)) == 182
+    alone = len(calls)
+    calls.clear()
+    assert verify("max-bipartite", range(4, 9)).passed
+    assert len(calls) == alone
