@@ -24,9 +24,9 @@ prunes keep symmetric graphs from exploding into n! leaves:
 Each generator maps one leaf onto another with the same bitstring, so it is
 an automorphism, and together they generate the whole automorphism group.
 canon_full returns them with the orbits they induce. The isomorph-free
-enumerator uses the orbits for its canonical-deletion test and the generators
-to try one extension per orbit of a parent's group. Both are load-bearing
-there, so the test suite compares them against a permutation brute force on
+enumerator uses the orbits for its canonical-deletion test (last=, below)
+and the generators to try one extension per orbit of a parent's group. Both
+are load-bearing there, so the test suite compares them against a brute force on
 every graph with up to 5 vertices and on random larger ones, and against
 networkx's VF2 automorphisms on symmetric graphs with up to 21 vertices.
 
@@ -43,11 +43,13 @@ in place, shifting later colors. A singleton cell cannot split and is not
 signed. tests/test_canon.py keeps the round-based ranking as the reference
 and checks the two agree at the root and along chains of individualizations.
 
-The canonical-last vertex always lies in the last cell of the root
-refinement, because the search only ever splits cells in place. Given the
-vertex the caller wants to be last, canon_full returns None without
-searching when that vertex is outside the cell, so the enumerator rejects
-many children for the price of one refinement.
+Canonical positions ascend with degree: the root refinement numbers its
+cells by degree first, and the search only splits cells in place, so the
+canonically last vertex of degree d sits at position #{v : deg v <= d} - 1,
+in the last root cell among the vertices of degree d. canon_full(n, adj,
+last=v) returns None unless v is in that vertex's orbit for d = deg v:
+without searching when v is outside that cell (an automorphism keeps every
+vertex in its root cell), otherwise once the search has found the orbits.
 
 canon_key_exhaustive minimizes over every permutation (feasible for n <= 8).
 It generally picks a different representative than the search, which only
@@ -72,7 +74,6 @@ class CanonResult:
     key: bytes                 # graph6 of the canonically relabeled graph
     labeling: tuple[int, ...]  # canonical position -> original vertex
     orbits: tuple[int, ...]    # orbit id (smallest member) per vertex
-    last_vertex: int           # vertex placed on the final canonical position
     generators: tuple[tuple[int, ...], ...]  # automorphisms that generate Aut
 
 
@@ -156,16 +157,13 @@ def _orbit_union(
 def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResult]:
     """Canonical key, labeling, orbits and automorphism generators of a graph.
 
-    With last given, return None without searching when vertex last is not in
-    the final cell of the root refinement. The search only splits cells in
-    place, so the canonical-last vertex lies in that cell, and an automorphism
-    keeps every vertex in its root cell: a vertex outside the cell is neither
-    canonical-last nor in the canonical-last vertex's orbit.
+    With last given, return None unless vertex last is in the orbit of the
+    canonically last vertex of its degree (see the module docstring).
     """
     if n < 1:
         raise ValueError("canonical form needs at least one vertex")
     if n == 1:
-        return CanonResult(graph6_from_bits(1, "").encode("ascii"), (0,), (0,), 0, ())
+        return CanonResult(graph6_from_bits(1, "").encode("ascii"), (0,), (0,), ())
 
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
     identity = tuple(range(n))
@@ -223,20 +221,25 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
             search(_refine(n, neigh, _individualize(colors, v)), prefix + (v,))
 
     root = _refine(n, neigh, [0] * n)
-    if last is not None and root[last] != max(root):
-        return None
+    if last is not None:
+        d = len(neigh[last])
+        if root[last] != max(root[v] for v in range(n) if len(neigh[v]) == d):
+            return None
     search(root, ())
     assert best_bits is not None
 
     find, join = _orbit_union(n)
     join(gens)
     orbits = tuple(find(v) for v in range(n))
+    if last is not None:
+        position = sum(len(nb) <= d for nb in neigh) - 1
+        if orbits[last] != orbits[best_lab[position]]:
+            return None
 
     return CanonResult(
         key=graph6_from_bits(n, best_bits).encode("ascii"),
         labeling=best_lab,
         orbits=orbits,
-        last_vertex=best_lab[n - 1],
         generators=tuple(gens),
     )
 

@@ -7,26 +7,20 @@ vertex onto another that gives an isomorphic child, so only the first
 neighborhood of each orbit of the parent's group is tried (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 
-Trees (trees_only, or cyclomatic number 0) grow leaf by leaf: a child is its
-parent plus one leaf on a vertex below the degree bound, one vertex per
-orbit, and repeated classes collapse in the dict of canonical keys each level
-is collected into. A tree minus a leaf is a tree within the same bound, so
-every class is reached.
-
-Every other class grows one vertex at a time (canonical augmentation).
-Level k holds one representative per isomorphism class of k-vertex graphs
-in the class; intermediate graphs may be disconnected, connectivity is
-enforced on the last level by requiring the new vertex to touch every
-component. A child survives only if the vertex
-just added sits in the same automorphism orbit as the child's canonical-last
-vertex, so every class is produced from exactly one parent class and exactly
-once overall. Two cheaper tests reject a child before any backtracking. The
-canonical-last vertex has maximum degree and lies in the last cell of the
-root refinement, because the refinement orders its cells by degree first and
-the search only splits cells in place. A new vertex of lower degree, or
-outside that cell, shares no orbit with it. Both tests therefore reject
-exactly children the orbit test would reject. Constraint classes are pruned
-hereditarily:
+Every class grows one vertex at a time (canonical augmentation). Level k
+holds one representative per isomorphism class of k-vertex graphs in the
+class. A child survives only if the vertex just added is, up to
+automorphism, the canonically last vertex of its own degree (canon_full with
+last=), so every class is produced from exactly one parent class and exactly
+once overall. The deleted vertex must leave a parent in the class. Trees
+(trees_only, or cyclomatic number 0) delete their last leaf: a tree child is
+its parent plus one leaf on a vertex below the degree bound, and a tree minus
+a leaf is a tree within the same bound, so every tree is reached. Every other
+class deletes its last vertex of maximum degree, so a child whose new vertex
+has lower degree is rejected before canon is called; its intermediate graphs
+may be disconnected, and connectivity is enforced on the last level by
+requiring the new vertex to touch every component. Constraint classes are
+pruned hereditarily:
 
   * bipartite: the new neighborhood must hit only one color class per
     component; admissible neighborhoods are generated directly from the
@@ -178,38 +172,27 @@ def _assemble(option_lists: list[list[int]], cap: int) -> list[int]:
 
 
 def _neighborhood_options(masks, cons: Constraints, final: bool) -> list[int]:
-    """Admissible neighbor sets for the vertex about to be added."""
+    """Admissible neighbor sets for the vertex about to be added: unions of
+    one option per component, each a subset of one side of it (a color class
+    if bipartite), empty only if the child may be disconnected, at most cap
+    vertices in all. A tree is one component and takes one neighbor."""
     k = len(masks)
+    allowed = (1 << k) - 1
+    cap = 1 if cons.tree_class else k
     if cons.max_degree is not None:
         allowed = mask_of(v for v in range(k) if masks[v].bit_count() < cons.max_degree)
-        cap = cons.max_degree
-    else:
-        allowed = (1 << k) - 1
-        cap = k
-    if cons.tree_class:
-        return [1 << v for v in iter_bits(allowed)]
-    comps = components(masks, k)
-
-    if cons.bipartite_only:
-        option_lists = []
-        for comp in comps:
-            a, b = bipartition(masks, (comp & -comp).bit_length() - 1)
-            opts = [] if final else [0]
-            opts.extend(_nonempty_submasks(a & allowed, cap))
-            opts.extend(_nonempty_submasks(b & allowed, cap))
-            option_lists.append(opts)
-        return _assemble(option_lists, cap)
-
-    verts = list(iter_bits(allowed))
-    out = []
-    lo = 1 if final else 0
-    for r in range(lo, min(cap, len(verts)) + 1):
-        for combo in combinations(verts, r):
-            s = mask_of(combo)
-            if final and any(not (s & comp) for comp in comps):
-                continue
-            out.append(s)
-    return out
+        cap = min(cap, cons.max_degree)
+    option_lists = []
+    for comp in components(masks, k):
+        if cons.bipartite_only:
+            sides = bipartition(masks, (comp & -comp).bit_length() - 1)
+        else:
+            sides = (comp,)
+        opts = [] if final or cons.tree_class else [0]
+        for side in sides:
+            opts.extend(_nonempty_submasks(side & allowed, cap))
+        option_lists.append(opts)
+    return _assemble(option_lists, cap)
 
 
 def _orbit_representatives(options: list[int], generators) -> list[int]:
@@ -246,40 +229,33 @@ _K1 = graph6_from_bits(1, "").encode("ascii")  # the key of the one-vertex graph
 
 
 def _expand_parent(masks, generators, cons: Constraints, final: bool) -> dict[bytes, Entry]:
-    """Children of one parent class, one per class, each with the automorphism
-    generators of its representative: every leaf extension of a tree,
-    otherwise those that pass the canonical-deletion test. generators generate
-    the parent's automorphism group; an automorphism maps a neighborhood to
-    one giving an isomorphic child, so one neighborhood per orbit is tried."""
+    """Children of one parent class that pass the canonical-deletion test, one
+    per class, each with the automorphism generators of its representative.
+    generators generate the parent's automorphism group; an automorphism maps
+    a neighborhood to one giving an isomorphic child, so one neighborhood per
+    orbit is tried."""
     k = len(masks)
     m_parent = sum(x.bit_count() for x in masks) // 2
     target_r = cons.cyclomatic
-    # past two vertices the canonical-last vertex of a tree has maximum
-    # degree and is never a leaf, so canonical deletion cannot grow trees by
-    # leaves; the key dict removes repeated classes instead
-    tree = cons.tree_class
     out: dict[bytes, Entry] = {}
     for s in _orbit_representatives(_neighborhood_options(masks, cons, final), generators):
         child = list(masks)
         child.append(s)
         for u in iter_bits(s):
             child[u] |= 1 << k
-        if tree:
-            res = _canon.canon_full(k + 1, child)
-        else:
-            if target_r is not None and target_r > 0:
-                m_child = m_parent + s.bit_count()
-                c_child = len(components(child, k + 1))
-                r_child = m_child - (k + 1) + c_child
-                if r_child > target_r or (final and r_child != target_r):
-                    continue
-            deg = s.bit_count()
-            if any(x.bit_count() > deg for x in child):
-                continue  # not of maximum degree, so never canonical-last
-            res = _canon.canon_full(k + 1, child, last=k)
-            if res is None or res.orbits[k] != res.orbits[res.last_vertex]:
+        if target_r:
+            m_child = m_parent + s.bit_count()
+            c_child = len(components(child, k + 1))
+            r_child = m_child - (k + 1) + c_child
+            if r_child > target_r or (final and r_child != target_r):
                 continue
-        out.setdefault(res.key, (tuple(child), res.generators))
+        # outside trees the deleted vertex has maximum degree
+        deg = s.bit_count()
+        if not cons.tree_class and any(x.bit_count() > deg for x in child):
+            continue
+        res = _canon.canon_full(k + 1, child, last=k)
+        if res is not None:
+            out[res.key] = (tuple(child), res.generators)
     return out
 
 

@@ -59,12 +59,16 @@ class Graph:
                 normalized.append((u, v))
         normalized.sort()
         object.__setattr__(self, "edges", tuple(normalized))
-        seen_mask = reach(self.adjacency_bits, 0)
-        if seen_mask != (1 << self.n) - 1:
-            missing = (~seen_mask & ((1 << self.n) - 1) & -(~seen_mask)).bit_length() - 1
-            raise GraphError(
-                f"graph is disconnected: vertex {missing} is unreachable from vertex 0"
-            )
+        if len(normalized) < self.n - 1:
+            # too few edges to connect n vertices: find the vertex to name by
+            # a walk over the touched vertices only, before any n-sized table
+            missing = _first_unreachable(normalized)
+        else:
+            seen_mask = reach(self.adjacency_bits, 0)
+            if seen_mask == (1 << self.n) - 1:
+                return
+            missing = (~seen_mask & -(~seen_mask)).bit_length() - 1
+        raise GraphError(f"graph is disconnected: vertex {missing} is unreachable from vertex 0")
 
     @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
@@ -97,6 +101,23 @@ class Graph:
     @property
     def is_tree(self) -> bool:
         return self.m == self.n - 1
+
+
+def _first_unreachable(edges: Iterable[tuple[int, int]]) -> int:
+    """The smallest vertex not reachable from vertex 0 over edges; at most
+    len(edges) + 1, since only that many vertices can be reached."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return next(v for v in range(len(seen) + 1) if v not in seen)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

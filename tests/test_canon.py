@@ -14,6 +14,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ggindex import canon
 from ggindex.bitset import iter_bits, mask_of
 from ggindex.canon import (
     _individualize,
@@ -23,7 +24,7 @@ from ggindex.canon import (
     canon_key_exhaustive,
     orbits_exhaustive,
 )
-from ggindex.formats import decode_graph6
+from ggindex.formats import decode_graph6, graph6_from_bits, upper_triangle_bits
 
 
 def _random_masks(rng, n, p=0.5):
@@ -124,15 +125,16 @@ def test_key_separates_nonisomorphic():
 
 
 def test_labeling_and_last_vertex():
-    # labeling maps canonical position -> original vertex; last_vertex is the
-    # original vertex sent to the final position
+    # labeling maps canonical position -> original vertex, so it relabels the
+    # graph onto its key; the canonical-last vertex is labeling[n - 1]
     rng = random.Random(7)
     for _ in range(30):
         n = rng.randint(3, 7)
         adj = _random_masks(rng, n)
         res = canon_full(n, adj)
         assert sorted(res.labeling) == list(range(n))
-        assert res.labeling[n - 1] == res.last_vertex
+        bits = upper_triangle_bits(n, adj, res.labeling)
+        assert graph6_from_bits(n, bits).encode("ascii") == res.key
 
 
 @st.composite
@@ -150,7 +152,7 @@ def _any_graphs(draw):
 def test_last_vertex_has_maximum_degree_and_ends_the_root_refinement(graph):
     # the enumerator's degree pre-filter rests on both facts
     n, adj = graph
-    last = canon_full(n, adj).last_vertex
+    last = canon_full(n, adj).labeling[n - 1]
     assert adj[last].bit_count() == max(x.bit_count() for x in adj)
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
     root = _refine(n, neigh, [0] * n)
@@ -160,15 +162,25 @@ def test_last_vertex_has_maximum_degree_and_ends_the_root_refinement(graph):
 @settings(max_examples=200)
 @given(_any_graphs())
 def test_last_outside_the_last_root_cell_is_rejected_before_the_search(graph):
-    # canon_full(last=v) is None exactly when v is outside the last cell of
-    # the root refinement, and the plain result otherwise
+    # canon_full(last=v) is None exactly when v is outside the orbit of the
+    # canonically last vertex of v's degree, and the plain result otherwise;
+    # canonical positions ascend with degree, so that vertex is the plain
+    # labeling's entry at #{u : deg u <= deg v} - 1. A v outside the last
+    # root cell among the vertices of its degree is rejected with no search
     n, adj = graph
+    degrees = [x.bit_count() for x in adj]
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
     root = _refine(n, neigh, [0] * n)
     plain = canon_full(n, adj)
+    assert [degrees[v] for v in plain.labeling] == sorted(degrees)
     for v in range(n):
+        last_of_degree = plain.labeling[sum(d <= degrees[v] for d in degrees) - 1]
         got = canon_full(n, adj, last=v)
-        assert got == (plain if root[v] == max(root) else None)
+        assert got == (plain if plain.orbits[v] == plain.orbits[last_of_degree] else None)
+        if root[v] != max(root[u] for u in range(n) if degrees[u] == degrees[v]):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(canon, "_individualize", None)  # any search step fails
+                assert canon_full(n, adj, last=v) is None
 
 
 def _refine_by_rounds(n, neigh, colors):

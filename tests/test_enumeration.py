@@ -95,7 +95,7 @@ def test_generator_agrees_with_prufer_oracle(n):
     assert got == want
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 14))
 def test_generator_agrees_with_networkx_trees(n):
     # third tree oracle: networkx's Wright-Richmond-Odlyzko-McKay generator,
     # filtered by max degree for the degree-bounded streams
@@ -220,7 +220,10 @@ def test_prufer_tree_counts():
 
 def _expand_unfiltered(masks, cons, final):
     """_expand_parent without the orbit, degree and root-cell pre-filters: the
-    canonical-deletion test alone, run on every admissible child."""
+    canonical-deletion test alone, run on every admissible child. It deletes
+    the canonically last vertex of the class's deletion degree (a leaf for
+    trees, else maximum degree), which sits at position #{v : deg v <= d} - 1
+    of the canonical labeling."""
     k = len(masks)
     out = {}
     for s in _neighborhood_options(masks, cons, final):
@@ -233,7 +236,10 @@ def _expand_unfiltered(masks, cons, final):
             if r > cons.cyclomatic or (final and r != cons.cyclomatic):
                 continue
         res = canon.canon_full(k + 1, child)
-        if res.orbits[k] == res.orbits[res.last_vertex]:
+        degrees = [x.bit_count() for x in child]
+        d = 1 if cons.tree_class else max(degrees)
+        last = res.labeling[sum(x <= d for x in degrees) - 1]
+        if res.orbits[k] == res.orbits[last]:
             out.setdefault(res.key, tuple(child))
     return out
 
@@ -243,6 +249,8 @@ PREFILTER_CLASSES = [
     Constraints(8, bipartite_only=True),
     Constraints(8, max_degree=3),
     Constraints(8, cyclomatic=2),
+    Constraints(9, trees_only=True),
+    Constraints(9, trees_only=True, max_degree=3),
 ]
 
 
@@ -294,9 +302,9 @@ def _unsaturated_orbit_counts():
 
 
 def test_trees_grow_by_one_leaf_on_an_unsaturated_vertex(monkeypatch):
-    # the tree path runs no canonical-deletion test: canon sees exactly one
-    # child per (parent class, orbit of unsaturated vertices) pair, each child
-    # a tree whose new vertex is a leaf on a vertex that was below the bound
+    # no tree child is rejected before canon: canon sees exactly one child
+    # per (parent class, orbit of unsaturated vertices) pair, each child a
+    # tree whose new vertex is a leaf on a vertex that was below the bound
     unbounded_pairs, bounded_pairs = _unsaturated_orbit_counts()
     full = canon.canon_full
     calls = []
@@ -347,6 +355,60 @@ def test_one_walk_gives_every_order_its_own_walks_keys(cls, workers):
     for g in walk:
         by_order.setdefault(g.n, []).append(to_graph6(g))
     assert [by_order.get(n, []) for n in orders] == alone
+
+
+def _children_per_parent(cons):
+    """For each level of the walk to cons.n, the children of every parent
+    class, one dict per parent, as _walk expands them."""
+    level = [((0,), ())]
+    for k in range(1, cons.n):
+        final = k == cons.n - 1
+        children = [_expand_parent(masks, gens, cons, final) for masks, gens in level]
+        yield children
+        merged = {key: entry for part in children for key, entry in part.items()}
+        level = [merged[key] for key in sorted(merged)]
+
+
+def _count_searched(monkeypatch):
+    """Patch canon.canon_full to count the calls that return a result."""
+    full = canon.canon_full
+    results = []
+
+    def counted(n, adj, **kwargs):
+        res = full(n, adj, **kwargs)
+        if res is not None:
+            results.append(res.key)
+        return res
+
+    monkeypatch.setattr(canon, "canon_full", counted)
+    return results
+
+
+@pytest.mark.parametrize(
+    "cons",
+    [replace(c, n=8) for c in WALK_CLASSES]
+    + [Constraints(10, trees_only=True), Constraints(10, trees_only=True, max_degree=3)],
+    ids=lambda c: c.describe() + f" n<={c.n}",
+)
+def test_every_class_comes_from_one_parent(cons, monkeypatch):
+    # canonical deletion gives each child class exactly one parent class, and
+    # one parent gives it once: no key repeats within a level's children
+    results = _count_searched(monkeypatch)
+    for children in _children_per_parent(cons):
+        level_keys = [key for part in children for key in part]
+        assert len(level_keys) == len(set(level_keys))
+        assert sorted(results) == sorted(level_keys)
+        results.clear()
+
+
+@pytest.mark.parametrize("max_degree, classes", [(None, 986), (3, 283)])
+def test_each_tree_class_is_searched_once(max_degree, classes, monkeypatch):
+    # the trees of orders 2..12 (sums of A000055 and A000672): one canon_full
+    # result per class, since every tree child that passes the root cell is
+    # the canonical one
+    results = _count_searched(monkeypatch)
+    count_classes(Constraints(12, trees_only=True, max_degree=max_degree))
+    assert len(results) == len(set(results)) == classes
 
 
 def test_one_walk_checks_every_bound_first():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +41,40 @@ def test_rejects_disconnected_and_names_a_vertex():
         build_graph(4, [(0, 1), (1, 2)])
     with pytest.raises(GraphError):
         build_graph(2, [])
+
+
+def test_too_few_edges_are_rejected_before_any_n_sized_table():
+    # fewer than n - 1 edges cannot connect n vertices; the message still
+    # names the smallest unreachable vertex
+    for edges, missing in (([], 1), ([(0, 1)], 2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match=f"vertex {missing} is unreachable"):
+                build_graph(10**6, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+@given(st.integers(2, 9), st.data())
+def test_disconnected_graph_names_its_smallest_unreachable_vertex(n, data):
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    seen, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for u, v in edges:
+            for a, b in ((u, v), (v, u)):
+                if a == x and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+    if len(seen) == n:
+        build_graph(n, edges)
+    else:
+        missing = min(set(range(n)) - seen)
+        with pytest.raises(GraphError, match=f"vertex {missing} is unreachable"):
+            build_graph(n, edges)
 
 
 def test_rejects_nonpositive_order():
