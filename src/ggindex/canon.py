@@ -11,15 +11,33 @@ splitting (degree refinement and its transitive closure). If the stable
 partition still has a non-singleton cell, the first such cell is branched on:
 each vertex in it is individualized in turn and the search recurses. Among
 all complete labelings consistent with the refinement, the one encoding to
-the lexicographically smallest upper-triangle bitstring wins. Two standard
+the lexicographically smallest upper-triangle bitstring wins. Three standard
 prunes keep symmetric graphs from exploding into n! leaves:
 
+  * twins, vertices with equal open neighborhoods (leaves on one hub, one
+    side of a K_{a,b}) or equal closed ones (a clique's vertices), are
+    grouped before the search: swapping a vertex with the smallest vertex
+    of its twin class is an automorphism, and these transpositions start
+    the generator list;
   * every leaf whose bitstring equals the current best, or equals the first
     leaf reached, yields an automorphism; generators are accumulated as they
     are discovered;
   * a sibling vertex is skipped when a known automorphism fixing all
     previously individualized vertices maps it into an already-explored
     sibling, since its subtree would repeat explored work.
+
+A node whose non-singleton cells each hold one twin class is a leaf, with
+the labeling a discrete coloring would give: cells in color order, the
+vertices of a cell in ascending order. That is the first leaf below the node.
+Individualizing a twin splits no other cell, since every vertex outside the
+class is adjacent to all of it or to none, so the full search below the node
+only orders each class, and all its leaves differ by permutations of twins,
+which are automorphisms: they share one bitstring. A pruned subtree is the
+image of an explored one, so the first leaf in depth-first order with the
+smallest bitstring is never pruned, and the chosen labeling is that leaf
+with or without this cut. The key, labeling and orbits are thus those of the
+full search, and the twin transpositions give every automorphism the cut
+subtrees would have yielded.
 
 Each generator maps one leaf onto another with the same bitstring, so it is
 an automorphism, and together they generate the whole automorphism group.
@@ -28,7 +46,8 @@ enumerator uses the orbits for its canonical-deletion test (last=, below)
 and the generators to try one extension per orbit of a parent's group. Both
 are load-bearing there, so the test suite compares them against a brute force on
 every graph with up to 5 vertices and on random larger ones, and against
-networkx's VF2 automorphisms on symmetric graphs with up to 21 vertices.
+networkx's VF2 automorphisms on symmetric and twin-rich graphs with up to 21
+vertices.
 
 The keys depend on the exact color numbering the refinement gives, which is
 that of ranking every vertex by (color, sorted tuple of neighbor colors) in
@@ -50,6 +69,9 @@ in the last root cell among the vertices of degree d. canon_full(n, adj,
 last=v) returns None unless v is in that vertex's orbit for d = deg v:
 without searching when v is outside that cell (an automorphism keeps every
 vertex in its root cell), otherwise once the search has found the orbits.
+The root refinement stops with that verdict after the first round in which
+the cell after v's cell holds vertices of degree d: cells only split in
+place, so v cannot get back into the last cell of its degree.
 
 canon_key_exhaustive minimizes over every permutation (feasible for n <= 8).
 It generally picks a different representative than the search, which only
@@ -77,13 +99,18 @@ class CanonResult:
     generators: tuple[tuple[int, ...], ...]  # automorphisms that generate Aut
 
 
-def _refine(n: int, neigh: list[tuple[int, ...]], colors: list[int]) -> list[int]:
+def _refine(
+    n: int, neigh: list[tuple[int, ...]], colors: list[int], last: Optional[int] = None
+) -> Optional[list[int]]:
     """Stable iso-invariant coloring refinement (1-WL), classes renumbered.
 
     colors is the all-zero coloring or one in which vertices of one color have
     equal degree. Each round splits every cell by the neighbor colors of its
     vertices and numbers the new cells in order, shifting later colors by the
     cells inserted before them; singleton cells are carried over unsigned.
+    With last given, return None as soon as the cell after last's cell holds
+    vertices of last's degree: cells only split in place, so last can no
+    longer end up in the last cell of its degree.
     """
     colors = list(colors)
     if not any(colors):
@@ -94,10 +121,17 @@ def _refine(n: int, neigh: list[tuple[int, ...]], colors: list[int]) -> list[int
     for v, c in enumerate(colors):
         cells[c].append(v)
     base = n + 1
-    while len(cells) < n:
-        # a vertex's signature has digit base**(last - c) per neighbor of
-        # color c; on equal degrees, a larger signature means a smaller
-        # sorted tuple of neighbor colors, so it takes the lower color
+    while True:
+        if last is not None:
+            after = colors[last] + 1
+            if after < len(cells) and len(neigh[cells[after][0]]) == len(neigh[last]):
+                return None
+        if len(cells) == n:
+            break
+        # a vertex's signature has digit base**(top - c) per neighbor of
+        # color c, top the highest color; on equal degrees, a larger
+        # signature means a smaller sorted tuple of neighbor colors, so it
+        # takes the lower color
         powers = [base ** e for e in range(len(cells) - 1, -1, -1)]
         digit = [powers[c] for c in colors]
         split: list[list[int]] = []
@@ -166,9 +200,26 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
         return CanonResult(graph6_from_bits(1, "").encode("ascii"), (0,), (0,), ())
 
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
+    root = _refine(n, neigh, [0] * n, last)
+    if root is None:
+        return None
+
+    # twin[v] is the smallest vertex with v's open (adj[v]) or closed
+    # (adj[v] | 1 << v) neighborhood; no open key equals a closed key, so one
+    # dict groups both, and swapping a vertex with its twin is an automorphism
+    by_hood: dict[int, int] = {}
+    twin = [
+        min(by_hood.setdefault(adj[v], v), by_hood.setdefault(adj[v] | 1 << v, v))
+        for v in range(n)
+    ]
     identity = tuple(range(n))
     gens: list[tuple[int, ...]] = []
-    gen_seen = {identity}
+    for v, t in enumerate(twin):
+        if t != v:
+            swap = list(identity)
+            swap[v], swap[t] = t, v
+            gens.append(tuple(swap))
+    gen_seen = {identity, *gens}
 
     best_bits: str | None = None
     best_lab: tuple[int, ...] = identity
@@ -186,8 +237,10 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
 
     def search(colors: list[int], prefix: tuple[int, ...]) -> None:
         nonlocal best_bits, best_lab, first_bits, first_lab
-        ncells = max(colors) + 1
-        if ncells == n:
+        # a node whose every cell is a singleton or holds twins only is a
+        # leaf: its labeling is the first leaf below it (module docstring)
+        cell_twin: dict[int, int] = {}
+        if all(cell_twin.setdefault(c, t) == t for c, t in zip(colors, twin)):
             lab = tuple(sorted(range(n), key=colors.__getitem__))
             bits = upper_triangle_bits(n, adj, lab)
             if first_bits is None:
@@ -199,6 +252,7 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
             elif bits == best_bits and lab != best_lab:
                 record(best_lab, lab)
             return
+        ncells = max(colors) + 1
         counts = [0] * ncells
         for c in colors:
             counts[c] += 1
@@ -220,11 +274,6 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
             explored.append(v)
             search(_refine(n, neigh, _individualize(colors, v)), prefix + (v,))
 
-    root = _refine(n, neigh, [0] * n)
-    if last is not None:
-        d = len(neigh[last])
-        if root[last] != max(root[v] for v in range(n) if len(neigh[v]) == d):
-            return None
     search(root, ())
     assert best_bits is not None
 
@@ -232,7 +281,7 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
     join(gens)
     orbits = tuple(find(v) for v in range(n))
     if last is not None:
-        position = sum(len(nb) <= d for nb in neigh) - 1
+        position = sum(len(nb) <= len(neigh[last]) for nb in neigh) - 1
         if orbits[last] != orbits[best_lab[position]]:
             return None
 

@@ -76,8 +76,14 @@ def _json_scalar(v, out: list[str]) -> None:
         raise TypeError(f"unserializable value {v!r}")
 
 
+class _JsonText(str):
+    """Text that is already JSON; _json_emit writes it verbatim."""
+
+
 def _json_emit(obj, out: list[str]) -> None:
-    if isinstance(obj, dict):
+    if isinstance(obj, _JsonText):
+        out.append(obj)
+    elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
@@ -189,7 +195,11 @@ def _cmd_index(args) -> int:
                 rec = {"source": label, "line": lineno, "n": g.n, "m": g.m}
                 rec.update(zip(which, values))
                 if args.splits:
-                    rec["splits"] = [[s.edge[0], s.edge[1], s.n_u, s.n_v] for s in splits]
+                    # one string per row: the rows are most of the output
+                    rec["splits"] = [
+                        _JsonText(f"[{s.edge[0]}, {s.edge[1]}, {s.n_u}, {s.n_v}]")
+                        for s in splits
+                    ]
                 records.append(rec)
             elif args.format == "csv":
                 chunks.append(_csv_line([label, lineno, g.n, g.m, *values]))

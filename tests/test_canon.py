@@ -7,9 +7,10 @@ partition. The search is free to pick a different representative per class
 compare partitions and invariants, never the raw byte choice.
 """
 
+import math
 import random
 from collections import defaultdict
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,13 +50,17 @@ def _masks_from_bitmask(n, mask):
     return adj
 
 
-def _masks_from_key(key: bytes):
-    n, edges = decode_graph6(key.decode("ascii"))
+def _edges_to_masks(n, edges):
     adj = [0] * n
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return n, adj
+    return adj
+
+
+def _masks_from_key(key: bytes):
+    n, edges = decode_graph6(key.decode("ascii"))
+    return n, _edges_to_masks(n, edges)
 
 
 def _relabel(n, adj, perm):
@@ -177,7 +182,10 @@ def test_last_outside_the_last_root_cell_is_rejected_before_the_search(graph):
         last_of_degree = plain.labeling[sum(d <= degrees[v] for d in degrees) - 1]
         got = canon_full(n, adj, last=v)
         assert got == (plain if plain.orbits[v] == plain.orbits[last_of_degree] else None)
-        if root[v] != max(root[u] for u in range(n) if degrees[u] == degrees[v]):
+        outside = root[v] != max(root[u] for u in range(n) if degrees[u] == degrees[v])
+        # the refinement itself gives the verdict, and otherwise its colors
+        assert _refine(n, neigh, [0] * n, v) == (None if outside else root)
+        if outside:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(canon, "_individualize", None)  # any search step fails
                 assert canon_full(n, adj, last=v) is None
@@ -403,3 +411,208 @@ def test_symmetric_graph_orbits_match_vf2_automorphisms(symmetric_graphs):
         assert res.orbits == _orbits_of(n, auts), name
         assert all(_is_automorphism(_nx_masks(g), p) for p in res.generators), name
         assert len(_generated_group(n, res.generators)) == len(auts), name
+
+
+# ------------------------------------------- twin-rich graphs against networkx ----
+
+def _group_order(n, generators):
+    """Order of the group the permutations generate, by Schreier-Sims with
+    base 0, 1, ..., n - 1: level i keeps generators of the subgroup fixing
+    0..i-1 and a transversal of that subgroup's orbit of i."""
+    identity = tuple(range(n))
+
+    def mul(a, b):  # a, then b
+        return tuple(b[x] for x in a)
+
+    def inv(a):
+        out = [0] * n
+        for x, y in enumerate(a):
+            out[y] = x
+        return tuple(out)
+
+    gens = [[] for _ in range(n)]
+    trans = [{i: identity} for i in range(n)]
+
+    def sift(g, i):
+        while i < n and g[i] in trans[i]:
+            g = mul(g, inv(trans[i][g[i]]))
+            i += 1
+        return g, i
+
+    def close(i):
+        # with the levels above i complete, make level i complete: every
+        # Schreier generator of its orbit sifts through the levels above
+        trans[i] = {i: identity}
+        stack = [i]
+        while stack:
+            x = stack.pop()
+            for s in gens[i]:
+                if s[x] not in trans[i]:
+                    trans[i][s[x]] = mul(trans[i][x], s)
+                    stack.append(s[x])
+        for x, u in list(trans[i].items()):
+            for s in list(gens[i]):
+                h, j = sift(mul(mul(u, s), inv(trans[i][s[x]])), i + 1)
+                if h != identity:
+                    for k in range(i + 1, j + 1):
+                        gens[k].append(h)
+                    for k in range(j, i, -1):
+                        close(k)
+
+    if n:
+        gens[0] = list(generators)
+        close(0)
+    return math.prod(len(t) for t in trans)
+
+
+def test_group_order_matches_the_closure():
+    # the Schreier-Sims helper against listing every product, on random
+    # generating sets of transpositions and shuffles
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            p = list(range(n))
+            if rng.random() < 0.5:
+                rng.shuffle(p)
+            else:
+                i, j = rng.randrange(n), rng.randrange(n)
+                p[i], p[j] = p[j], p[i]
+            gens.append(tuple(p))
+        assert _group_order(n, gens) == len(_generated_group(n, gens))
+
+
+def _twin_families():
+    """(name, n, adj, |Aut|, orbits) for stars, complete bipartite graphs,
+    complete graphs and cocktail-party graphs (complements of a perfect
+    matching), whose groups are products of symmetric groups."""
+    out = []
+    for n in (3, 9, 20):
+        out.append((f"star{n}", n, _edges_to_masks(n, [(0, v) for v in range(1, n)]),
+                    math.factorial(n - 1), (0,) + (1,) * (n - 1)))
+    for a, b in ((1, 1), (2, 3), (3, 4), (5, 5), (6, 14), (10, 10)):
+        n = a + b
+        edges = [(u, v) for u in range(a) for v in range(a, n)]
+        order = math.factorial(a) * math.factorial(b) * (2 if a == b else 1)
+        orbits = (0,) * a + ((0,) if a == b else (a,)) * b
+        out.append((f"K{a},{b}", n, _edges_to_masks(n, edges), order, orbits))
+    for n in (2, 6, 20):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        out.append((f"K{n}", n, _edges_to_masks(n, edges), math.factorial(n), (0,) * n))
+    for k in (2, 3, 4, 10):
+        n = 2 * k
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if u // 2 != v // 2]
+        out.append((f"cocktail{k}", n, _edges_to_masks(n, edges),
+                    2 ** k * math.factorial(k), (0,) * n))
+    return out
+
+
+def _blowups(rng):
+    """Random graphs with 1-3 vertices replaced by a clique or an independent
+    set of 2-4 vertices, n <= 20, vertices shuffled; an endless stream."""
+    while True:
+        k = rng.randint(3, 10)
+        base = _random_masks(rng, k, p=rng.choice([0.3, 0.5, 0.7]))
+        sizes = [1] * k
+        for v in rng.sample(range(k), rng.randint(1, 3)):
+            sizes[v] = rng.randint(2, 4)
+        n = sum(sizes)
+        if n > 20:
+            continue
+        start = [sum(sizes[:v]) for v in range(k)]
+        members = [range(start[v], start[v] + sizes[v]) for v in range(k)]
+        edges = [(a, b) for v in range(k) if rng.random() < 0.5
+                 for a in members[v] for b in members[v] if a < b]
+        edges += [(a, b) for v in range(k) for w in iter_bits(base[v]) if v < w
+                  for a in members[v] for b in members[w]]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield n, _relabel(n, _edges_to_masks(n, edges), perm)
+
+
+def _masks_to_nx(nx, n, adj):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((u, v) for u in range(n) for v in iter_bits(adj[u]) if u < v)
+    return g
+
+
+def test_twin_families_have_their_groups_and_orbits(symmetric_graphs):
+    nx, _ = symmetric_graphs
+    rng = random.Random(0x7A1)
+    for name, n, adj, order, orbits in _twin_families():
+        res = canon_full(n, adj)
+        assert res.orbits == orbits, name
+        assert all(_is_automorphism(adj, g) for g in res.generators), name
+        assert _group_order(n, res.generators) == order, name
+        if order <= 5040:
+            matcher = nx.isomorphism.GraphMatcher(*[_masks_to_nx(nx, n, adj)] * 2)
+            assert sum(1 for _ in matcher.isomorphisms_iter()) == order, name
+        if n <= 8:
+            assert res.orbits == orbits_exhaustive(n, adj), name
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canon_key(n, _relabel(n, adj, perm)) == res.key, name
+
+
+def test_blowups_agree_with_vf2(symmetric_graphs):
+    # orbits and group order against every VF2 automorphism, keys against
+    # relabelings and against VF2 isomorphism over all pairs of one order
+    # and size, on twin-rich graphs up to 20 vertices
+    nx, _ = symmetric_graphs
+    rng = random.Random(0xB10)
+    keyed = []
+    for n, adj in _blowups(rng):
+        if len(keyed) == 2 * 30:  # each graph and one relabeling
+            break
+        g = _masks_to_nx(nx, n, adj)
+        # VF2 lists the group one element at a time; groups of more than
+        # 5 040 elements are left to the families above
+        auts = [tuple(m[v] for v in range(n)) for m in
+                islice(nx.isomorphism.GraphMatcher(g, g).isomorphisms_iter(), 5041)]
+        if len(auts) > 5040:
+            continue
+        res = canon_full(n, adj)
+        assert res.orbits == _orbits_of(n, auts)
+        assert all(_is_automorphism(adj, p) for p in res.generators)
+        assert _group_order(n, res.generators) == len(auts)
+        if n <= 8:
+            assert res.orbits == orbits_exhaustive(n, adj)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabeled = _relabel(n, adj, perm)
+        assert canon_key(n, relabeled) == res.key
+        keyed.append((g, res.key))
+        keyed.append((_masks_to_nx(nx, n, relabeled), res.key))
+    pairs = same = 0
+    for i, (ga, ka) in enumerate(keyed):
+        for gb, kb in keyed[i + 1:]:
+            if (len(ga), ga.number_of_edges()) == (len(gb), gb.number_of_edges()):
+                pairs += 1
+                same += ka == kb
+                assert (ka == kb) == nx.is_isomorphic(ga, gb)
+    assert pairs > same > 0
+
+
+@pytest.mark.parametrize(
+    "name, n, edges",
+    [
+        ("K3,4", 7, [(u, v) for u in range(3) for v in range(3, 7)]),
+        ("star9", 9, [(0, v) for v in range(1, 9)]),
+        ("K6", 6, [(u, v) for u in range(6) for v in range(u + 1, 6)]),
+    ],
+)
+def test_twin_only_root_is_the_only_leaf(monkeypatch, name, n, edges):
+    # every non-singleton root cell of these graphs is one twin class, so
+    # the search encodes one labeling and no more
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return upper_triangle_bits(*args)
+
+    monkeypatch.setattr(canon, "upper_triangle_bits", counting)
+    canon_full(n, _edges_to_masks(n, edges))
+    assert len(calls) == 1

@@ -323,6 +323,10 @@ ENUMERATE_GOLDEN = [
     ("trees-12.text", ["--trees", "--n", "12"]),
     ("trees-12-maxdeg3.text", ["--trees", "--n", "12", "--max-degree", "3"]),
     ("cyclomatic0-10.json", ["--n", "10", "--cyclomatic", "0", "--format", "json"]),
+    # classes full of twins, where the canonical search ends at twin-only nodes
+    ("bipartite-8.text", ["--bipartite", "--n", "8"]),
+    ("n8-maxdeg3.text", ["--n", "8", "--max-degree", "3"]),
+    ("n7.text", ["--n", "7"]),
 ]
 
 
