@@ -72,19 +72,11 @@ vertex in its root cell), otherwise once the search has found the orbits.
 The root refinement stops with that verdict after the first round in which
 the cell after v's cell holds vertices of degree d: cells only split in
 place, so v cannot get back into the last cell of its degree.
-
-canon_key_exhaustive minimizes over every permutation (feasible for n <= 8).
-It generally picks a different representative than the search, which only
-minimizes across refinement-consistent labelings; the properties that must
-agree, and that the tests compare, are the induced isomorphism partition
-(equal keys exactly for isomorphic graphs), the orbit partition, and the
-invariance of each key under relabeling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bitset import iter_bits
@@ -296,31 +288,3 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
 def canon_key(n: int, adj) -> bytes:
     return canon_full(n, adj).key
 
-
-# ------------------------------------------------------ exhaustive oracle ----
-
-def canon_key_exhaustive(n: int, adj) -> bytes:
-    """Key minimized over every permutation; oracle use only (n <= 8)."""
-    if n > 8:
-        raise ValueError("exhaustive canonical form is limited to n <= 8")
-    if n == 1:
-        return graph6_from_bits(1, "").encode("ascii")
-    best = min(upper_triangle_bits(n, adj, lab) for lab in permutations(range(n)))
-    return graph6_from_bits(n, best).encode("ascii")
-
-
-def orbits_exhaustive(n: int, adj) -> tuple[int, ...]:
-    """Automorphism orbits by checking every permutation; n <= 8."""
-    if n > 8:
-        raise ValueError("exhaustive orbit computation is limited to n <= 8")
-
-    def automorphic(perm) -> bool:
-        return all(
-            ((adj[perm[v]] >> perm[u]) & 1) == ((adj[v] >> u) & 1)
-            for v in range(n)
-            for u in range(v)
-        )
-
-    find, join = _orbit_union(n)
-    join(filter(automorphic, permutations(range(n))))
-    return tuple(find(v) for v in range(n))

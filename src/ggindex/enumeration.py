@@ -1,18 +1,18 @@
 """Isomorph-free exhaustive generation of small connected graphs.
 
-Each level holds one representative per isomorphism class together with
+Each node of the walk is one class's representative together with
 generators of its automorphism group, as found by the canonical search that
 keyed it. A parent's automorphism maps one admissible neighborhood of the new
 vertex onto another that gives an isomorphic child, so only the first
 neighborhood of each orbit of the parent's group is tried (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 
-Every class grows one vertex at a time (canonical augmentation). Level k
-holds one representative per isomorphism class of k-vertex graphs in the
-class. A child survives only if the vertex just added is, up to
-automorphism, the canonically last vertex of its own degree (canon_full with
-last=), so every class is produced from exactly one parent class and exactly
-once overall. The deleted vertex must leave a parent in the class. Trees
+Every class grows one vertex at a time (canonical augmentation). Level k,
+the nodes at depth k of the walk, holds one representative per isomorphism
+class of k-vertex graphs in the class. A child survives only if the vertex
+just added is, up to automorphism, the canonically last vertex of its own
+degree (canon_full with last=), so every class is produced from exactly one
+parent class and exactly once overall. The deleted vertex must leave a parent in the class. Trees
 (trees_only, or cyclomatic number 0) delete their last leaf: a tree child is
 its parent plus one leaf on a vertex below the degree bound, and a tree minus
 a leaf is a tree within the same bound, so every tree is reached. Every other
@@ -37,20 +37,18 @@ most r) are closed under deleting a vertex, so level k holds every k-vertex
 member, disconnected ones included. Keys do not depend on the path that found
 a class. The classes of a lower order k are therefore the members of level k
 that are connected and, for cyclomatic number r, have exactly r; only the
-last level is grown with the connectivity and exact-r rules. The walk is
-breadth-first, one level at a time.
+last level is grown with the connectivity and exact-r rules.
 
-Emission is sorted by canonical form within each order, so output order is a
-function of the constraint sets alone; worker count changes wall time, never
-bytes.
-
-Two independent oracles cross-check the generator in the test suite.
-brute_force_classes walks every labeled graph on n <= 7 vertices as an
-edge-set bitmask and partitions them into isomorphism classes by flood fill
-under adjacent-transposition relabelings (which generate the full symmetric
-group), touching no canonical-labeling code at all. prufer_trees decodes all
-n^(n-2) Prufer sequences (n <= 8) and deduplicates the labeled trees with an
-AHU-style certificate. The tests also hold trees against networkx.
+The walk is depth-first. Since every class has exactly one parent class and
+comes from it once, no level is kept and nothing is deduplicated: working
+memory is O(n * branching), one parent's children per depth, plus the keys
+output. The walk is cut into res/mod shards as in geng: the nodes at a split
+depth two below the largest order are dealt round-robin, and shard res
+descends into every mod-th of them. Shards are deterministic, disjoint and
+together cover every class, so a run over several processes maps them over
+one pool and merges their keys. Emission is sorted by canonical form within
+each order, so output order is a function of the constraint sets alone;
+worker count changes wall time, never bytes.
 """
 
 from __future__ import annotations
@@ -58,14 +56,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from heapq import heapify, heappop, heappush
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from . import canon as _canon
 from .bitset import bipartition, components, iter_bits, mask_of, reach
 from .formats import graph6_from_bits
-from .graphs import Graph, build_graph, canonical_form, from_graph6, is_bipartite
+from .graphs import Graph, from_graph6
 
 ENV_MAX_N = "GGINDEX_MAX_N"
 
@@ -259,14 +256,6 @@ def _expand_parent(masks, generators, cons: Constraints, final: bool) -> dict[by
     return out
 
 
-def _expand_chunk(args) -> dict[bytes, Entry]:
-    chunk, cons, final = args
-    merged: dict[bytes, Entry] = {}
-    for masks, generators in chunk:
-        merged.update(_expand_parent(masks, generators, cons, final))
-    return merged
-
-
 def _emitted(masks, cons: Constraints) -> bool:
     """Whether a member of a level is one of the classes cons asks for: the
     levels hold every class of the hereditary class, disconnected ones and
@@ -278,46 +267,55 @@ def _emitted(masks, cons: Constraints) -> bool:
     return r is None or sum(x.bit_count() for x in masks) // 2 - k + 1 == r
 
 
+def _shard(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[bytes]]:
+    """Unsorted canonical keys of the classes of each order in orders that
+    shard res of mod finds, cons naming the class. The walk is depth-first
+    from K1 up to the largest order. The nodes at the split depth are dealt
+    round-robin in walk order, and shard res descends only into those whose
+    index is res mod mod. Every shard walks the nodes above that depth, so
+    all deal the same sequence, but only shard 0 emits them."""
+    top = max(orders)
+    split = max(1, top - 2)
+    keys: dict[int, list[bytes]] = {k: [] for k in orders}
+    dealt = 0
+
+    def visit(key: bytes, masks, generators) -> None:
+        nonlocal dealt
+        k = len(masks)
+        if k == split:
+            mine = dealt % mod == res
+            dealt += 1
+            if not mine:
+                return
+        if k in keys and (k >= split or res == 0) and _emitted(masks, cons):
+            keys[k].append(key)
+        if k < top:
+            children = _expand_parent(masks, generators, cons, k == top - 1)
+            for child_key, (child, child_generators) in children.items():
+                visit(child_key, child, child_generators)
+
+    visit(_K1, (0,), ())
+    return keys
+
+
 def _walk(conses: Sequence[Constraints], workers: int = 1) -> list[list[bytes]]:
     """Sorted canonical keys of every class matching each of conses, which
-    must differ only in n, from one walk up to the largest n."""
+    must differ only in n, from one walk up to the largest n, cut into one
+    shard per process: at most workers, and at most the CPU count."""
     if not conses:
         return []
-    cons = conses[0]
     if len({replace(c, n=1) for c in conses}) > 1:
         raise ValueError("one walk serves constraints that differ only in n")
-    top = max(c.n for c in conses)
-    wanted = {c.n for c in conses}
-    keys: dict[int, list[bytes]] = {}
-    level: dict[bytes, Entry] = {_K1: ((0,), ())}
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for k in range(1, top + 1):
-            ordered = sorted(level)
-            if k in wanted:
-                keys[k] = [key for key in ordered if _emitted(level[key][0], cons)]
-            if k == top:
-                break
-            final = k == top - 1
-            parents = [level[key] for key in ordered]
-            level = {}
-            if pool is not None and len(parents) > 2 * workers:
-                chunks = [parents[i::workers] for i in range(workers)]
-                for part in pool.map(_expand_chunk, [(c, cons, final) for c in chunks]):
-                    level.update(part)
-            else:
-                for masks, generators in parents:
-                    level.update(_expand_parent(masks, generators, cons, final))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    cons = conses[0]
+    orders = frozenset(c.n for c in conses)
+    mod = min(workers, os.cpu_count() or 1)
+    if mod == 1:
+        shards = [_shard(cons, orders, 0, 1)]
+    else:
+        with ProcessPoolExecutor(max_workers=mod) as pool:
+            shards = list(pool.map(_shard, [cons] * mod, [orders] * mod, range(mod), [mod] * mod))
+    keys = {k: sorted(key for shard in shards for key in shard[k]) for k in orders}
     return [keys[c.n] for c in conses]
-
-
-def _graph_from_masks(masks) -> Graph:
-    n = len(masks)
-    edges = [(u, v) for v in range(n) for u in iter_bits(masks[v]) if u < v]
-    return build_graph(n, edges)
 
 
 def check_bound(cons: Constraints, bounds: Optional[FeasibilityBounds] = None) -> None:
@@ -376,169 +374,3 @@ def count_classes(
     """Cardinality of the stream without building Graph objects."""
     check_bound(cons, bounds)
     return len(_walk([cons], workers)[0])
-
-
-# ------------------------------------------------------------ oracle no. 1 ----
-
-def _matches(g: Graph, cons: Constraints) -> bool:
-    if cons.bipartite_only or cons.trees_only:
-        if cons.trees_only and not g.is_tree:
-            return False
-        if not is_bipartite(g):
-            return False
-    if cons.max_degree is not None and g.max_degree > cons.max_degree:
-        return False
-    if cons.cyclomatic is not None and g.cyclomatic_number != cons.cyclomatic:
-        return False
-    return True
-
-
-def brute_force_classes(cons: Constraints) -> list[Graph]:
-    """Every connected isomorphism class matching cons, by sheer enumeration.
-
-    Walks all 2^(n(n-1)/2) labeled graphs as edge bitmasks and flood-fills
-    isomorphism orbits under adjacent-transposition relabelings. Exact and
-    completely independent of the augmentation generator and of the
-    canonical-labeling search; usable for n <= 7.
-    """
-    n = cons.n
-    if n > 7:
-        raise ValueError("the brute-force oracle is limited to n <= 7")
-    if n == 1:
-        k1 = build_graph(1, [])
-        return [k1] if _matches(k1, cons) else []
-
-    nbits = n * (n - 1) // 2
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    index = {p: b for b, p in enumerate(pairs)}
-    lo_bits = nbits // 2
-    lo_mask = (1 << lo_bits) - 1
-
-    tables = []
-    for t in range(n - 1):
-        perm = list(range(n))
-        perm[t], perm[t + 1] = perm[t + 1], perm[t]
-        bitmap = []
-        for i, j in pairs:
-            pi, pj = perm[i], perm[j]
-            bitmap.append(index[(pi, pj) if pi < pj else (pj, pi)])
-
-        def build(width: int, offset: int) -> list[int]:
-            singles = [1 << bitmap[offset + b] for b in range(width)]
-            tab = [0] * (1 << width)
-            for x in range(1, 1 << width):
-                low = x & -x
-                tab[x] = tab[x ^ low] | singles[low.bit_length() - 1]
-            return tab
-
-        tables.append((build(lo_bits, 0), build(nbits - lo_bits, lo_bits)))
-
-    visited = bytearray(1 << nbits)
-    reps = []
-    for start in range(1 << nbits):
-        if visited[start]:
-            continue
-        visited[start] = 1
-        rep = start
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            xl, xh = x & lo_mask, x >> lo_bits
-            for lo, hi in tables:
-                y = lo[xl] | hi[xh]
-                if not visited[y]:
-                    visited[y] = 1
-                    if y < rep:
-                        rep = y
-                    stack.append(y)
-        reps.append(rep)
-
-    out = []
-    for rep in reps:
-        adj = [0] * n
-        for b, (i, j) in enumerate(pairs):
-            if (rep >> b) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        if reach(adj, 0) != (1 << n) - 1:
-            continue
-        g = _graph_from_masks(adj)
-        if _matches(g, cons):
-            out.append(g)
-    out.sort(key=canonical_form)
-    return out
-
-
-# ------------------------------------------------------------ oracle no. 2 ----
-
-def _prufer_decode(n: int, seq) -> list[tuple[int, int]]:
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heappop(leaves)
-        edges.append((leaf, x) if leaf < x else (x, leaf))
-        degree[leaf] -= 1
-        degree[x] -= 1
-        if degree[x] == 1:
-            heappush(leaves, x)
-    u = heappop(leaves)
-    v = heappop(leaves)
-    edges.append((u, v) if u < v else (v, u))
-    return edges
-
-
-def _tree_centers(n: int, adj: list[list[int]]) -> list[int]:
-    if n <= 2:
-        return list(range(n))
-    deg = [len(a) for a in adj]
-    leaves = [v for v in range(n) if deg[v] == 1]
-    count = n
-    while count > 2:
-        nxt = []
-        for v in leaves:
-            deg[v] = 0
-            for w in adj[v]:
-                if deg[w] > 1:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        count -= len(leaves)
-        leaves = nxt
-    return leaves
-
-
-def ahu_certificate(n: int, edges) -> str:
-    """Center-rooted AHU code; equal exactly for isomorphic trees."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    def code(v: int, parent: int) -> str:
-        subs = sorted(code(w, v) for w in adj[v] if w != parent)
-        return "(" + "".join(subs) + ")"
-
-    return min(code(c, -1) for c in _tree_centers(n, adj))
-
-
-def prufer_trees(n: int) -> list[Graph]:
-    """All unlabeled trees on n vertices via Prufer sequences; n <= 8."""
-    if n > 8:
-        raise ValueError("the Prufer oracle is limited to n <= 8")
-    if n == 1:
-        return [build_graph(1, [])]
-    if n == 2:
-        return [build_graph(2, [(0, 1)])]
-    found: dict[str, list[tuple[int, int]]] = {}
-    for seq in product(range(n), repeat=n - 2):
-        edges = _prufer_decode(n, seq)
-        cert = ahu_certificate(n, edges)
-        if cert not in found:
-            found[cert] = edges
-    graphs = [build_graph(n, e) for e in found.values()]
-    graphs.sort(key=canonical_form)
-    return graphs

@@ -73,10 +73,6 @@ def parse_objective(text: str) -> Objective:
     return Objective(sense, index)
 
 
-def index_value(g: Graph, index: str) -> float:
-    return _FLOAT_FN[index](g)
-
-
 def exact_index_value(g: Graph, index: str) -> RadicalSum:
     """The index value as an exact sum of radicals."""
     total = RadicalSum.zero()

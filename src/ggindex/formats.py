@@ -18,7 +18,7 @@ dependency on the Graph type; graph-level wrappers live in graphs.py.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 GRAPH6_HEADER = ">>graph6<<"
 _MAX_N = 258047
@@ -119,24 +119,7 @@ def decode_graph6(line: str) -> tuple[int, list[tuple[int, int]]]:
     return n, edges
 
 
-def write_graph6_file(items: Iterable[tuple[int, Sequence[int]]], path) -> int:
-    """Write one graph6 line per (n, adjacency_bits) item; returns the count."""
-    count = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for n, adj in items:
-            fh.write(encode_graph6(n, adj))
-            fh.write("\n")
-            count += 1
-    return count
-
-
 # ------------------------------------------------------------- edge lists ----
-
-def format_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> str:
-    lines = [f"{n} {len(edges)}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"
-
 
 def parse_edge_list_block(lines: Sequence[str], where: str = "") -> tuple[int, list[tuple[int, int]]]:
     head = lines[0].split()

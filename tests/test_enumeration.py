@@ -11,15 +11,14 @@ from ggindex.enumeration import (
     FeasibilityBounds,
     _expand_parent,
     _neighborhood_options,
-    ahu_certificate,
-    brute_force_classes,
     count_classes,
     enumerate_connected,
     enumerate_trees,
-    prufer_trees,
 )
 from ggindex.extremal import verify
 from ggindex.graphs import build_graph, canonical_form, is_bipartite, to_graph6
+
+from oracles import ahu_certificate, brute_force_classes, orbits_exhaustive, prufer_trees
 
 # reference counts, cross-checked against brute_force_classes below for the
 # orders the brute scan can reach
@@ -294,7 +293,7 @@ def _unsaturated_orbit_counts():
     unbounded = bounded = 0
     for k in range(1, 9):
         for g in enumerate_trees(k):
-            orbits = canon.orbits_exhaustive(k, g.adjacency_bits)
+            orbits = orbits_exhaustive(k, g.adjacency_bits)
             unbounded += len(set(orbits))
             if g.max_degree <= 3:
                 bounded += len({orbits[v] for v, d in enumerate(g.degrees) if d < 3})
@@ -432,3 +431,49 @@ def test_verify_walks_the_levels_once(monkeypatch):
     calls.clear()
     assert verify("max-bipartite", range(4, 9)).passed
     assert len(calls) == alone
+
+
+@pytest.mark.parametrize(
+    "cons",
+    [replace(c, n=8) for c in WALK_CLASSES] + [Constraints(11, trees_only=True)],
+    ids=lambda c: c.describe() + f" n<={c.n}",
+)
+def test_shards_partition_the_classes(cons):
+    # orders above, at and below the split depth (top - 2) in one walk: every
+    # class lands in exactly one shard, whatever the shard count
+    orders = frozenset({cons.n - 3, cons.n - 2, cons.n})
+    whole = enumeration._shard(cons, orders, 0, 1)
+    assert all(len(set(whole[k])) == len(whole[k]) for k in orders)
+    for mod in (2, 3, 5):
+        shards = [enumeration._shard(cons, orders, res, mod) for res in range(mod)]
+        assert sum(bool(shard[cons.n]) for shard in shards) > 1
+        for k in orders:
+            assert sorted(key for shard in shards for key in shard[k]) == sorted(whole[k])
+
+
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # an in-process stand-in for the pool records the process count asked for
+    started = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    cons = Constraints(8, bipartite_only=True)
+    assert keys(enumerate_connected(cons, workers=64)) == keys(enumerate_connected(cons))
+    assert started == [3]
+    # an unknown CPU count means one: the walk runs in process
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+    assert count_classes(cons, workers=64) == 182
+    assert started == [3]

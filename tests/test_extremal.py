@@ -12,7 +12,6 @@ from ggindex.extremal import (
     crossover_scan,
     exact_index_value,
     find_extremal,
-    index_value,
     is_almost_regular,
     min_bipartite_closed,
     min_bipartite_expected,
@@ -31,7 +30,7 @@ from ggindex.families import (
     star,
 )
 from ggindex.graphs import build_graph, canonical_form
-from ggindex.indices import gg_index, ngg_index
+from ggindex.indices import INDEX_FNS, gg_index, ngg_index
 
 
 def key(g):
@@ -51,11 +50,9 @@ def test_objective_validation():
 
 def test_index_value_dispatch():
     g = path(5)
-    assert index_value(g, "ngg") == ngg_index(g)
-    assert index_value(g, "gg") == gg_index(g)
     for which in ("gg", "ngg", "abc"):
         assert exact_index_value(g, which).to_float() == pytest.approx(
-            index_value(g, which), abs=1e-12
+            INDEX_FNS[which](g), abs=1e-12
         )
 
 

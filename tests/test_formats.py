@@ -8,10 +8,8 @@ from ggindex.formats import (
     FormatError,
     decode_graph6,
     encode_graph6,
-    format_edge_list,
     parse_edge_list_block,
     read_graphs,
-    write_graph6_file,
 )
 
 from conftest import connected_graphs
@@ -120,7 +118,7 @@ def test_graph6_file_round_trip(tmp_path):
         (3, _masks(3, [(0, 1), (1, 2)])),
         (4, _masks(4, [(0, 1), (1, 2), (2, 3), (0, 3)])),
     ]
-    assert write_graph6_file(items, p) == 2
+    p.write_text("".join(encode_graph6(n, adj) + "\n" for n, adj in items))
     got = read_file(p)
     assert got[0] == (3, [(0, 1), (1, 2)])
     assert got[1][0] == 4 and len(got[1][1]) == 4
@@ -134,8 +132,7 @@ def test_graph6_file_error_names_line(tmp_path):
 
 
 def test_edge_list_round_trip(tmp_path):
-    text = format_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-    n, edges = parse_edge_list_block(text.strip().splitlines())
+    n, edges = parse_edge_list_block(["4 3", "0 1", "1 2", "2 3"])
     assert (n, edges) == (4, [(0, 1), (1, 2), (2, 3)])
 
     p = tmp_path / "graphs.txt"
