@@ -23,12 +23,7 @@ import sys
 import time
 from typing import Iterable, Optional, Sequence
 
-from .enumeration import (
-    Constraints,
-    EnumerationBoundError,
-    FeasibilityBounds,
-    enumerate_connected,
-)
+from .enumeration import Constraints, EnumerationBoundError, enumerate_connected
 from .extremal import (
     CLAIMS,
     DEFAULT_EPSILON,
@@ -251,28 +246,17 @@ def _cmd_family(args) -> int:
     return OK
 
 
-def _stream_for(args, bounds: FeasibilityBounds):
+def _cmd_enumerate(args) -> int:
+    if args.trees and args.cyclomatic not in (None, 0):
+        raise CliError(f"--trees means --cyclomatic 0, not --cyclomatic {args.cyclomatic}")
     cons = Constraints(
         args.n,
         bipartite_only=args.bipartite,
         max_degree=args.max_degree,
-        trees_only=args.trees,
-        cyclomatic=args.cyclomatic,
+        cyclomatic=0 if args.trees else args.cyclomatic,
     )
-    return cons, enumerate_connected(cons, bounds=bounds, workers=args.workers)
-
-
-def _cmd_enumerate(args) -> int:
-    bounds = FeasibilityBounds.from_env().override(args.max_n)
-    cons, stream = _stream_for(args, bounds)
+    stream = enumerate_connected(cons, max_n=args.max_n, workers=args.workers)
     lines = [to_graph6(g) for g in stream]
-    cons_fields = {
-        "n": cons.n,
-        "bipartite": cons.bipartite_only,
-        "trees": cons.trees_only,
-        "max_degree": cons.max_degree,
-        "cyclomatic": cons.cyclomatic,
-    }
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.writelines(line + "\n" for line in lines)
@@ -283,7 +267,14 @@ def _cmd_enumerate(args) -> int:
     if args.format == "json":
         payload = {
             "command": "enumerate",
-            "constraints": cons_fields,
+            # the flags as given: --trees and --cyclomatic 0 name one class
+            "constraints": {
+                "n": args.n,
+                "bipartite": args.bipartite,
+                "trees": args.trees,
+                "max_degree": args.max_degree,
+                "cyclomatic": args.cyclomatic,
+            },
             "count": len(lines),
         }
         if args.out:
@@ -358,7 +349,6 @@ def _render_verify(report: VerificationReport, fmt: str) -> str:
 
 
 def _cmd_verify(args) -> int:
-    bounds = FeasibilityBounds.from_env().override(args.max_n)
     ns = parse_n_values(args.n) if args.n else CLAIMS[args.claim].orders
     t0 = time.perf_counter()
     report = verify(
@@ -366,7 +356,7 @@ def _cmd_verify(args) -> int:
         ns,
         max_degree=args.max_degree,
         epsilon=args.epsilon,
-        bounds=bounds,
+        max_n=args.max_n,
         workers=args.workers,
     )
     _write_output(_render_verify(report, args.format), args.out)
@@ -439,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "epsilon", None) is not None and args.epsilon <= 0:
+    if getattr(args, "epsilon", None) is not None and not args.epsilon > 0:
         parser.error("--epsilon must be positive")
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be at least 1")

@@ -13,7 +13,7 @@ class of k-vertex graphs in the class. A child survives only if the vertex
 just added is, up to automorphism, the canonically last vertex of its own
 degree (canon_full with last=), so every class is produced from exactly one
 parent class and exactly once overall. The deleted vertex must leave a parent in the class. Trees
-(trees_only, or cyclomatic number 0) delete their last leaf: a tree child is
+(cyclomatic number 0) delete their last leaf: a tree child is
 its parent plus one leaf on a vertex below the degree bound, and a tree minus
 a leaf is a tree within the same bound, so every tree is reached. Every other
 class deletes its last vertex of maximum degree, so a child whose new vertex
@@ -81,12 +81,12 @@ class EnumerationBoundError(ValueError):
 
 @dataclass(frozen=True)
 class Constraints:
-    """Isomorphism-invariant restrictions on the generated class."""
+    """Isomorphism-invariant restrictions on the generated class; trees are
+    the connected graphs of cyclomatic number 0."""
 
     n: int
     bipartite_only: bool = False
     max_degree: Optional[int] = None
-    trees_only: bool = False
     cyclomatic: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -96,51 +96,23 @@ class Constraints:
             raise ValueError("max_degree must be at least 1")
         if self.cyclomatic is not None and self.cyclomatic < 0:
             raise ValueError("cyclomatic number cannot be negative")
-        if self.trees_only and self.cyclomatic not in (None, 0):
-            raise ValueError("trees_only contradicts a nonzero cyclomatic number")
 
     @property
     def tree_class(self) -> bool:
-        return self.trees_only or self.cyclomatic == 0
+        return self.cyclomatic == 0
 
     def describe(self) -> str:
-        parts = []
-        if self.trees_only:
-            parts.append("trees")
+        if self.tree_class:
+            parts = ["trees"]
         elif self.bipartite_only:
-            parts.append("connected bipartite graphs")
+            parts = ["connected bipartite graphs"]
         else:
-            parts.append("connected graphs")
+            parts = ["connected graphs"]
         if self.max_degree is not None:
             parts.append(f"with max degree {self.max_degree}")
-        if self.cyclomatic is not None and not self.trees_only:
+        if self.cyclomatic:
             parts.append(f"with cyclomatic number {self.cyclomatic}")
         return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class FeasibilityBounds:
-    """Order caps guarding against accidentally huge runs."""
-
-    general: int = 10
-    bipartite: int = 11
-    trees: int = 14
-
-    @classmethod
-    def from_env(cls) -> "FeasibilityBounds":
-        raw = os.environ.get(ENV_MAX_N)
-        if raw is None:
-            return cls()
-        try:
-            v = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
-        return cls(general=v, bipartite=v, trees=v)
-
-    def override(self, max_n: Optional[int]) -> "FeasibilityBounds":
-        if max_n is None:
-            return self
-        return FeasibilityBounds(general=max_n, bipartite=max_n, trees=max_n)
 
 
 # ----------------------------------------------------------- augmentation ----
@@ -318,35 +290,39 @@ def _walk(conses: Sequence[Constraints], workers: int = 1) -> list[list[bytes]]:
     return [keys[c.n] for c in conses]
 
 
-def check_bound(cons: Constraints, bounds: Optional[FeasibilityBounds] = None) -> None:
-    """Raise EnumerationBoundError when cons.n exceeds the bound of its class;
-    bounds default to FeasibilityBounds.from_env()."""
-    bounds = bounds if bounds is not None else FeasibilityBounds.from_env()
-    if cons.tree_class:
-        limit = bounds.trees
-    elif cons.bipartite_only:
-        limit = bounds.bipartite
-    else:
-        limit = bounds.general
-    if cons.n > limit:
-        raise EnumerationBoundError(cons.n, limit, cons.describe())
+def check_bound(cons: Constraints, max_n: Optional[int] = None) -> None:
+    """Raise EnumerationBoundError when cons.n exceeds the order cap: max_n if
+    given, else GGINDEX_MAX_N, else the class default of 14 for trees, 11 for
+    bipartite graphs and 10 otherwise."""
+    if max_n is None:
+        raw = os.environ.get(ENV_MAX_N)
+        if raw is not None:
+            try:
+                max_n = int(raw)
+            except ValueError:
+                raise ValueError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
+        else:
+            max_n = 14 if cons.tree_class else 11 if cons.bipartite_only else 10
+    if cons.n > max_n:
+        raise EnumerationBoundError(cons.n, max_n, cons.describe())
 
 
 def enumerate_connected(
     *cons: Constraints,
-    bounds: Optional[FeasibilityBounds] = None,
+    max_n: Optional[int] = None,
     workers: int = 1,
 ) -> Iterator[Graph]:
     """One Graph per isomorphism class matching cons, in canonical-form order.
 
     Given several constraint sets that differ only in n, one walk serves
     them all, and the stream holds the classes of each in turn, in the order
-    given. Every bound is checked, in that order, when the function is called.
-    Emitted graphs carry their canonical labeling, so to_graph6 of the k-th
-    graph of an order is exactly the k-th key in that order's sort order.
+    given. Every order cap is checked (see check_bound), in that order, when
+    the function is called. Emitted graphs carry their canonical labeling, so
+    to_graph6 of the k-th graph of an order is exactly the k-th key in that
+    order's sort order.
     """
     for c in cons:
-        check_bound(c, bounds)
+        check_bound(c, max_n)
     return (
         from_graph6(key.decode("ascii")) for keys in _walk(cons, workers) for key in keys
     )
@@ -356,21 +332,21 @@ def enumerate_trees(
     n: int,
     *,
     max_degree: Optional[int] = None,
-    bounds: Optional[FeasibilityBounds] = None,
+    max_n: Optional[int] = None,
     workers: int = 1,
 ) -> Iterator[Graph]:
     """All unlabeled trees on n vertices (optionally degree-bounded)."""
     return enumerate_connected(
-        Constraints(n, trees_only=True, max_degree=max_degree), bounds=bounds, workers=workers
+        Constraints(n, max_degree=max_degree, cyclomatic=0), max_n=max_n, workers=workers
     )
 
 
 def count_classes(
     cons: Constraints,
     *,
-    bounds: Optional[FeasibilityBounds] = None,
+    max_n: Optional[int] = None,
     workers: int = 1,
 ) -> int:
     """Cardinality of the stream without building Graph objects."""
-    check_bound(cons, bounds)
+    check_bound(cons, max_n)
     return len(_walk([cons], workers)[0])

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .enumeration import Constraints, FeasibilityBounds, check_bound, enumerate_connected
+from .enumeration import Constraints, check_bound, enumerate_connected
 from .families import (
     FamilySpec,
     almost_dendrimer,
@@ -31,6 +31,7 @@ from .families import (
     ngg_closed,
     ngg_path_closed,
     path,
+    path_ngg_limit,
     star,
 )
 from .graphs import Graph, canonical_form, from_graph6, to_graph6
@@ -60,10 +61,6 @@ class Objective:
         if self.index not in _FLOAT_FN:
             names = ", ".join(_FLOAT_FN)
             raise ExtremalError(f"objective index must be one of {names}, got {self.index!r}")
-
-    @property
-    def text(self) -> str:
-        return f"{self.sense}-{self.index}"
 
 
 def parse_objective(text: str) -> Objective:
@@ -96,11 +93,9 @@ def exact_index_value(g: Graph, index: str) -> RadicalSum:
 @dataclass(frozen=True)
 class ExtremalResult:
     objective: Objective
-    constraints: Optional[Constraints]
     value: float
     witnesses: tuple[str, ...]
     exact_witnesses: tuple[str, ...]
-    epsilon: float
     total_classes: int
 
 
@@ -113,6 +108,9 @@ class _Extremum:
     def __init__(
         self, objective: Objective, epsilon: float, key: Callable[[Graph], str]
     ) -> None:
+        # a NaN or negative window holds no value, not even the best one
+        if not epsilon >= 0:
+            raise ExtremalError(f"epsilon must be a non-negative number, got {epsilon!r}")
         self.objective = objective
         self.epsilon = epsilon
         self.key = key
@@ -134,7 +132,7 @@ class _Extremum:
         if abs(v - best) <= epsilon:
             self.window.setdefault(self.key(g), (v, g))
 
-    def result(self, constraints: Optional[Constraints]) -> ExtremalResult:
+    def result(self) -> ExtremalResult:
         """Re-rank the window exactly once the stream is exhausted."""
         if self.best is None:
             raise ExtremalError("cannot take an extremum of an empty graph stream")
@@ -157,11 +155,9 @@ class _Extremum:
 
         return ExtremalResult(
             objective=self.objective,
-            constraints=constraints,
             value=self.best,
             witnesses=witnesses,
             exact_witnesses=exact_witnesses,
-            epsilon=self.epsilon,
             total_classes=self.total,
         )
 
@@ -170,8 +166,6 @@ def find_extremal(
     stream: Iterable[Graph],
     objective: "Objective | str",
     epsilon: float = DEFAULT_EPSILON,
-    *,
-    constraints: Optional[Constraints] = None,
 ) -> ExtremalResult:
     """Scan a stream for the extremal index value with exact tie handling.
 
@@ -192,7 +186,7 @@ def find_extremal(
     fold = _Extremum(objective, epsilon, _key)
     for g in stream:
         fold.offer(fn(g), g)
-    return fold.result(constraints)
+    return fold.result()
 
 
 # ------------------------------------------------------------------ reports ----
@@ -286,9 +280,8 @@ def crossover_scan(n_values: Iterable[int]) -> list[CrossoverRow]:
         hook = RadicalSum.sqrt_rational(1, k * (k + 1), scale=2 * k + 2)
         sign = pendant.compare(hook)
         comparison = "C' < C''" if sign < 0 else ("equal" if sign == 0 else "C'' < C'")
-        rows.append(
-            CrossoverRow(n, k, pendant.to_float(), hook.to_float(), comparison)
-        )
+        closed = (ngg_closed(FamilySpec(kind, (n,))) for kind in ("cycle_pendant", "cycle_hook"))
+        rows.append(CrossoverRow(n, k, *closed, comparison))
     return rows
 
 
@@ -318,10 +311,11 @@ class AsymptoticRow(NamedTuple):
 
 def asymptotic_check(n_values: Iterable[int]) -> list[AsymptoticRow]:
     """Path NGG against its limit pi; residuals should shrink toward zero."""
+    limit = path_ngg_limit()
     rows = []
     for n in n_values:
         value = ngg_path_closed(n)
-        rows.append(AsymptoticRow(n, value, math.pi - value))
+        rows.append(AsymptoticRow(n, value, limit - value))
     return rows
 
 
@@ -413,7 +407,7 @@ CLAIMS: dict[str, Claim] = {
     # min GG over trees is the path; max GG over trees is the star
     "trees": Claim(
         orders=tuple(range(4, 13)),
-        graph_class=lambda n, d: Constraints(n, trees_only=True),
+        graph_class=lambda n, d: Constraints(n, cyclomatic=0),
         checks=(
             Check(
                 Objective("min", "gg"),
@@ -458,7 +452,7 @@ CLAIMS: dict[str, Claim] = {
     # tree built by almost_dendrimer
     "conjecture3": Claim(
         orders=tuple(range(6, 13)),
-        graph_class=lambda n, d: Constraints(n, trees_only=True, max_degree=d),
+        graph_class=lambda n, d: Constraints(n, max_degree=d, cyclomatic=0),
         checks=(
             Check(Objective("max", "gg"), expected=lambda n, d: [almost_dendrimer(n, d)]),
         ),
@@ -503,13 +497,14 @@ def verify(
     *,
     max_degree: int = 3,
     epsilon: float = DEFAULT_EPSILON,
-    bounds: Optional[FeasibilityBounds] = None,
+    max_n: Optional[int] = None,
     workers: int = 1,
 ) -> VerificationReport:
     """Check one claim of CLAIMS at the given orders.
 
     max_degree is the degree bound of the conjecture probes; the theorem
-    claims ignore it. Probe outcomes are evidence at the listed orders only.
+    claims ignore it. max_n caps the orders as in check_bound. Probe outcomes
+    are evidence at the listed orders only.
     """
     spec = CLAIMS.get(claim)
     if spec is None:
@@ -520,12 +515,12 @@ def verify(
     if not spec.theorem and max_degree < 2:
         raise ExtremalError("a degree bound below 2 leaves nothing to scan")
     orders = list(n_values)
-    # every order's class and bound are checked, in the order given, before
+    # every order's class and cap are checked, in the order given, before
     # one walk enumerates them all; a repeated order repeats its rows
     classes: dict[int, Constraints] = {}
     for n in orders:
         cons = spec.graph_class(n, max_degree)
-        check_bound(cons, bounds)
+        check_bound(cons, max_n)
         classes.setdefault(n, cons)
     indices = tuple(dict.fromkeys(check.objective.index for check in spec.checks))
     # the stream is canonically labeled, so its graph6 is the class key
@@ -533,12 +528,12 @@ def verify(
         n: [_Extremum(check.objective, epsilon, to_graph6) for check in spec.checks]
         for n in classes
     }
-    for g in enumerate_connected(*classes.values(), bounds=bounds, workers=workers):
+    for g in enumerate_connected(*classes.values(), max_n=max_n, workers=workers):
         values = {index: _FLOAT_FN[index](g) for index in indices}
         for fold in folds[g.n]:
             fold.offer(values[fold.objective.index], g)
     rows = tuple(
-        _check_row(n, max_degree, fold.result(classes[n]), check, spec.theorem)
+        _check_row(n, max_degree, fold.result(), check, spec.theorem)
         for n in orders
         for check, fold in zip(spec.checks, folds[n])
     )

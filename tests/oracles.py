@@ -37,11 +37,8 @@ def _graph_from_masks(masks) -> Graph:
 
 
 def _matches(g: Graph, cons) -> bool:
-    if cons.bipartite_only or cons.trees_only:
-        if cons.trees_only and not g.is_tree:
-            return False
-        if not is_bipartite(g):
-            return False
+    if cons.bipartite_only and not is_bipartite(g):
+        return False
     if cons.max_degree is not None and g.max_degree > cons.max_degree:
         return False
     if cons.cyclomatic is not None and g.cyclomatic_number != cons.cyclomatic:

@@ -171,7 +171,7 @@ def test_criterion_09_generator_vs_brute_force():
         for cons in (
             Constraints(n),
             Constraints(n, bipartite_only=True),
-            Constraints(n, trees_only=True),
+            Constraints(n, cyclomatic=0),
             Constraints(n, max_degree=3),
         ):
             got = sorted(to_graph6(g) for g in enumerate_connected(cons))

@@ -181,6 +181,27 @@ def test_enumerate_env_bound_and_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "enumerate", "--n", "6", "--max-n", "6")
     assert code == 0
     assert len(out.splitlines()) == 112
+    # --max-n is the whole cap: the variable is not read, malformed or not
+    monkeypatch.setenv("GGINDEX_MAX_N", "x")
+    code, _, err = run(capsys, "enumerate", "--n", "5")
+    assert code == 2 and "GGINDEX_MAX_N must be an integer" in err
+    code, out, _ = run(capsys, "enumerate", "--n", "5", "--max-n", "5")
+    assert code == 0
+    assert len(out.splitlines()) == 21
+
+
+def test_enumerate_trees_is_cyclomatic_zero(capsys, monkeypatch):
+    monkeypatch.delenv("GGINDEX_MAX_N", raising=False)
+    code, trees, _ = run(capsys, "enumerate", "--trees", "--n", "9")
+    assert (code, len(trees.splitlines())) == (0, 47)
+    code, both, _ = run(capsys, "enumerate", "--trees", "--cyclomatic", "0", "--n", "9")
+    assert (code, both) == (0, trees)
+    code, out, err = run(capsys, "enumerate", "--trees", "--cyclomatic", "2", "--n", "9")
+    assert (code, out) == (2, "")
+    assert "--trees" in err and "--cyclomatic 2" in err
+    # a refused cyclomatic-0 run names the class it refused
+    code, _, err = run(capsys, "enumerate", "--cyclomatic", "0", "--n", "15")
+    assert code == 2 and "enumerating trees at n=15" in err
 
 
 def test_verify_max_bipartite(capsys):
@@ -475,8 +496,12 @@ def test_parse_n_values():
 def test_bad_flags_exit_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "not-a-claim"])
-    with pytest.raises(SystemExit):
-        main(["verify", "trees", "--epsilon", "0"])
+    # NaN fails every comparison, so it must fail the positivity test too
+    for epsilon in ("0", "nan", "-0.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "trees", "--n", "5", "--epsilon", epsilon])
+        assert exc.value.code == 2
+        assert "--epsilon must be positive" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["enumerate", "--n", "5", "--workers", "0"])
     capsys.readouterr()

@@ -8,9 +8,9 @@ from ggindex.bitset import components, iter_bits
 from ggindex.enumeration import (
     Constraints,
     EnumerationBoundError,
-    FeasibilityBounds,
     _expand_parent,
     _neighborhood_options,
+    check_bound,
     count_classes,
     enumerate_connected,
     enumerate_trees,
@@ -59,18 +59,18 @@ def test_unicyclic_counts():
 SWEEP = [
     Constraints(5),
     Constraints(5, bipartite_only=True),
-    Constraints(5, trees_only=True),
+    Constraints(5, cyclomatic=0),
     Constraints(5, max_degree=3),
     Constraints(5, cyclomatic=1),
     Constraints(6),
     Constraints(6, bipartite_only=True),
-    Constraints(6, trees_only=True),
+    Constraints(6, cyclomatic=0),
     Constraints(6, max_degree=3),
     Constraints(6, cyclomatic=1),
     Constraints(6, cyclomatic=2),
     Constraints(6, bipartite_only=True, max_degree=3),
     Constraints(6, max_degree=4, cyclomatic=3),
-    Constraints(7, trees_only=True, max_degree=3),
+    Constraints(7, max_degree=3, cyclomatic=0),
 ]
 
 
@@ -107,7 +107,8 @@ def test_generator_agrees_with_networkx_trees(n):
 
 
 def test_trees_flag_matches_tree_stream():
-    a = keys(enumerate_connected(Constraints(8, trees_only=True)))
+    # trees are bipartite, so asking for bipartite trees changes nothing
+    a = keys(enumerate_connected(Constraints(8, bipartite_only=True, cyclomatic=0)))
     b = keys(enumerate_trees(8))
     assert a == b
 
@@ -159,23 +160,45 @@ def test_bounds_refuse_big_orders():
     with pytest.raises(EnumerationBoundError):
         enumerate_trees(15)
     # trees get the roomier cap whichever entry point they come through
-    limit_check = Constraints(12, trees_only=True)
+    limit_check = Constraints(12, cyclomatic=0)
     assert count_classes(limit_check) == 551
 
 
 def test_bounds_override_and_env(monkeypatch):
-    assert FeasibilityBounds().general == 10
-    assert FeasibilityBounds().override(None) == FeasibilityBounds()
-    wide = FeasibilityBounds().override(13)
-    assert (wide.general, wide.bipartite, wide.trees) == (13, 13, 13)
+    monkeypatch.delenv("GGINDEX_MAX_N", raising=False)
+    # the class defaults: 10 in general, 11 bipartite, 14 for trees
+    for cons, default in [
+        (Constraints(10), 10),
+        (Constraints(10, max_degree=3), 10),
+        (Constraints(10, cyclomatic=2), 10),
+        (Constraints(11, bipartite_only=True), 11),
+        (Constraints(14, cyclomatic=0), 14),
+        (Constraints(14, bipartite_only=True, cyclomatic=0), 14),
+    ]:
+        check_bound(cons)
+        with pytest.raises(EnumerationBoundError, match=f"n <= {default};") as exc:
+            check_bound(replace(cons, n=default + 1))
+        assert (exc.value.n, exc.value.limit) == (default + 1, default)
+        # max_n replaces the default, in either direction
+        check_bound(replace(cons, n=default + 1), max_n=default + 1)
+        with pytest.raises(EnumerationBoundError, match="n <= 5;"):
+            check_bound(cons, max_n=5)
 
+    # the environment variable replaces every default; max_n beats it
     monkeypatch.setenv("GGINDEX_MAX_N", "12")
-    assert FeasibilityBounds.from_env().general == 12
+    check_bound(Constraints(12))
+    with pytest.raises(EnumerationBoundError, match="n <= 12;"):
+        check_bound(Constraints(13, cyclomatic=0))
+    check_bound(Constraints(13, cyclomatic=0), max_n=13)
+    with pytest.raises(EnumerationBoundError, match="n <= 11;"):
+        check_bound(Constraints(12), max_n=11)
+
+    # a malformed variable is an error only when it would be read
     monkeypatch.setenv("GGINDEX_MAX_N", "twelve")
     with pytest.raises(ValueError, match="GGINDEX_MAX_N"):
-        FeasibilityBounds.from_env()
-    monkeypatch.delenv("GGINDEX_MAX_N")
-    assert FeasibilityBounds.from_env() == FeasibilityBounds()
+        check_bound(Constraints(4))
+    check_bound(Constraints(4), max_n=4)
+    assert count_classes(Constraints(4), max_n=4) == 6
 
 
 def test_constraints_validation():
@@ -185,12 +208,16 @@ def test_constraints_validation():
         Constraints(5, max_degree=0)
     with pytest.raises(ValueError):
         Constraints(5, cyclomatic=-1)
-    with pytest.raises(ValueError):
-        Constraints(5, trees_only=True, cyclomatic=2)
-    # trees_only with cyclomatic=0 is redundant but consistent
-    Constraints(5, trees_only=True, cyclomatic=0)
     assert Constraints(5, cyclomatic=0).tree_class
+    assert not Constraints(5, bipartite_only=True).tree_class
     assert "max degree 3" in Constraints(5, max_degree=3).describe()
+    # one class, one text: trees are cyclomatic number 0, bipartite or not
+    assert Constraints(5, cyclomatic=0).describe() == "trees"
+    assert (
+        Constraints(5, bipartite_only=True, max_degree=3, cyclomatic=0).describe()
+        == "trees with max degree 3"
+    )
+    assert Constraints(5, cyclomatic=2).describe() == "connected graphs with cyclomatic number 2"
 
 
 def test_empty_classes():
@@ -248,8 +275,8 @@ PREFILTER_CLASSES = [
     Constraints(8, bipartite_only=True),
     Constraints(8, max_degree=3),
     Constraints(8, cyclomatic=2),
-    Constraints(9, trees_only=True),
-    Constraints(9, trees_only=True, max_degree=3),
+    Constraints(9, cyclomatic=0),
+    Constraints(9, max_degree=3, cyclomatic=0),
 ]
 
 
@@ -319,22 +346,22 @@ def test_trees_grow_by_one_leaf_on_an_unsaturated_vertex(monkeypatch):
         return full(n, adj, **kwargs)
 
     monkeypatch.setattr(canon, "canon_full", checked)
-    assert count_classes(Constraints(9, trees_only=True)) == 47
+    assert count_classes(Constraints(9, cyclomatic=0)) == 47
     # every vertex of an unbounded tree is unsaturated: one call per vertex
     # orbit of every tree on fewer than 9 vertices
     assert len(calls) == unbounded_pairs == 200
 
     calls.clear()
     bound["max_degree"] = 3
-    assert count_classes(Constraints(9, trees_only=True, max_degree=3)) == 18
+    assert count_classes(Constraints(9, max_degree=3, cyclomatic=0)) == 18
     assert len(calls) == bounded_pairs
 
 
 WALK_CLASSES = [
     Constraints(1, bipartite_only=True),
     Constraints(1, max_degree=3),
-    Constraints(1, trees_only=True),
-    Constraints(1, trees_only=True, max_degree=3),
+    Constraints(1, cyclomatic=0),
+    Constraints(1, max_degree=3, cyclomatic=0),
     Constraints(1, cyclomatic=2),
     Constraints(1),
 ]
@@ -386,7 +413,7 @@ def _count_searched(monkeypatch):
 @pytest.mark.parametrize(
     "cons",
     [replace(c, n=8) for c in WALK_CLASSES]
-    + [Constraints(10, trees_only=True), Constraints(10, trees_only=True, max_degree=3)],
+    + [Constraints(10, cyclomatic=0), Constraints(10, max_degree=3, cyclomatic=0)],
     ids=lambda c: c.describe() + f" n<={c.n}",
 )
 def test_every_class_comes_from_one_parent(cons, monkeypatch):
@@ -406,7 +433,7 @@ def test_each_tree_class_is_searched_once(max_degree, classes, monkeypatch):
     # result per class, since every tree child that passes the root cell is
     # the canonical one
     results = _count_searched(monkeypatch)
-    count_classes(Constraints(12, trees_only=True, max_degree=max_degree))
+    count_classes(Constraints(12, max_degree=max_degree, cyclomatic=0))
     assert len(results) == len(set(results)) == classes
 
 
@@ -435,7 +462,7 @@ def test_verify_walks_the_levels_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "cons",
-    [replace(c, n=8) for c in WALK_CLASSES] + [Constraints(11, trees_only=True)],
+    [replace(c, n=8) for c in WALK_CLASSES] + [Constraints(11, cyclomatic=0)],
     ids=lambda c: c.describe() + f" n<={c.n}",
 )
 def test_shards_partition_the_classes(cons):

@@ -38,7 +38,7 @@ def key(g):
 
 
 def test_objective_validation():
-    assert Objective("min", "ngg").text == "min-ngg"
+    assert parse_objective("min-ngg") == Objective("min", "ngg")
     assert parse_objective("MAX-GG") == Objective("max", "gg")
     with pytest.raises(ExtremalError):
         Objective("mid", "gg")
@@ -79,6 +79,16 @@ def test_find_extremal_epsilon_window():
     # the wide float window never widens the exact answer
     assert loose.exact_witnesses == (key(p),)
     assert loose.value == tight.value
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, -1.0])
+def test_find_extremal_and_verify_refuse_a_window_that_holds_nothing(epsilon):
+    # abs(v - best) <= epsilon is false for every v, so each window would be
+    # empty and every row would fail with no witness
+    with pytest.raises(ExtremalError, match="epsilon"):
+        find_extremal([path(4)], Objective("min", "gg"), epsilon)
+    with pytest.raises(ExtremalError, match="epsilon"):
+        verify("trees", [5], epsilon=epsilon)
 
 
 def test_find_extremal_exact_tie():
