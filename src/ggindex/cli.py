@@ -26,7 +26,6 @@ from typing import Iterable, Optional, Sequence
 from .enumeration import Constraints, EnumerationBoundError, enumerate_connected
 from .extremal import (
     CLAIMS,
-    DEFAULT_EPSILON,
     AsymptoticRow,
     CheckRow,
     CrossoverRow,
@@ -166,7 +165,7 @@ def parse_n_values(text: str) -> list[int]:
 def _cmd_index(args) -> int:
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     bad = [w for w in which if w not in _INDEX_FNS]
-    if bad or not which:
+    if bad or not which or len(set(which)) < len(which):
         raise CliError(f"--which takes a comma subset of {_INDEX_NAMES}, got {args.which!r}")
     if args.splits and args.format == "csv":
         raise CliError("--splits is not representable in csv; use json or text")
@@ -355,7 +354,6 @@ def _cmd_verify(args) -> int:
         args.claim,
         ns,
         max_degree=args.max_degree,
-        epsilon=args.epsilon,
         max_n=args.max_n,
         workers=args.workers,
     )
@@ -373,21 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, epsilon=False, workers=False, max_n=False):
+    def common(p, workers=False, max_n=False):
         p.add_argument(
             "--format", choices=("text", "json", "csv"), default="text",
             help="output format (default text)",
         )
         p.add_argument("--out", help="write the primary output to this file")
-        if epsilon:
-            p.add_argument(
-                "--epsilon", type=float, default=DEFAULT_EPSILON,
-                help="absolute tie window on objective values (default 1e-9)",
-            )
         if workers:
             p.add_argument(
                 "--workers", type=int, default=1,
-                help="process count for enumeration levels (default 1)",
+                help="enumeration shards, at most one per CPU (default 1)",
             )
         if max_n:
             p.add_argument(
@@ -420,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", choices=tuple(CLAIMS))
     p.add_argument("--n", default=None, help="orders: 8, 4..10, or 5,7,9 (claim default otherwise)")
     p.add_argument("--max-degree", type=int, default=3, help="degree bound for conjecture probes")
-    common(p, epsilon=True, workers=True, max_n=True)
+    common(p, workers=True, max_n=True)
     p.set_defaults(fn=_cmd_verify)
 
     return parser
@@ -429,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "epsilon", None) is not None and not args.epsilon > 0:
-        parser.error("--epsilon must be positive")
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be at least 1")
     try:

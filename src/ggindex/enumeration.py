@@ -73,7 +73,8 @@ class EnumerationBoundError(ValueError):
     def __init__(self, n: int, limit: int, what: str):
         super().__init__(
             f"enumerating {what} at n={n} exceeds the configured bound n <= {limit}; "
-            f"pass --max-n (or set {ENV_MAX_N}) to raise it if you accept the runtime"
+            f"raise it with max_n= (--max-n on the command line) or {ENV_MAX_N}"
+            " if you accept the runtime"
         )
         self.n = n
         self.limit = limit

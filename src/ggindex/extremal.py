@@ -1,7 +1,8 @@
 """Exhaustive extremal scans over small-graph classes, plus closed-form checks.
 
 find_extremal is a plain fold over a graph stream: track the best objective
-value, keep every candidate within an absolute tie window epsilon of it, then
+value, keep every candidate whose float value may equal it exactly
+(indices.float_tie, a window derived from the float error of the sums), then
 re-compare the surviving candidates with exact radical arithmetic so that a
 genuine tie (two graphs whose index values coincide as algebraic numbers) is
 distinguished from float noise. verify runs that fold for every check of a
@@ -35,11 +36,8 @@ from .families import (
     star,
 )
 from .graphs import Graph, canonical_form, from_graph6, to_graph6
-from .indices import INDEX_FNS as _FLOAT_FN, edge_splits, gg_index
+from .indices import INDEX_FNS as _FLOAT_FN, edge_splits, float_tie, gg_index
 from .radicals import RadicalSum
-
-DEFAULT_EPSILON = 1e-9
-VALUE_TOLERANCE = 1e-9
 
 EVIDENCE_CAVEAT = (
     "exhaustive only at the orders listed; evidence for the large-n claim, not proof"
@@ -101,18 +99,12 @@ class ExtremalResult:
 
 class _Extremum:
     """The fold behind find_extremal for one objective: the running best
-    value, the candidates within epsilon of it keyed by their class key
+    value, the candidates that float_tie it keyed by their class key
     (key(g) must be the graph6 of a canonical labeling of g), and the class
     count."""
 
-    def __init__(
-        self, objective: Objective, epsilon: float, key: Callable[[Graph], str]
-    ) -> None:
-        # a NaN or negative window holds no value, not even the best one
-        if not epsilon >= 0:
-            raise ExtremalError(f"epsilon must be a non-negative number, got {epsilon!r}")
+    def __init__(self, objective: Objective, key: Callable[[Graph], str]) -> None:
         self.objective = objective
-        self.epsilon = epsilon
         self.key = key
         self.want_min = objective.sense == "min"
         self.best: Optional[float] = None
@@ -121,15 +113,13 @@ class _Extremum:
 
     def offer(self, v: float, g: Graph) -> None:
         self.total += 1
-        best, epsilon = self.best, self.epsilon
+        best = self.best
         if best is None or (v < best if self.want_min else v > best):
             best = self.best = v
             self.window = {
-                key: pair
-                for key, pair in self.window.items()
-                if abs(pair[0] - best) <= epsilon
+                key: pair for key, pair in self.window.items() if float_tie(pair[0], best)
             }
-        if abs(v - best) <= epsilon:
+        if float_tie(v, best):
             self.window.setdefault(self.key(g), (v, g))
 
     def result(self) -> ExtremalResult:
@@ -162,15 +152,11 @@ class _Extremum:
         )
 
 
-def find_extremal(
-    stream: Iterable[Graph],
-    objective: "Objective | str",
-    epsilon: float = DEFAULT_EPSILON,
-) -> ExtremalResult:
+def find_extremal(stream: Iterable[Graph], objective: "Objective | str") -> ExtremalResult:
     """Scan a stream for the extremal index value with exact tie handling.
 
-    The objective is an Objective or text like "min-ngg". Candidates within
-    epsilon of the running best are retained; once the stream is exhausted
+    The objective is an Objective or text like "min-ngg". Candidates that
+    float_tie the running best are retained; once the stream is exhausted
     they are re-ranked with exact arithmetic and the exactly-extremal subset
     is reported separately. The witness sets depend only on the set of graphs
     in the stream, not on their order.
@@ -183,7 +169,7 @@ def find_extremal(
             f" got {type(objective).__name__}"
         )
     fn = _FLOAT_FN[objective.index]
-    fold = _Extremum(objective, epsilon, _key)
+    fold = _Extremum(objective, _key)
     for g in stream:
         fold.offer(fn(g), g)
     return fold.result()
@@ -360,7 +346,7 @@ class Claim:
     An exhaustive claim enumerates graph_class(n, max_degree) at each order
     and runs every check on it. A theorem row passes when its exact witnesses
     equal the expected ones, a unique expected witness is also alone in the
-    epsilon window, and the value matches; a probe row only compares witnesses
+    tie window, and the value matches; a probe row only compares witnesses
     and is reported as consistent or counterexample found, with the caveat.
     A closed-form claim maps the orders to rows with scan and passes when
     pattern holds on them.
@@ -474,7 +460,7 @@ def _check_row(
         if len(expected) == 1:
             ok = ok and result.witnesses == expected
         if check.value is not None:
-            ok = ok and abs(result.value - check.value(n)) <= VALUE_TOLERANCE
+            ok = ok and float_tie(result.value, check.value(n))
         label = "pass" if ok else "fail"
     else:
         label = "consistent" if ok else "counterexample found"
@@ -496,7 +482,6 @@ def verify(
     n_values: Iterable[int],
     *,
     max_degree: int = 3,
-    epsilon: float = DEFAULT_EPSILON,
     max_n: Optional[int] = None,
     workers: int = 1,
 ) -> VerificationReport:
@@ -525,7 +510,7 @@ def verify(
     indices = tuple(dict.fromkeys(check.objective.index for check in spec.checks))
     # the stream is canonically labeled, so its graph6 is the class key
     folds = {
-        n: [_Extremum(check.objective, epsilon, to_graph6) for check in spec.checks]
+        n: [_Extremum(check.objective, to_graph6) for check in spec.checks]
         for n in classes
     }
     for g in enumerate_connected(*classes.values(), max_n=max_n, workers=workers):

@@ -9,8 +9,8 @@ both endpoints count for neither side. The three indices are edge sums:
     ABC = sum sqrt((d(u) + d(v) - 2) / (d(u) * d(v)))
 
 Sums run over edges in their stored order (smaller endpoint first, then
-lexicographic) and use math.fsum, so results are exactly rounded and do not
-depend on labeling or edge order.
+lexicographic) and use math.fsum, so results do not depend on labeling or
+edge order, and float_tie bounds how far one can be from its exact value.
 """
 
 from __future__ import annotations
@@ -21,7 +21,25 @@ from typing import NamedTuple
 
 from .graphs import Graph, is_bipartite
 
-DEFAULT_RELATION_RTOL = 1e-12
+# The float error of an index value, with u = 2**-53 the unit roundoff:
+# - each term is >= 0 and comes from two correctly rounded operations on
+#   integers below 2**53 (GG, ABC: divide then sqrt, <= 1.5u relative error;
+#   NGG: sqrt then divide, <= 2u);
+# - math.fsum rounds the sum of the terms once, so a value is within 3u*V of
+#   its exact value V, whatever the number of edges.
+# Two exactly equal values, or two whose floats are in the wrong order, thus
+# differ by at most 3u(a + b)(1 + O(u)); TIE_RTOL = 8u leaves a 2.6x margin.
+# check_bipartite_relation adds a sqrt and a multiply (<= 7u*V against a
+# 16u*V window), and the closed forms verify checks values against have <= 3u
+# each. Pruning against a running best stays sound: for values >= 0 and b1
+# between v and the final best B, |v - b1| > TIE_RTOL(v + b1) implies
+# |v - B| > TIE_RTOL(v + B).
+TIE_RTOL = 2.0 ** -50
+
+
+def float_tie(a: float, b: float) -> bool:
+    """True when the floats a and b of two index values cannot order them."""
+    return abs(a - b) <= TIE_RTOL * (abs(a) + abs(b))
 
 
 class EdgeSplit(NamedTuple):
@@ -134,8 +152,8 @@ def all_indices(g: Graph) -> IndexValues:
     return IndexValues(gg_sum(splits), ngg_sum(splits), abc_index(g))
 
 
-def check_bipartite_relation(g: Graph, rel_tol: float = DEFAULT_RELATION_RTOL) -> bool:
-    """Bipartite input: does GG equal NGG * sqrt(n-2) within rel_tol?
+def check_bipartite_relation(g: Graph) -> bool:
+    """Bipartite input: does GG equal NGG * sqrt(n-2) up to float_tie?
 
     For non-bipartite input the relation has no reason to hold, and the check
     instead reports whether the structural cause is present: True when some
@@ -145,5 +163,5 @@ def check_bipartite_relation(g: Graph, rel_tol: float = DEFAULT_RELATION_RTOL) -
     splits = edge_splits(g)
     if is_bipartite(g):
         gg, ngg = gg_sum(splits), ngg_sum(splits)
-        return abs(gg - ngg * math.sqrt(g.n - 2)) <= rel_tol * abs(gg) if gg else True
+        return g.m == 0 or float_tie(gg, ngg * math.sqrt(g.n - 2))
     return any(nu + nv < g.n for _, nu, nv in splits)

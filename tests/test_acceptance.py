@@ -109,7 +109,7 @@ def test_criterion_04_min_bipartite():
     rep = verify("min-bipartite", range(4, 11))
     ok = rep.passed
     for row in rep.rows:
-        # each predicted minimizer is unique at epsilon = 1e-9 in this range
+        # each predicted minimizer is alone in the float tie window in this range
         ok = ok and len(row.witnesses) == 1 and len(row.exact_witnesses) == 1
     elapsed = report(4, "min-bipartite", ok, t0, "n = 4..10, unique predicted witnesses")
     assert ok, rep

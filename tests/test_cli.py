@@ -75,6 +75,13 @@ def test_index_splits_csv_rejected(capsys, p4_file):
     assert "error:" in err and "csv" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_index_repeated_which_rejected(capsys, p4_file, fmt):
+    code, out, err = run(capsys, "index", p4_file, "--which", "gg,gg", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "--which takes a comma subset" in err
+
+
 def test_index_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("Ch\nDhc\n"))
     code, out, _ = run(capsys, "index", "-")
@@ -279,8 +286,8 @@ def test_verify_help_golden(capsys, monkeypatch):
 # before anything is enumerated
 _BIPARTITE_12_REFUSED = (
     "error: enumerating connected bipartite graphs at n=12 exceeds the configured"
-    " bound n <= 11; pass --max-n (or set GGINDEX_MAX_N) to raise it if you accept"
-    " the runtime\n"
+    " bound n <= 11; raise it with max_n= (--max-n on the command line) or"
+    " GGINDEX_MAX_N if you accept the runtime\n"
 )
 VERIFY_ERRORS = [
     ("4,12", _BIPARTITE_12_REFUSED),
@@ -496,12 +503,11 @@ def test_parse_n_values():
 def test_bad_flags_exit_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "not-a-claim"])
-    # NaN fails every comparison, so it must fail the positivity test too
-    for epsilon in ("0", "nan", "-0.5"):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "trees", "--n", "5", "--epsilon", epsilon])
-        assert exc.value.code == 2
-        assert "--epsilon must be positive" in capsys.readouterr().err
+    # the tie window is derived from the float error, not settable
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "trees", "--n", "5", "--epsilon", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["enumerate", "--n", "5", "--workers", "0"])
     capsys.readouterr()

@@ -155,7 +155,7 @@ def test_single_vertex_stream():
 def test_bounds_refuse_big_orders():
     with pytest.raises(EnumerationBoundError, match="--max-n"):
         enumerate_connected(Constraints(11))
-    with pytest.raises(EnumerationBoundError):
+    with pytest.raises(EnumerationBoundError, match="max_n="):
         count_classes(Constraints(12, bipartite_only=True))
     with pytest.raises(EnumerationBoundError):
         enumerate_trees(15)

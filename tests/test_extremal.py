@@ -6,6 +6,7 @@ import pytest
 from ggindex.enumeration import Constraints, enumerate_connected
 from ggindex.extremal import (
     Objective,
+    _Extremum,
     ExtremalError,
     asymptotic_check,
     crossover_pattern_ok,
@@ -72,23 +73,15 @@ def test_find_extremal_empty_stream():
 
 def test_find_extremal_epsilon_window():
     p, c = path(6), cycle(6)
-    tight = find_extremal([p, c], Objective("min", "gg"))
-    assert tight.witnesses == (key(p),)
-    loose = find_extremal([p, c], Objective("min", "gg"), epsilon=1.0)
-    assert set(loose.witnesses) == {key(p), key(c)}
-    # the wide float window never widens the exact answer
-    assert loose.exact_witnesses == (key(p),)
-    assert loose.value == tight.value
-
-
-@pytest.mark.parametrize("epsilon", [math.nan, -1.0])
-def test_find_extremal_and_verify_refuse_a_window_that_holds_nothing(epsilon):
-    # abs(v - best) <= epsilon is false for every v, so each window would be
-    # empty and every row would fail with no witness
-    with pytest.raises(ExtremalError, match="epsilon"):
-        find_extremal([path(4)], Objective("min", "gg"), epsilon)
-    with pytest.raises(ExtremalError, match="epsilon"):
-        verify("trees", [5], epsilon=epsilon)
+    assert find_extremal([p, c], Objective("min", "gg")).witnesses == (key(p),)
+    # equal floats share the window, and the exact re-rank still picks P6
+    fold = _Extremum(Objective("min", "gg"), key)
+    v = gg_index(p)
+    fold.offer(v, c)
+    fold.offer(v, p)
+    res = fold.result()
+    assert res.witnesses == tuple(sorted((key(p), key(c))))
+    assert res.exact_witnesses == (key(p),)
 
 
 def test_find_extremal_exact_tie():

@@ -11,9 +11,12 @@ from ggindex.indices import (
     all_indices,
     check_bipartite_relation,
     edge_splits,
+    float_tie,
     gg_index,
     ngg_index,
+    ngg_sum,
 )
+from ggindex.radicals import RadicalSum
 
 from conftest import connected_graphs
 
@@ -108,6 +111,36 @@ def test_relation_check_catches_a_lie():
     tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     assert check_bipartite_relation(tri)
     assert all(s.n_u + s.n_v < 3 for s in edge_splits(tri))
+
+
+# ----------------------------------------------------- the float tie bound ----
+
+@given(
+    st.lists(st.tuples(st.integers(1, 200), st.integers(1, 200)), min_size=1, max_size=40),
+    st.data(),
+)
+def test_float_tie_holds_for_sums_equal_by_construction(pairs, data):
+    i = data.draw(st.integers(0, len(pairs) - 1))
+    k = data.draw(st.integers(2, 12))
+    a, b = pairs[i]
+    # k terms 1/sqrt(ka * kb) sum to 1/sqrt(ab), k terms sqrt(a / (k^2 b)) to sqrt(a/b)
+    ngg_pairs = pairs[:i] + [(k * a, k * b)] * k + pairs[i + 1:]
+    gg_pairs = pairs[:i] + [(a, k * k * b)] * k + pairs[i + 1:]
+
+    def ngg(ps):
+        exact = sum((RadicalSum.sqrt_rational(1, p * q) for p, q in ps), RadicalSum.zero())
+        return exact, ngg_sum([(None, p, q) for p, q in ps])
+
+    def gg(ps):
+        exact = sum((RadicalSum.sqrt_rational(p, q) for p, q in ps), RadicalSum.zero())
+        return exact, math.fsum(math.sqrt(p / q) for p, q in ps)
+
+    for (exact, value), (other_exact, other_value) in [
+        (ngg(pairs), ngg(ngg_pairs)),
+        (gg(pairs), gg(gg_pairs)),
+    ]:
+        assert exact == other_exact
+        assert float_tie(value, other_value)
 
 
 # ------------------------------------------------ the split pass vs oracles ----
