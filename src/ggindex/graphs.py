@@ -1,20 +1,22 @@
 """Immutable connected simple graphs on vertices 0..n-1.
 
 The constructor validates and normalizes its input once; after that a Graph
-is hashable, comparable and safe to share. Adjacency is kept as per-vertex
-bitmasks (arbitrary-size Python ints, so nothing breaks past 64 vertices,
-the enumerator just never goes there).
+is hashable, comparable and safe to share. Building one takes O(n + m) time
+and memory. Per-vertex adjacency bitmasks (arbitrary-size Python ints, so
+nothing breaks past 64 vertices) are made on first use, by canon, graph6
+and the bipartition; they hold about n^2 / 2 bits in all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Optional
 
 from . import canon as _canon
 from . import formats as _formats
-from .bitset import bipartition, iter_bits, reach
+from .bitset import bipartition, iter_bits
 
 DistanceMatrix = tuple[tuple[int, ...], ...]
 CanonicalForm = bytes
@@ -39,7 +41,6 @@ class Graph:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
-        seen = set()
         normalized = []
         for e in self.edges:
             try:
@@ -52,23 +53,15 @@ class Graph:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError(f"edge {e!r} out of range for n={self.n}")
-            if u > v:
-                u, v = v, u
-            if (u, v) not in seen:
-                seen.add((u, v))
-                normalized.append((u, v))
+            normalized.append((u, v) if u < v else (v, u))
         normalized.sort()
-        object.__setattr__(self, "edges", tuple(normalized))
-        if len(normalized) < self.n - 1:
-            # too few edges to connect n vertices: find the vertex to name by
-            # a walk over the touched vertices only, before any n-sized table
-            missing = _first_unreachable(normalized)
-        else:
-            seen_mask = reach(self.adjacency_bits, 0)
-            if seen_mask == (1 << self.n) - 1:
-                return
-            missing = (~seen_mask & -(~seen_mask)).bit_length() - 1
-        raise GraphError(f"graph is disconnected: vertex {missing} is unreachable from vertex 0")
+        edges = tuple(e for e, _ in groupby(normalized))
+        object.__setattr__(self, "edges", edges)
+        # one walk over the touched vertices only: with too few edges to
+        # connect n vertices it stops before any n-sized table
+        missing = _first_unreachable(edges)
+        if missing < self.n:
+            raise GraphError(f"graph is disconnected: vertex {missing} is unreachable from vertex 0")
 
     @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
@@ -89,7 +82,11 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(b.bit_count() for b in self.adjacency_bits)
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -104,8 +101,9 @@ class Graph:
 
 
 def _first_unreachable(edges: Iterable[tuple[int, int]]) -> int:
-    """The smallest vertex not reachable from vertex 0 over edges; at most
-    len(edges) + 1, since only that many vertices can be reached."""
+    """The smallest vertex not reachable from vertex 0 over edges: n when
+    they connect 0..n-1, and at most len(edges) + 1, since only that many
+    vertices can be reached."""
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)

@@ -67,51 +67,100 @@ def edge_splits(g: Graph) -> tuple[EdgeSplit, ...]:
         popcount(ball[u] & ~ball[v]) = popcount(ball[u] | ball[v]) - popcount(ball[v]),
 
     kept as one running total of union sizes per edge and one of ball sizes
-    per vertex until every ball is full. That is O(m * diameter) operations
-    on n-bit masks, with 2n masks in memory.
+    per vertex until every ball is full.
+
+    Pendant trees are peeled off first. A stack removes degree-1 vertices
+    until none is left or one vertex remains; removing leaf x from its
+    neighbour p adds size[x] (x plus what was peeled onto x) to size[p].
+    The edge xp is a bridge, so every vertex on x's side is closer to x and
+    every other vertex closer to p: its split is (size[x], n - size[x]).
+    The rounds then run on the 2-core that remains, where core vertex c
+    starts with a block of size[c] bits in place of one bit. That is exact:
+    every path from a core vertex u to a vertex w peeled onto c passes
+    through c, so d(u, w) = d(u, c) + d(c, w), w is closer to u than to v
+    exactly when c is, and shortest paths between core vertices stay in the
+    core. A tree's core has no edge and runs no round; a graph without a
+    leaf runs the rounds with one-bit blocks.
+
+    Cost: O(n + m) for the peel, plus O(m_core * diameter_core) operations
+    on n-bit masks, with 2 n_core masks in memory.
     """
     n, edges = g.n, g.edges
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    # Balls are stored by position in descending-degree order. The vertices
-    # with a j-th neighbour are then a prefix of the positions, and a round
-    # ORs in column j (the positions of those neighbours) with one map.
-    order = sorted(range(n), key=lambda v: len(nbrs[v]), reverse=True)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    rows = [[pos[w] for w in nbrs[v]] for v in order]
-    columns = []
-    k = n
-    for j in range(len(rows[0])):
-        while len(rows[k - 1]) <= j:
-            k -= 1
-        columns.append([r[j] for r in rows[:k]])
-    eu = [pos[u] for u, _ in edges]
-    ev = [pos[v] for _, v in edges]
+    # deg[v] counts v's unpeeled edges and incident[v] XORs their indices,
+    # so a leaf's one remaining edge is incident[x]; peeled vertices end at 0
+    deg = [0] * n
+    incident = [0] * n
+    for i, (u, v) in enumerate(edges):
+        deg[u] += 1
+        deg[v] += 1
+        incident[u] ^= i
+        incident[v] ^= i
+    size = [1] * n
+    split: list = [None] * len(edges)
+    leaves = [v for v in range(n) if deg[v] == 1]
+    left = n
+    while leaves and left > 1:
+        x = leaves.pop()
+        i = incident[x]
+        u, v = edges[i]
+        p = u ^ v ^ x
+        s = size[x]
+        split[i] = (s, n - s) if x == u else (n - s, s)
+        size[p] += s
+        deg[x] = 0
+        incident[p] ^= i
+        deg[p] -= 1
+        if deg[p] == 1:
+            leaves.append(p)
+        left -= 1
 
-    bit_count = int.bit_count
-    ball = [1 << i for i in range(n)]
-    union_total = [0] * len(edges)
-    size_total = [0] * n
-    while True:
-        sizes = list(map(bit_count, ball))
-        if sum(sizes) == n * n:
-            break
-        size_total = list(map(add, size_total, sizes))
-        get = ball.__getitem__
-        unions = map(or_, map(get, eu), map(get, ev))
-        union_total = list(map(add, union_total, map(bit_count, unions)))
-        grown = ball[:]
-        for col in columns:
-            grown[:len(col)] = map(or_, grown, map(get, col))
-        ball = grown
-    return tuple(
-        EdgeSplit(e, t - size_total[b], t - size_total[a])
-        for e, t, a, b in zip(edges, union_total, eu, ev)
-    )
+    core_edges = [i for i, s in enumerate(split) if s is None]
+    if core_edges:
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for i in core_edges:
+            u, v = edges[i]
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        # Balls are stored by position in descending-degree order. The
+        # vertices with a j-th neighbour are then a prefix of the positions,
+        # and a round ORs in column j (their neighbours' positions) with one
+        # map.
+        order = sorted((v for v in range(n) if deg[v]), key=deg.__getitem__, reverse=True)
+        pos = [0] * n
+        ball = []
+        offset = 0
+        for k, v in enumerate(order):
+            pos[v] = k
+            ball.append(((1 << size[v]) - 1) << offset)
+            offset += size[v]
+        rows = [[pos[w] for w in nbrs[v]] for v in order]
+        columns = []
+        k = len(order)
+        for j in range(len(rows[0])):
+            while len(rows[k - 1]) <= j:
+                k -= 1
+            columns.append([r[j] for r in rows[:k]])
+        eu = [pos[edges[i][0]] for i in core_edges]
+        ev = [pos[edges[i][1]] for i in core_edges]
+
+        bit_count = int.bit_count
+        union_total = [0] * len(core_edges)
+        size_total = [0] * len(order)
+        while True:
+            sizes = list(map(bit_count, ball))
+            if sum(sizes) == len(order) * n:
+                break
+            size_total = list(map(add, size_total, sizes))
+            get = ball.__getitem__
+            unions = map(or_, map(get, eu), map(get, ev))
+            union_total = list(map(add, union_total, map(bit_count, unions)))
+            grown = ball[:]
+            for col in columns:
+                grown[:len(col)] = map(or_, grown, map(get, col))
+            ball = grown
+        for i, t, a, b in zip(core_edges, union_total, eu, ev):
+            split[i] = (t - size_total[b], t - size_total[a])
+    return tuple(EdgeSplit(e, *s) for e, s in zip(edges, split))
 
 
 def gg_sum(splits) -> float:

@@ -57,6 +57,21 @@ def test_too_few_edges_are_rejected_before_any_n_sized_table():
         assert peak < 1 << 20
 
 
+def test_building_a_long_path_takes_linear_memory():
+    # no adjacency bitmasks at build time: the mask of vertex v would hold
+    # about v bits, n^2 / 2 bits in all
+    n = 20_000
+    edges = [(i, i + 1) for i in range(n - 1)]
+    tracemalloc.start()
+    try:
+        g = build_graph(n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == n - 1 and g.degrees[0] == g.degrees[-1] == 1
+    assert peak < 8 << 20
+
+
 @given(st.integers(2, 9), st.data())
 def test_disconnected_graph_names_its_smallest_unreachable_vertex(n, data):
     pairs = [(u, v) for v in range(n) for u in range(v)]

@@ -2,9 +2,16 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from ggindex.families import complete, complete_bipartite, cycle, path, star
+from ggindex.families import (
+    almost_dendrimer,
+    complete,
+    complete_bipartite,
+    cycle,
+    path,
+    star,
+)
 from ggindex.graphs import all_pairs_distances, build_graph, relabel
 from ggindex.indices import (
     abc_index,
@@ -174,19 +181,75 @@ def reference_splits(g, dist):
     ]
 
 
-@given(long_sparse_graphs())
+def _hang_tree(edges, root, first, size, rng):
+    """Add a random tree of `size` new vertices first.. hanging at root."""
+    for v in range(first, first + size):
+        edges.add((rng.choice([root, *range(first, v)]), v))
+    return first + size
+
+
+@st.composite
+def random_trees(draw, max_n=150):
+    """Trees, randomly labeled (K1 and K2 included): the peel takes every edge."""
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = set()
+    _hang_tree(edges, 0, 1, n - 1, rng)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(build_graph(n, edges), perm)
+
+
+@st.composite
+def dumbbells(draw):
+    """Two cycles joined by a path, randomly labeled. Each path edge is a
+    bridge that the peel leaves in the 2-core; trees hang at both ends of
+    one of them, so its split counts them on both sides."""
+    a, b, k = draw(st.integers(3, 40)), draw(st.integers(3, 40)), draw(st.integers(1, 10))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    # cycle A on 0..a-1, then the path 0, a, a+1, ..., a+k-1, where cycle B starts
+    chain = [0, *range(a, a + k)]
+    edges = {(i, i + 1) for i in range(a - 1)} | {(0, a - 1)}
+    edges.update(zip(chain, chain[1:]))
+    start = a + k - 1
+    edges.update((start + i, start + i + 1) for i in range(b - 1))
+    edges.add((start, start + b - 1))
+    j = draw(st.integers(0, k - 1))
+    n = _hang_tree(edges, chain[j], start + b, draw(st.integers(1, 25)), rng)
+    n = _hang_tree(edges, chain[j + 1], n, draw(st.integers(1, 25)), rng)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(build_graph(n, edges), perm)
+
+
+@given(st.one_of(long_sparse_graphs(), random_trees(), dumbbells()))
+@example(build_graph(1, []))
+@example(path(2))
 def test_edge_splits_match_distance_oracles(g):
     nx = pytest.importorskip("networkx")
     h = nx.Graph(g.edges)
+    h.add_nodes_from(range(g.n))
     ours = [tuple(s) for s in edge_splits(g)]
     assert ours == reference_splits(g, all_pairs_distances(g))
     assert ours == reference_splits(g, dict(nx.all_pairs_shortest_path_length(h)))
 
 
 def test_path_splits_closed_form():
-    n = 400
+    n = 20_000
     assert [tuple(s) for s in edge_splits(path(n))] == [
         ((i, i + 1), i + 1, n - 1 - i) for i in range(n - 1)
+    ]
+
+
+def test_almost_dendrimer_splits_are_subtree_sizes():
+    # labels are breadth-first, so the smaller end of each edge is the parent
+    n = 20_000
+    g = almost_dendrimer(n, 3)
+    size = [1] * n
+    for p, c in reversed(g.edges):
+        size[p] += size[c]
+    assert [tuple(s) for s in edge_splits(g)] == [
+        ((p, c), n - size[c], size[c]) for p, c in g.edges
     ]
 
 
