@@ -4,6 +4,12 @@ Computes the GG, NGG, and ABC indices of connected graphs, constructs the
 parametric families the extremal results are stated over, enumerates small
 graph classes isomorph-free, and checks the extremal claims by exhaustive
 scan with exact tie handling.
+
+enumerate_connected streams any class, trees included, canonically labeled
+and in canonical-form order. enumerate_trees(n, max_degree=, max_n=) lists
+each tree class once from level sequences, in generation order and labeled
+by preorder, with no canonical search; canonical_form keys a tree when a key
+is needed.
 """
 
 from .graphs import (

@@ -8,7 +8,8 @@ genuine tie (two graphs whose index values coincide as algebraic numbers) is
 distinguished from float noise. verify runs that fold for every check of a
 claim in one pass over the class stream, computing each class's value once
 per index the checks use. Witnesses are reported as graph6 strings of
-canonical forms, so they are directly comparable across runs and platforms.
+canonical forms, so they are directly comparable across runs and platforms;
+the canonical search runs only on candidates left in the window.
 
 CLAIMS is the table of the claims `ggindex verify` checks: for each, the
 class to scan and the predicted witnesses and values, or a closed-form row
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .enumeration import Constraints, check_bound, enumerate_connected
+from .enumeration import Constraints, check_bound, enumerate_connected, enumerate_trees
 from .families import (
     FamilySpec,
     almost_dendrimer,
@@ -35,7 +36,7 @@ from .families import (
     path_ngg_limit,
     star,
 )
-from .graphs import Graph, canonical_form, from_graph6, to_graph6
+from .graphs import Graph, canonical_form, from_graph6
 from .indices import INDEX_FNS as _FLOAT_FN, edge_splits, float_tie, gg_index
 from .radicals import RadicalSum
 
@@ -99,16 +100,16 @@ class ExtremalResult:
 
 class _Extremum:
     """The fold behind find_extremal for one objective: the running best
-    value, the candidates that float_tie it keyed by their class key
-    (key(g) must be the graph6 of a canonical labeling of g), and the class
-    count."""
+    value, the (value, graph) candidates that float_tie it, and the class
+    count. Candidates are keyed by canonical form only when a second one
+    joins the window, so that isomorphic copies are kept once, and when the
+    result is taken; a lone candidate waits unkeyed under None."""
 
-    def __init__(self, objective: Objective, key: Callable[[Graph], str]) -> None:
+    def __init__(self, objective: Objective) -> None:
         self.objective = objective
-        self.key = key
         self.want_min = objective.sense == "min"
         self.best: Optional[float] = None
-        self.window: dict[str, tuple[float, Graph]] = {}
+        self.window: dict[Optional[str], tuple[float, Graph]] = {}
         self.total = 0
 
     def offer(self, v: float, g: Graph) -> None:
@@ -120,13 +121,23 @@ class _Extremum:
                 key: pair for key, pair in self.window.items() if float_tie(pair[0], best)
             }
         if float_tie(v, best):
-            self.window.setdefault(self.key(g), (v, g))
+            if self.window:
+                self._keyed().setdefault(_key(g), (v, g))
+            else:
+                self.window[None] = (v, g)
+
+    def _keyed(self) -> dict[Optional[str], tuple[float, Graph]]:
+        """The window, with the lone unkeyed candidate, if any, keyed."""
+        lone = self.window.pop(None, None)
+        if lone is not None:
+            self.window[_key(lone[1])] = lone
+        return self.window
 
     def result(self) -> ExtremalResult:
         """Re-rank the window exactly once the stream is exhausted."""
         if self.best is None:
             raise ExtremalError("cannot take an extremum of an empty graph stream")
-        window = self.window
+        window = self._keyed()
         witnesses = tuple(sorted(window))
         if len(window) == 1:
             exact_witnesses = witnesses
@@ -169,7 +180,7 @@ def find_extremal(stream: Iterable[Graph], objective: "Objective | str") -> Extr
             f" got {type(objective).__name__}"
         )
     fn = _FLOAT_FN[objective.index]
-    fold = _Extremum(objective, _key)
+    fold = _Extremum(objective)
     for g in stream:
         fold.offer(fn(g), g)
     return fold.result()
@@ -488,8 +499,11 @@ def verify(
     """Check one claim of CLAIMS at the given orders.
 
     max_degree is the degree bound of the conjecture probes; the theorem
-    claims ignore it. max_n caps the orders as in check_bound. Probe outcomes
-    are evidence at the listed orders only.
+    claims ignore it. max_n caps the orders as in check_bound. workers
+    shards the enumeration of the graph claims; the tree claims (trees,
+    conjecture3) list their trees without any canonical search in one
+    process, and ignore it. Probe outcomes are evidence at the listed orders
+    only.
     """
     spec = CLAIMS.get(claim)
     if spec is None:
@@ -508,12 +522,17 @@ def verify(
         check_bound(cons, max_n)
         classes.setdefault(n, cons)
     indices = tuple(dict.fromkeys(check.objective.index for check in spec.checks))
-    # the stream is canonically labeled, so its graph6 is the class key
-    folds = {
-        n: [_Extremum(check.objective, to_graph6) for check in spec.checks]
-        for n in classes
-    }
-    for g in enumerate_connected(*classes.values(), max_n=max_n, workers=workers):
+    folds = {n: [_Extremum(check.objective) for check in spec.checks] for n in classes}
+    if any(cons.tree_class for cons in classes.values()):
+        # trees need no canonical search to be listed once each
+        stream = (
+            g
+            for cons in classes.values()
+            for g in enumerate_trees(cons.n, max_degree=cons.max_degree, max_n=max_n)
+        )
+    else:
+        stream = enumerate_connected(*classes.values(), max_n=max_n, workers=workers)
+    for g in stream:
         values = {index: _FLOAT_FN[index](g) for index in indices}
         for fold in folds[g.n]:
             fold.offer(values[fold.objective.index], g)

@@ -124,7 +124,8 @@ def brute_force_classes(cons) -> list[Graph]:
 
 # ------------------------------------------------------------ oracle no. 2 ----
 
-def _prufer_decode(n: int, seq) -> list[tuple[int, int]]:
+def prufer_decode(n: int, seq) -> list[tuple[int, int]]:
+    """The edges of the labeled tree on 0..n-1 with Prufer sequence seq."""
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -189,7 +190,7 @@ def prufer_trees(n: int) -> list[Graph]:
         return [build_graph(2, [(0, 1)])]
     found: dict[str, list[tuple[int, int]]] = {}
     for seq in product(range(n), repeat=n - 2):
-        edges = _prufer_decode(n, seq)
+        edges = prufer_decode(n, seq)
         cert = ahu_certificate(n, edges)
         if cert not in found:
             found[cert] = edges

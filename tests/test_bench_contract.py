@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ggindex.cli as cli
+import ggindex.enumeration as enumeration
 import ggindex.extremal as extremal
 import ggindex.indices as indices
 from ggindex.indices import abc_index, gg_index, ngg_index
@@ -49,3 +50,25 @@ def test_index_tables_are_one_dict():
     # the tracer replaces dict entries in place, so one patch reaches every binding
     assert cli._INDEX_FNS is indices.INDEX_FNS
     assert extremal._FLOAT_FN is indices.INDEX_FNS
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        lambda: enumeration.enumerate_connected(enumeration.Constraints(7, cyclomatic=0)),
+        lambda: enumeration.enumerate_trees(7),
+    ],
+    ids=["enumerate_connected", "enumerate_trees"],
+)
+def test_traced_tree_stream_counts_each_tree_once(stream):
+    # both entry points are traced streams; neither may reach the other
+    # through its module global, or each tree would count twice
+    spans = load_spans()
+    tracer = spans.Tracer()
+    patches = spans.install(tracer)
+    try:
+        trees = list(stream())
+    finally:
+        spans.restore(patches)
+    recorded = list(zip(tracer.names, tracer.parents, tracer.starts, tracer.ends, tracer.values))
+    assert len(trees) == spans.layer_metrics(recorded)["enumeration.classes"] == 11

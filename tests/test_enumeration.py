@@ -2,6 +2,7 @@ import functools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ggindex import canon, enumeration
 from ggindex.bitset import components, iter_bits
@@ -16,9 +17,9 @@ from ggindex.enumeration import (
     enumerate_trees,
 )
 from ggindex.extremal import verify
-from ggindex.graphs import build_graph, canonical_form, is_bipartite, to_graph6
+from ggindex.graphs import all_pairs_distances, build_graph, canonical_form, is_bipartite, to_graph6
 
-from oracles import ahu_certificate, brute_force_classes, orbits_exhaustive, prufer_trees
+from oracles import ahu_certificate, brute_force_classes, prufer_decode, prufer_trees
 
 # reference counts, cross-checked against brute_force_classes below for the
 # orders the brute scan can reach
@@ -34,6 +35,21 @@ _prufer_trees = functools.cache(prufer_trees)
 
 def keys(stream):
     return [to_graph6(g) for g in stream]
+
+
+def canonical_keys(stream):
+    """Sorted canonical keys of a stream in any labeling."""
+    return sorted(canonical_form(g).decode("ascii") for g in stream)
+
+
+@functools.cache
+def tree_keys(n, max_degree=None):
+    """Sorted canonical keys of enumerate_trees(n, max_degree=max_degree)."""
+    return canonical_keys(enumerate_trees(n, max_degree=max_degree))
+
+
+def tree_class(n, max_degree=None):
+    return Constraints(n, max_degree=max_degree, cyclomatic=0)
 
 
 def test_connected_counts():
@@ -89,9 +105,9 @@ def test_brute_force_refuses_large_n():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_generator_agrees_with_prufer_oracle(n):
-    got = set(keys(enumerate_trees(n)))
-    want = {canonical_form(g).decode("ascii") for g in _prufer_trees(n)}
-    assert got == want
+    want = canonical_keys(_prufer_trees(n))
+    assert tree_keys(n) == want
+    assert keys(enumerate_connected(tree_class(n))) == want
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -100,17 +116,56 @@ def test_generator_agrees_with_networkx_trees(n):
     # filtered by max degree for the degree-bounded streams
     nx = pytest.importorskip("networkx")
     oracle = [build_graph(n, t.edges()) for t in nx.nonisomorphic_trees(n)]
-    assert keys(enumerate_trees(n)) == sorted(canonical_form(g).decode("ascii") for g in oracle)
+    assert tree_keys(n) == canonical_keys(oracle)
+    assert keys(enumerate_connected(tree_class(n))) == tree_keys(n)
     for d in (2, 3, 4):
-        want = sorted(canonical_form(g).decode("ascii") for g in oracle if g.max_degree <= d)
-        assert keys(enumerate_trees(n, max_degree=d)) == want
+        want = canonical_keys(g for g in oracle if g.max_degree <= d)
+        assert tree_keys(n, d) == want
+        assert keys(enumerate_connected(tree_class(n, d))) == want
+
+
+@st.composite
+def prufer_cases(draw):
+    """(n, Prufer sequence, degree bound or None) with n <= 13."""
+    n = draw(st.integers(1, 13))
+    length = max(n - 2, 0)
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=length, max_size=length))
+    return n, seq, draw(st.sampled_from([None, 2, 3, 4]))
+
+
+@given(prufer_cases())
+def test_random_prufer_trees_are_generated(case):
+    # a labeled tree drawn uniformly is among the generated classes exactly
+    # when it keeps the degree bound; the oracle shares only the key
+    n, seq, d = case
+    edges = prufer_decode(n, seq) if n > 1 else []
+    g = build_graph(n, edges)
+    member = canonical_form(g).decode("ascii") in tree_keys(n, d)
+    assert member == (d is None or g.max_degree <= d)
+
+
+def test_generated_trees_are_pairwise_non_isomorphic():
+    # OEIS A000055 to n = 14, each generated tree a class of its own
+    for n, want in {**TREES, 12: 551, 13: 1301, 14: 3159}.items():
+        got = tree_keys(n)
+        assert len(got) == len(set(got)) == want
+
+
+def test_enumerate_trees_labels_trees_by_preorder():
+    # vertex 0 is a centre, and every other vertex has one earlier
+    # neighbor, its parent
+    for n in range(1, 11):
+        for g in enumerate_trees(n):
+            assert g.is_tree
+            assert all(sum(v == w for _, v in g.edges) == 1 for w in range(1, n))
+            eccentricity = [max(row) for row in all_pairs_distances(g)]
+            assert eccentricity[0] == min(eccentricity)
 
 
 def test_trees_flag_matches_tree_stream():
     # trees are bipartite, so asking for bipartite trees changes nothing
     a = keys(enumerate_connected(Constraints(8, bipartite_only=True, cyclomatic=0)))
-    b = keys(enumerate_trees(8))
-    assert a == b
+    assert a == keys(enumerate_connected(tree_class(8))) == tree_keys(8)
 
 
 def test_worker_determinism():
@@ -247,9 +302,8 @@ def test_prufer_tree_counts():
 def _expand_unfiltered(masks, cons, final):
     """_expand_parent without the orbit, degree and root-cell pre-filters: the
     canonical-deletion test alone, run on every admissible child. It deletes
-    the canonically last vertex of the class's deletion degree (a leaf for
-    trees, else maximum degree), which sits at position #{v : deg v <= d} - 1
-    of the canonical labeling."""
+    the canonically last vertex of maximum degree d, which sits at position
+    #{v : deg v <= d} - 1 of the canonical labeling."""
     k = len(masks)
     out = {}
     for s in _neighborhood_options(masks, cons, final):
@@ -263,7 +317,7 @@ def _expand_unfiltered(masks, cons, final):
                 continue
         res = canon.canon_full(k + 1, child)
         degrees = [x.bit_count() for x in child]
-        d = 1 if cons.tree_class else max(degrees)
+        d = max(degrees)
         last = res.labeling[sum(x <= d for x in degrees) - 1]
         if res.orbits[k] == res.orbits[last]:
             out.setdefault(res.key, tuple(child))
@@ -275,8 +329,6 @@ PREFILTER_CLASSES = [
     Constraints(8, bipartite_only=True),
     Constraints(8, max_degree=3),
     Constraints(8, cyclomatic=2),
-    Constraints(9, cyclomatic=0),
-    Constraints(9, max_degree=3, cyclomatic=0),
 ]
 
 
@@ -311,50 +363,6 @@ def test_canon_runs_only_on_children_whose_new_vertex_has_maximum_degree(monkeyp
     monkeypatch.setattr(canon, "canon_full", checked)
     assert count_classes(Constraints(8, bipartite_only=True)) == 182
     assert calls
-
-
-def _unsaturated_orbit_counts():
-    """(parent class, orbit of vertices below the bound) pairs over the trees
-    on 1..8 vertices, unbounded and at max degree 3; orbits by brute force
-    over every permutation."""
-    unbounded = bounded = 0
-    for k in range(1, 9):
-        for g in enumerate_trees(k):
-            orbits = orbits_exhaustive(k, g.adjacency_bits)
-            unbounded += len(set(orbits))
-            if g.max_degree <= 3:
-                bounded += len({orbits[v] for v, d in enumerate(g.degrees) if d < 3})
-    return unbounded, bounded
-
-
-def test_trees_grow_by_one_leaf_on_an_unsaturated_vertex(monkeypatch):
-    # no tree child is rejected before canon: canon sees exactly one child
-    # per (parent class, orbit of unsaturated vertices) pair, each child a
-    # tree whose new vertex is a leaf on a vertex that was below the bound
-    unbounded_pairs, bounded_pairs = _unsaturated_orbit_counts()
-    full = canon.canon_full
-    calls = []
-    bound = {"max_degree": None}
-
-    def checked(n, adj, **kwargs):
-        calls.append(n)
-        assert sum(x.bit_count() for x in adj) == 2 * (n - 1)
-        assert len(components(adj, n)) == 1
-        assert adj[n - 1].bit_count() == 1
-        parent_degree = adj[adj[n - 1].bit_length() - 1].bit_count() - 1
-        assert bound["max_degree"] is None or parent_degree < bound["max_degree"]
-        return full(n, adj, **kwargs)
-
-    monkeypatch.setattr(canon, "canon_full", checked)
-    assert count_classes(Constraints(9, cyclomatic=0)) == 47
-    # every vertex of an unbounded tree is unsaturated: one call per vertex
-    # orbit of every tree on fewer than 9 vertices
-    assert len(calls) == unbounded_pairs == 200
-
-    calls.clear()
-    bound["max_degree"] = 3
-    assert count_classes(Constraints(9, max_degree=3, cyclomatic=0)) == 18
-    assert len(calls) == bounded_pairs
 
 
 WALK_CLASSES = [
@@ -412,8 +420,7 @@ def _count_searched(monkeypatch):
 
 @pytest.mark.parametrize(
     "cons",
-    [replace(c, n=8) for c in WALK_CLASSES]
-    + [Constraints(10, cyclomatic=0), Constraints(10, max_degree=3, cyclomatic=0)],
+    [replace(c, n=8) for c in WALK_CLASSES if not c.tree_class],
     ids=lambda c: c.describe() + f" n<={c.n}",
 )
 def test_every_class_comes_from_one_parent(cons, monkeypatch):
@@ -429,12 +436,19 @@ def test_every_class_comes_from_one_parent(cons, monkeypatch):
 
 @pytest.mark.parametrize("max_degree, classes", [(None, 986), (3, 283)])
 def test_each_tree_class_is_searched_once(max_degree, classes, monkeypatch):
-    # the trees of orders 2..12 (sums of A000055 and A000672): one canon_full
-    # result per class, since every tree child that passes the root cell is
-    # the canonical one
+    # the trees of orders 2..12 (sums of A000055 and A000672): keying them
+    # takes one canon_full call per class, and counting them takes none
     results = _count_searched(monkeypatch)
-    count_classes(Constraints(12, max_degree=max_degree, cyclomatic=0))
+    conses = [tree_class(n, max_degree) for n in range(2, 13)]
+    assert sum(count_classes(c) for c in conses) == classes
+    assert results == []
+    assert len(list(enumerate_connected(*conses))) == classes
     assert len(results) == len(set(results)) == classes
+
+
+def test_the_walk_refuses_trees():
+    with pytest.raises(ValueError, match="level sequences"):
+        enumeration._walk(tree_class(5), frozenset({5}), 0, 1)
 
 
 def test_one_walk_checks_every_bound_first():

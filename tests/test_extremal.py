@@ -75,7 +75,7 @@ def test_find_extremal_epsilon_window():
     p, c = path(6), cycle(6)
     assert find_extremal([p, c], Objective("min", "gg")).witnesses == (key(p),)
     # equal floats share the window, and the exact re-rank still picks P6
-    fold = _Extremum(Objective("min", "gg"), key)
+    fold = _Extremum(Objective("min", "gg"))
     v = gg_index(p)
     fold.offer(v, c)
     fold.offer(v, p)
@@ -133,8 +133,10 @@ def test_verify_tree_extremals_small():
 
 
 def test_verify_canonicalizes_only_the_expected_graphs(monkeypatch):
-    # the class stream is canonically labeled, so window entries are keyed by
-    # their graph6 and canonical_form runs once per expected witness only
+    # trees come unkeyed; canonical_form runs once per expected witness,
+    # once per candidate left in a window (one tree a row here), and on the
+    # two 7-vertex trees that share the running maximum GG, with equal edge
+    # splits, until the star displaces them
     from ggindex import extremal
 
     real = extremal.canonical_form
@@ -147,7 +149,33 @@ def test_verify_canonicalizes_only_the_expected_graphs(monkeypatch):
     monkeypatch.setattr(extremal, "canonical_form", counted)
     report = verify("trees", range(4, 9))
     assert report.passed
-    assert len(calls) == len(report.rows) == 10
+    assert len(report.rows) == 10
+    assert all(len(row.witnesses) == 1 for row in report.rows)
+    assert len(calls) == len(report.rows) + sum(len(row.witnesses) for row in report.rows) + 2
+
+
+def test_window_keys_isomorphic_copies_once(monkeypatch):
+    # a lone candidate is not keyed until the result; a second one keys both,
+    # and an isomorphic copy joins under its class's key, not as a new entry
+    from ggindex import extremal
+
+    real = extremal.canonical_form
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(extremal, "canonical_form", counted)
+    p, relabeled = path(5), build_graph(5, [(0, 4), (4, 1), (1, 3), (3, 2)])
+    fold = _Extremum(Objective("min", "gg"))
+    fold.offer(gg_index(p), p)
+    assert calls == []
+    fold.offer(gg_index(relabeled), relabeled)
+    assert len(calls) == 2
+    res = fold.result()
+    assert res.witnesses == res.exact_witnesses == (key(p),)
+    assert res.total_classes == 2
 
 
 def test_min_bipartite_expected_table():

@@ -46,6 +46,9 @@ def test_library_block_states_its_results():
     value, comment = results["sum(1 for _ in trees)"]
     assert comment == repr(value)
 
+    value, comment = results["sum(1 for _ in enumerate_trees(12, max_degree=3))"]
+    assert comment.startswith(f"{value!r}, ")
+
     (passed, row), comment = results["report.passed, report.rows[0]"]
     assert comment.endswith(", ...)")
     assert f"{passed!r}, {row!r}".startswith(comment[: -len("...)")])
