@@ -8,32 +8,13 @@ scan with exact tie handling.
 enumerate_connected streams any class, trees included, canonically labeled
 and in canonical-form order. enumerate_trees(n, max_degree=, max_n=) lists
 each tree class once from level sequences, in generation order and labeled
-by preorder, with no canonical search; canonical_form keys a tree when a key
-is needed.
+by preorder, with no canonical search. canonical_form gives any graph's
+class key: the graph6 str of its canonical labeling, as enumerate_connected
+sorts and the command line prints it.
 """
 
-from .graphs import (
-    Graph,
-    GraphError,
-    all_pairs_distances,
-    build_graph,
-    canonical_form,
-    from_graph6,
-    is_bipartite,
-    relabel,
-    to_graph6,
-    two_coloring,
-)
-from .indices import (
-    EdgeSplit,
-    IndexValues,
-    abc_index,
-    all_indices,
-    check_bipartite_relation,
-    edge_splits,
-    gg_index,
-    ngg_index,
-)
+from .graphs import Graph, GraphError, build_graph, canonical_form, from_graph6, to_graph6
+from .indices import EdgeSplit, abc_index, edge_splits, gg_index, ngg_index
 from .families import (
     FamilyError,
     FamilySpec,
@@ -52,13 +33,7 @@ from .families import (
     star,
     theta,
 )
-from .enumeration import (
-    Constraints,
-    EnumerationBoundError,
-    count_classes,
-    enumerate_connected,
-    enumerate_trees,
-)
+from .enumeration import Constraints, EnumerationBoundError, enumerate_connected, enumerate_trees
 from .extremal import (
     ExtremalError,
     ExtremalResult,
@@ -70,7 +45,6 @@ from .extremal import (
     find_extremal,
     min_bipartite_closed,
     min_bipartite_expected,
-    parse_objective,
     verify,
 )
 from .formats import FormatError, decode_graph6, encode_graph6
@@ -81,19 +55,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "GraphError",
-    "all_pairs_distances",
     "build_graph",
     "canonical_form",
     "from_graph6",
-    "is_bipartite",
-    "relabel",
     "to_graph6",
-    "two_coloring",
     "EdgeSplit",
-    "IndexValues",
     "abc_index",
-    "all_indices",
-    "check_bipartite_relation",
     "edge_splits",
     "gg_index",
     "ngg_index",
@@ -115,7 +82,6 @@ __all__ = [
     "theta",
     "Constraints",
     "EnumerationBoundError",
-    "count_classes",
     "enumerate_connected",
     "enumerate_trees",
     "ExtremalError",
@@ -128,7 +94,6 @@ __all__ = [
     "find_extremal",
     "min_bipartite_closed",
     "min_bipartite_expected",
-    "parse_objective",
     "verify",
     "FormatError",
     "decode_graph6",

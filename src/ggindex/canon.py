@@ -1,10 +1,10 @@
 """Canonical labeling of small simple graphs by refinement and backtracking.
 
 Graphs are handled as adjacency bitmasks: adj[v] has bit u set when uv is an
-edge. The canonical key of a graph is the graph6 string (as ASCII bytes) of
-the relabeled graph chosen by the search, so two graphs receive equal keys
-exactly when they are isomorphic, keys sort deterministically, and a key can
-be decoded back into a representative graph with any graph6 reader.
+edge. The canonical key of a graph is the graph6 string of the relabeled
+graph chosen by the search, so two graphs receive equal keys exactly when
+they are isomorphic, keys sort deterministically, and a key decodes back
+into a representative graph with any graph6 reader.
 
 The search first refines the all-equal coloring by iterated neighbor-multiset
 splitting (degree refinement and its transitive closure). If the stable
@@ -85,7 +85,7 @@ from .formats import graph6_from_bits, upper_triangle_bits
 
 @dataclass(frozen=True)
 class CanonResult:
-    key: bytes                 # graph6 of the canonically relabeled graph
+    key: str                   # graph6 of the canonically relabeled graph
     labeling: tuple[int, ...]  # canonical position -> original vertex
     orbits: tuple[int, ...]    # orbit id (smallest member) per vertex
     generators: tuple[tuple[int, ...], ...]  # automorphisms that generate Aut
@@ -189,7 +189,7 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
     if n < 1:
         raise ValueError("canonical form needs at least one vertex")
     if n == 1:
-        return CanonResult(graph6_from_bits(1, "").encode("ascii"), (0,), (0,), ())
+        return CanonResult(graph6_from_bits(1, ""), (0,), (0,), ())
 
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
     root = _refine(n, neigh, [0] * n, last)
@@ -278,13 +278,13 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
             return None
 
     return CanonResult(
-        key=graph6_from_bits(n, best_bits).encode("ascii"),
+        key=graph6_from_bits(n, best_bits),
         labeling=best_lab,
         orbits=orbits,
         generators=tuple(gens),
     )
 
 
-def canon_key(n: int, adj) -> bytes:
+def canon_key(n: int, adj) -> str:
     return canon_full(n, adj).key
 

@@ -23,18 +23,17 @@ import sys
 import time
 from typing import Iterable, Optional, Sequence
 
-from .enumeration import Constraints, EnumerationBoundError, enumerate_connected
+from .enumeration import Constraints, enumerate_connected
 from .extremal import (
     CLAIMS,
     AsymptoticRow,
     CheckRow,
     CrossoverRow,
-    ExtremalError,
     VerificationReport,
     verify,
 )
 from .families import FamilyError, construct, ngg_closed, parse_spec
-from .formats import FormatError, read_graphs
+from .formats import read_graphs
 from .graphs import Graph, GraphError, build_graph, to_graph6
 from .indices import INDEX_FNS as _INDEX_FNS, SPLIT_SUMS, edge_splits
 
@@ -426,16 +425,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--workers must be at least 1")
     try:
         return args.fn(args)
-    except (
-        CliError,
-        GraphError,
-        FormatError,
-        FamilyError,
-        EnumerationBoundError,
-        ExtremalError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # every error the package raises on bad input subclasses ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
 

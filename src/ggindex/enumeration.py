@@ -205,10 +205,10 @@ def _orbit_representatives(options: list[int], generators) -> list[int]:
 
 Entry = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (masks, generators)
 
-_K1 = graph6_from_bits(1, "").encode("ascii")  # the key of the one-vertex graph
+_K1 = graph6_from_bits(1, "")  # the key of the one-vertex graph
 
 
-def _expand_parent(masks, generators, cons: Constraints, final: bool) -> dict[bytes, Entry]:
+def _expand_parent(masks, generators, cons: Constraints, final: bool) -> dict[str, Entry]:
     """Children of one parent class that pass the canonical-deletion test, one
     per class, each with the automorphism generators of its representative.
     generators generate the parent's automorphism group; an automorphism maps
@@ -217,7 +217,7 @@ def _expand_parent(masks, generators, cons: Constraints, final: bool) -> dict[by
     k = len(masks)
     m_parent = sum(x.bit_count() for x in masks) // 2
     target_r = cons.cyclomatic
-    out: dict[bytes, Entry] = {}
+    out: dict[str, Entry] = {}
     for s in _orbit_representatives(_neighborhood_options(masks, cons, final), generators):
         child = list(masks)
         child.append(s)
@@ -250,7 +250,7 @@ def _emitted(masks, cons: Constraints) -> bool:
     return r is None or sum(x.bit_count() for x in masks) // 2 - k + 1 == r
 
 
-def _walk(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[bytes]]:
+def _walk(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[str]]:
     """Unsorted canonical keys of the classes of each order in orders that
     shard res of mod finds, cons naming a class other than trees. The walk is
     depth-first from K1 up to the largest order. The nodes at the split depth
@@ -263,10 +263,10 @@ def _walk(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict
         raise ValueError("trees come from level sequences, not from the walk")
     top = max(orders)
     split = max(1, top - 2)
-    keys: dict[int, list[bytes]] = {k: [] for k in orders}
+    keys: dict[int, list[str]] = {k: [] for k in orders}
     dealt = 0
 
-    def visit(key: bytes, masks, generators) -> None:
+    def visit(key: str, masks, generators) -> None:
         nonlocal dealt
         k = len(masks)
         if k == split:
@@ -347,7 +347,7 @@ def _trees(n: int, max_degree: Optional[int]) -> Iterator[list[int]]:
             yield parent
 
 
-def _tree_key(parent: list[int]) -> bytes:
+def _tree_key(parent: list[int]) -> str:
     n = len(parent)
     adj = [0] * n
     for v in range(1, n):
@@ -357,7 +357,7 @@ def _tree_key(parent: list[int]) -> bytes:
     return _canon.canon_full(n, adj).key
 
 
-def _tree_keys(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[bytes]]:
+def _tree_keys(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[str]]:
     """Unsorted canonical keys of the trees of each order in orders whose
     generation index is res mod mod, cons naming the degree bound."""
     return {
@@ -366,12 +366,12 @@ def _tree_keys(cons: Constraints, orders: frozenset[int], res: int, mod: int) ->
     }
 
 
-def _shard(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[bytes]]:
+def _shard(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[str]]:
     """Shard res of mod of the keys of cons's class at each order in orders."""
     return (_tree_keys if cons.tree_class else _walk)(cons, orders, res, mod)
 
 
-def _sorted_keys(conses: Sequence[Constraints], workers: int = 1) -> list[list[bytes]]:
+def _sorted_keys(conses: Sequence[Constraints], workers: int = 1) -> list[list[str]]:
     """Sorted canonical keys of every class matching each of conses, which
     must differ only in n, from one shard per process: at most workers, and
     at most the CPU count."""
@@ -417,17 +417,16 @@ def enumerate_connected(
 
     Given several constraint sets that differ only in n, one walk (for
     trees, one generator run per order) serves them all, and the stream
-    holds the classes of each in turn, in the order given. Every order cap is checked (see check_bound), in that order, when
-    the function is called. Emitted graphs carry their canonical labeling, so
-    to_graph6 of the k-th graph of an order is exactly the k-th key in that
-    order's sort order. Trees are keyed with one canonical search each, and
-    workers shard that keying.
+    holds the classes of each in turn, in the order given. Every order cap
+    is checked (see check_bound), in that order, when the function is
+    called. Emitted graphs carry their canonical labeling, so to_graph6 of
+    the k-th graph of an order is exactly the k-th key in that order's sort
+    order. Trees are keyed with one canonical search each, and workers shard
+    that keying.
     """
     for c in cons:
         check_bound(c, max_n)
-    return (
-        from_graph6(key.decode("ascii")) for keys in _sorted_keys(cons, workers) for key in keys
-    )
+    return (from_graph6(key) for keys in _sorted_keys(cons, workers) for key in keys)
 
 
 def enumerate_trees(
@@ -450,17 +449,3 @@ def enumerate_trees(
         build_graph(n, ((u, v) for v, u in enumerate(parent) if v))
         for parent in _trees(n, max_degree)
     )
-
-
-def count_classes(
-    cons: Constraints,
-    *,
-    max_n: Optional[int] = None,
-    workers: int = 1,
-) -> int:
-    """Cardinality of the stream without building Graph objects; trees are
-    counted without any canonical search."""
-    check_bound(cons, max_n)
-    if cons.tree_class:
-        return sum(1 for _ in _trees(cons.n, cons.max_degree))
-    return len(_sorted_keys([cons], workers)[0])

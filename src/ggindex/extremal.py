@@ -62,13 +62,6 @@ class Objective:
             raise ExtremalError(f"objective index must be one of {names}, got {self.index!r}")
 
 
-def parse_objective(text: str) -> Objective:
-    sense, sep, index = text.strip().lower().partition("-")
-    if not sep:
-        raise ExtremalError(f"objective must look like min-ngg, got {text!r}")
-    return Objective(sense, index)
-
-
 def exact_index_value(g: Graph, index: str) -> RadicalSum:
     """The index value as an exact sum of radicals."""
     total = RadicalSum.zero()
@@ -122,7 +115,7 @@ class _Extremum:
             }
         if float_tie(v, best):
             if self.window:
-                self._keyed().setdefault(_key(g), (v, g))
+                self._keyed().setdefault(canonical_form(g), (v, g))
             else:
                 self.window[None] = (v, g)
 
@@ -130,7 +123,7 @@ class _Extremum:
         """The window, with the lone unkeyed candidate, if any, keyed."""
         lone = self.window.pop(None, None)
         if lone is not None:
-            self.window[_key(lone[1])] = lone
+            self.window[canonical_form(lone[1])] = lone
         return self.window
 
     def result(self) -> ExtremalResult:
@@ -163,22 +156,14 @@ class _Extremum:
         )
 
 
-def find_extremal(stream: Iterable[Graph], objective: "Objective | str") -> ExtremalResult:
+def find_extremal(stream: Iterable[Graph], objective: Objective) -> ExtremalResult:
     """Scan a stream for the extremal index value with exact tie handling.
 
-    The objective is an Objective or text like "min-ngg". Candidates that
-    float_tie the running best are retained; once the stream is exhausted
-    they are re-ranked with exact arithmetic and the exactly-extremal subset
-    is reported separately. The witness sets depend only on the set of graphs
-    in the stream, not on their order.
+    Candidates that float_tie the running best are retained; once the stream
+    is exhausted they are re-ranked with exact arithmetic and the
+    exactly-extremal subset is reported separately. The witness sets depend
+    only on the set of graphs in the stream, not on their order.
     """
-    if isinstance(objective, str):
-        objective = parse_objective(objective)
-    elif not isinstance(objective, Objective):
-        raise ExtremalError(
-            f"objective must be an Objective or text like min-ngg,"
-            f" got {type(objective).__name__}"
-        )
     fn = _FLOAT_FN[objective.index]
     fold = _Extremum(objective)
     for g in stream:
@@ -206,14 +191,6 @@ class VerificationReport:
     rows: tuple[CheckRow | CrossoverRow | AsymptoticRow, ...]
     passed: bool
     caveat: str = ""
-
-    @property
-    def n_range(self) -> tuple[int, ...]:
-        return tuple(row.n for row in self.rows)
-
-
-def _key(g: Graph) -> str:
-    return canonical_form(g).decode("ascii")
 
 
 def _min_bipartite_families(n: int) -> tuple[FamilySpec, ...]:
@@ -465,7 +442,7 @@ def _check_row(
         expected: tuple[str, ...] = ()
         ok = all(check.accept(from_graph6(key), max_degree) for key in result.exact_witnesses)
     else:
-        expected = tuple(sorted(_key(g) for g in check.expected(n, max_degree)))
+        expected = tuple(sorted(canonical_form(g) for g in check.expected(n, max_degree)))
         ok = result.exact_witnesses == expected
     if theorem:
         if len(expected) == 1:

@@ -3,8 +3,8 @@
 The constructor validates and normalizes its input once; after that a Graph
 is hashable, comparable and safe to share. Building one takes O(n + m) time
 and memory. Per-vertex adjacency bitmasks (arbitrary-size Python ints, so
-nothing breaks past 64 vertices) are made on first use, by canon, graph6
-and the bipartition; they hold about n^2 / 2 bits in all.
+nothing breaks past 64 vertices) are made on first use, by canon and
+graph6; they hold about n^2 / 2 bits in all.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import canon as _canon
 from . import formats as _formats
-from .bitset import bipartition, iter_bits
+from .bitset import iter_bits
 
 DistanceMatrix = tuple[tuple[int, ...], ...]
-CanonicalForm = bytes
+CanonicalForm = str
 
 
 class GraphError(ValueError):
@@ -88,9 +88,6 @@ class Graph:
             deg[v] += 1
         return tuple(deg)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     @property
     def max_degree(self) -> int:
         return max(self.degrees)
@@ -123,11 +120,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(tuple(e) for e in edges))
 
 
-def relabel(g: Graph, perm) -> Graph:
-    """Image of g under the vertex permutation perm (perm[old] = new)."""
-    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
-
-
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; entry [u][v] is the hop distance.
 
@@ -156,20 +148,8 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return tuple(rows)
 
 
-def two_coloring(g: Graph) -> Optional[tuple[int, ...]]:
-    """A proper 2-coloring (vertex 0 colored 0), or None if none exists."""
-    sides = bipartition(g.adjacency_bits, 0)
-    if sides is None:
-        return None
-    return tuple((sides[1] >> v) & 1 for v in range(g.n))
-
-
-def is_bipartite(g: Graph) -> bool:
-    return bipartition(g.adjacency_bits, 0) is not None
-
-
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Isomorphism-invariant total-order key (graph6 bytes of a canonical relabeling)."""
+    """Isomorphism-invariant total-order key (graph6 of a canonical relabeling)."""
     return _canon.canon_key(g.n, g.adjacency_bits)
 
 

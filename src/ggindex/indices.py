@@ -19,7 +19,7 @@ import math
 from operator import add, or_
 from typing import NamedTuple
 
-from .graphs import Graph, is_bipartite
+from .graphs import Graph
 
 # The float error of an index value, with u = 2**-53 the unit roundoff:
 # - each term is >= 0 and comes from two correctly rounded operations on
@@ -29,11 +29,9 @@ from .graphs import Graph, is_bipartite
 #   its exact value V, whatever the number of edges.
 # Two exactly equal values, or two whose floats are in the wrong order, thus
 # differ by at most 3u(a + b)(1 + O(u)); TIE_RTOL = 8u leaves a 2.6x margin.
-# check_bipartite_relation adds a sqrt and a multiply (<= 7u*V against a
-# 16u*V window), and the closed forms verify checks values against have <= 3u
-# each. Pruning against a running best stays sound: for values >= 0 and b1
-# between v and the final best B, |v - b1| > TIE_RTOL(v + b1) implies
-# |v - B| > TIE_RTOL(v + B).
+# The closed forms verify checks values against have <= 3u each. Pruning
+# against a running best stays sound: for values >= 0 and b1 between v and
+# the final best B, |v - b1| > TIE_RTOL(v + b1) implies |v - B| > TIE_RTOL(v + B).
 TIE_RTOL = 2.0 ** -50
 
 
@@ -46,12 +44,6 @@ class EdgeSplit(NamedTuple):
     edge: tuple[int, int]
     n_u: int
     n_v: int
-
-
-class IndexValues(NamedTuple):
-    gg: float
-    ngg: float
-    abc: float
 
 
 def edge_splits(g: Graph) -> tuple[EdgeSplit, ...]:
@@ -193,24 +185,3 @@ INDEX_FNS = {"gg": gg_index, "ngg": ngg_index, "abc": abc_index}
 # The indices that are edge sums over splits; a caller holding a graph's
 # splits takes these values from them without another split pass.
 SPLIT_SUMS = {"gg": gg_sum, "ngg": ngg_sum}
-
-
-def all_indices(g: Graph) -> IndexValues:
-    """gg, ngg and abc computed off a single split pass."""
-    splits = edge_splits(g)
-    return IndexValues(gg_sum(splits), ngg_sum(splits), abc_index(g))
-
-
-def check_bipartite_relation(g: Graph) -> bool:
-    """Bipartite input: does GG equal NGG * sqrt(n-2) up to float_tie?
-
-    For non-bipartite input the relation has no reason to hold, and the check
-    instead reports whether the structural cause is present: True when some
-    edge has n_u + n_v < n, i.e. some vertex is equidistant from two adjacent
-    vertices, which can only happen on an odd closed walk.
-    """
-    splits = edge_splits(g)
-    if is_bipartite(g):
-        gg, ngg = gg_sum(splits), ngg_sum(splits)
-        return g.m == 0 or float_tie(gg, ngg * math.sqrt(g.n - 2))
-    return any(nu + nv < g.n for _, nu, nv in splits)

@@ -14,6 +14,11 @@ enumeration, so a fault there cannot hide in the reference too:
     permutation, and orbits_exhaustive checks every permutation for an
     automorphism (n <= 8).
 
+is_bipartite is brute_force_classes's bipartite filter. It colours by
+breadth-first depth parity over the edge list, not with the bitmask
+bipartition the bipartite generator uses. relabel permutes a Graph's
+vertices, for invariance checks.
+
 canon_key_exhaustive generally picks a different representative than the
 search, which only minimizes across refinement-consistent labelings; the
 properties that must agree are the isomorphism partition, the orbit
@@ -25,7 +30,29 @@ from itertools import permutations, product
 
 from ggindex.bitset import iter_bits, reach
 from ggindex.formats import graph6_from_bits, upper_triangle_bits
-from ggindex.graphs import Graph, build_graph, is_bipartite
+from ggindex.graphs import Graph, build_graph
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Image of g under the vertex permutation perm (perm[old] = new)."""
+    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def is_bipartite(g: Graph) -> bool:
+    """No odd cycle: breadth-first depths from vertex 0 differ in parity
+    across every edge."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    depth = [0] + [-1] * (g.n - 1)
+    queue = [0]
+    for x in queue:
+        for w in adj[x]:
+            if depth[w] < 0:
+                depth[w] = depth[x] + 1
+                queue.append(w)
+    return all((depth[u] + depth[v]) % 2 for u, v in g.edges)
 
 
 # ------------------------------------------------------------ oracle no. 1 ----
@@ -199,14 +226,14 @@ def prufer_trees(n: int) -> list[Graph]:
 
 # ------------------------------------------------------------ oracle no. 3 ----
 
-def canon_key_exhaustive(n: int, adj) -> bytes:
+def canon_key_exhaustive(n: int, adj) -> str:
     """Key minimized over every permutation (n <= 8)."""
     if n > 8:
         raise ValueError("exhaustive canonical form is limited to n <= 8")
     if n == 1:
-        return graph6_from_bits(1, "").encode("ascii")
+        return graph6_from_bits(1, "")
     best = min(upper_triangle_bits(n, adj, lab) for lab in permutations(range(n)))
-    return graph6_from_bits(n, best).encode("ascii")
+    return graph6_from_bits(n, best)
 
 
 def orbits_exhaustive(n: int, adj) -> tuple[int, ...]:

@@ -48,9 +48,6 @@ def report(num: int, name: str, ok: bool, t0: float, detail: str = "") -> float:
     return elapsed
 
 
-def key(g):
-    return canonical_form(g).decode("ascii")
-
 
 def test_criterion_01_path_table():
     t0 = time.perf_counter()
@@ -97,7 +94,7 @@ def test_criterion_03_max_bipartite():
     ok = rep.passed
     for row in rep.rows:
         a, b = row.n // 2, row.n - row.n // 2
-        ok = ok and row.exact_witnesses == (key(complete_bipartite(a, b)),)
+        ok = ok and row.exact_witnesses == (canonical_form(complete_bipartite(a, b)),)
         ok = ok and abs(row.value - math.sqrt(a * b)) <= 1e-9
     elapsed = report(3, "max-bipartite", ok, t0, "n = 4..10, unique balanced biclique")
     assert ok, rep
@@ -122,7 +119,7 @@ def test_criterion_05_tree_extremes():
     ok = rep.passed
     for row in rep.rows:
         want = path(row.n) if row.note == "min over trees" else star(row.n)
-        ok = ok and row.exact_witnesses == (key(want),)
+        ok = ok and row.exact_witnesses == (canonical_form(want),)
     elapsed = report(5, "tree-extremes", ok, t0, "n = 4..12, path min / star max")
     assert ok, rep
     assert elapsed < 60.0
@@ -175,7 +172,7 @@ def test_criterion_09_generator_vs_brute_force():
             Constraints(n, max_degree=3),
         ):
             got = sorted(to_graph6(g) for g in enumerate_connected(cons))
-            want = sorted(key(g) for g in brute_force_classes(cons))
+            want = sorted(canonical_form(g) for g in brute_force_classes(cons))
             if got != want:
                 bad.append((n, cons.describe(), len(got), len(want)))
             cases += 1
@@ -192,21 +189,21 @@ def test_criterion_10_conjecture_probes():
     anchors_ok = True
     for n in range(6, 11):
         rep = verify("conjecture3", [n], max_degree=n - 1)
-        anchors_ok = anchors_ok and rep.rows[0].exact_witnesses == (key(star(n)),)
+        anchors_ok = anchors_ok and rep.rows[0].exact_witnesses == (canonical_form(star(n)),)
 
     # At degree bound 3 the path undercuts the cycle at n = 6 and 7, so the
     # probe must report exactly those two counterexamples, with the path as
     # the unique minimizer; from n = 8 on the cycle is the unique minimizer.
     mismatches = []
     for row in probe2.rows:
-        cyc = (key(cycle(row.n)),)
+        cyc = (canonical_form(cycle(row.n)),)
         if row.n in (6, 7):
             # P_n is bipartite, so GG(P_n) = NGG(P_n) * sqrt(n - 2)
             want = ngg_closed(parse_spec(f"P:{row.n}")) * math.sqrt(row.n - 2)
             row_ok = (
                 not row.passed
                 and row.label == "counterexample found"
-                and row.exact_witnesses == (key(path(row.n)),)
+                and row.exact_witnesses == (canonical_form(path(row.n)),)
                 and row.expected == cyc
                 and abs(row.value - want) <= 1e-9
             )

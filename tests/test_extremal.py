@@ -16,7 +16,6 @@ from ggindex.extremal import (
     is_almost_regular,
     min_bipartite_closed,
     min_bipartite_expected,
-    parse_objective,
     residuals_positive_decreasing,
     verify,
 )
@@ -34,19 +33,12 @@ from ggindex.graphs import build_graph, canonical_form
 from ggindex.indices import INDEX_FNS, gg_index, ngg_index
 
 
-def key(g):
-    return canonical_form(g).decode("ascii")
-
 
 def test_objective_validation():
-    assert parse_objective("min-ngg") == Objective("min", "ngg")
-    assert parse_objective("MAX-GG") == Objective("max", "gg")
     with pytest.raises(ExtremalError):
         Objective("mid", "gg")
     with pytest.raises(ExtremalError):
         Objective("min", "wiener")
-    with pytest.raises(ExtremalError):
-        parse_objective("maxngg")
 
 
 def test_index_value_dispatch():
@@ -61,8 +53,8 @@ def test_find_extremal_single_graph():
     g = cycle(6)
     res = find_extremal([g], Objective("min", "ngg"))
     assert res.value == pytest.approx(2.0, abs=1e-12)
-    assert res.witnesses == (key(g),)
-    assert res.exact_witnesses == (key(g),)
+    assert res.witnesses == (canonical_form(g),)
+    assert res.exact_witnesses == (canonical_form(g),)
     assert res.total_classes == 1
 
 
@@ -73,15 +65,15 @@ def test_find_extremal_empty_stream():
 
 def test_find_extremal_epsilon_window():
     p, c = path(6), cycle(6)
-    assert find_extremal([p, c], Objective("min", "gg")).witnesses == (key(p),)
+    assert find_extremal([p, c], Objective("min", "gg")).witnesses == (canonical_form(p),)
     # equal floats share the window, and the exact re-rank still picks P6
     fold = _Extremum(Objective("min", "gg"))
     v = gg_index(p)
     fold.offer(v, c)
     fold.offer(v, p)
     res = fold.result()
-    assert res.witnesses == tuple(sorted((key(p), key(c))))
-    assert res.exact_witnesses == (key(p),)
+    assert res.witnesses == tuple(sorted((canonical_form(p), canonical_form(c))))
+    assert res.exact_witnesses == (canonical_form(p),)
 
 
 def test_find_extremal_exact_tie():
@@ -109,10 +101,10 @@ def test_find_extremal_order_invariance():
 
 def test_verify_max_bipartite_small():
     report = verify("max-bipartite", range(4, 8))
-    assert report.passed and report.n_range == (4, 5, 6, 7)
+    assert report.passed and [row.n for row in report.rows] == [4, 5, 6, 7]
     for row in report.rows:
         a, b = row.n // 2, row.n - row.n // 2
-        assert row.exact_witnesses == (key(complete_bipartite(a, b)),)
+        assert row.exact_witnesses == (canonical_form(complete_bipartite(a, b)),)
         assert row.value == pytest.approx(math.sqrt(a * b), abs=1e-9)
 
 
@@ -120,7 +112,7 @@ def test_verify_min_bipartite_small():
     report = verify("min-bipartite", range(4, 8))
     assert report.passed
     for row in report.rows:
-        assert row.exact_witnesses == (key(path(row.n)),)
+        assert row.exact_witnesses == (canonical_form(path(row.n)),)
 
 
 def test_verify_tree_extremals_small():
@@ -129,7 +121,7 @@ def test_verify_tree_extremals_small():
     assert len(report.rows) == 10
     for row in report.rows:
         want = path(row.n) if row.note == "min over trees" else star(row.n)
-        assert row.exact_witnesses == (key(want),)
+        assert row.exact_witnesses == (canonical_form(want),)
 
 
 def test_verify_canonicalizes_only_the_expected_graphs(monkeypatch):
@@ -174,19 +166,20 @@ def test_window_keys_isomorphic_copies_once(monkeypatch):
     fold.offer(gg_index(relabeled), relabeled)
     assert len(calls) == 2
     res = fold.result()
-    assert res.witnesses == res.exact_witnesses == (key(p),)
+    assert res.witnesses == res.exact_witnesses == (canonical_form(p),)
     assert res.total_classes == 2
 
 
 def test_min_bipartite_expected_table():
-    assert [key(g) for g in min_bipartite_expected(6)] == [key(path(6))]
-    assert [key(g) for g in min_bipartite_expected(10)] == [key(cycle(10))]
-    assert [key(g) for g in min_bipartite_expected(11)] == [key(cycle_pendant(11))]
-    assert [key(g) for g in min_bipartite_expected(15)] == [
-        key(cycle_pendant(15)),
-        key(cycle_hook(15)),
-    ]
-    assert [key(g) for g in min_bipartite_expected(17)] == [key(cycle_hook(17))]
+    for n, families in (
+        (6, [path]),
+        (10, [cycle]),
+        (11, [cycle_pendant]),
+        (15, [cycle_pendant, cycle_hook]),
+        (17, [cycle_hook]),
+    ):
+        want = [canonical_form(family(n)) for family in families]
+        assert [canonical_form(g) for g in min_bipartite_expected(n)] == want
     with pytest.raises(ExtremalError):
         min_bipartite_expected(3)
 
@@ -286,10 +279,10 @@ def test_probe_conjecture_two_finds_the_small_counterexamples():
     for fail_row in fail_rows:
         n = fail_row.n
         assert not fail_row.passed and fail_row.label == "counterexample found"
-        assert fail_row.exact_witnesses == (key(path(n)),)
-        assert fail_row.expected == (key(cycle(n)),)
+        assert fail_row.exact_witnesses == (canonical_form(path(n)),)
+        assert fail_row.expected == (canonical_form(cycle(n)),)
         assert fail_row.value == pytest.approx(gg_index(path(n)), abs=1e-12)
-    assert pass_row.passed and pass_row.exact_witnesses == (key(cycle(8)),)
+    assert pass_row.passed and pass_row.exact_witnesses == (canonical_form(cycle(8)),)
 
 
 def _networkx_gg(nx, g):
@@ -360,4 +353,4 @@ def test_probe_conjecture_star_anchor():
     for n in (6, 8):
         report = verify("conjecture3", [n], max_degree=n - 1)
         assert report.passed
-        assert report.rows[0].exact_witnesses == (key(star(n)),)
+        assert report.rows[0].exact_witnesses == (canonical_form(star(n)),)

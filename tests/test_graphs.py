@@ -4,20 +4,18 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from ggindex.bitset import bipartition, iter_bits
 from ggindex.graphs import (
-    Graph,
     GraphError,
     all_pairs_distances,
     build_graph,
     canonical_form,
     from_graph6,
-    is_bipartite,
-    relabel,
     to_graph6,
-    two_coloring,
 )
 
 from conftest import connected_graphs, floyd_warshall, random_connected_graph
+from oracles import is_bipartite, relabel
 
 
 def test_edges_are_normalized():
@@ -122,25 +120,32 @@ def test_distances_match_floyd_warshall(g):
     assert [list(row) for row in all_pairs_distances(g)] == floyd_warshall(g)
 
 
-def _parity_bipartite(g: Graph) -> bool:
-    # independent oracle: no edge may join two vertices at even distance
-    # from vertex 0 plus odd... simpler: check via distance parity classes
-    d = all_pairs_distances(g)[0]
-    return all(d[u] % 2 != d[v] % 2 for u, v in g.edges)
-
-
 @given(connected_graphs())
 def test_bipartite_matches_parity_oracle(g):
-    assert is_bipartite(g) == _parity_bipartite(g)
+    adj = g.adjacency_bits
+    sides = bipartition(adj, 0)
+    assert (sides is not None) == is_bipartite(g)
+    if sides is not None:
+        # vertex 0's side first, the sides partition the vertices, and no
+        # edge stays inside a side
+        a, b = sides
+        assert a & 1 and not a & b and a | b == (1 << g.n) - 1
+        assert all(not adj[v] & side for side in sides for v in iter_bits(side))
 
 
 def test_two_coloring_properties():
-    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-    colors = two_coloring(g)
-    assert colors is not None and colors[0] == 0
-    assert all(colors[u] != colors[v] for u, v in g.edges)
-    odd = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert two_coloring(odd) is None
+    # the bipartite generator colours one component of a disconnected
+    # level graph at a time: C6 on 0..5, a path on 6..8, a triangle on 9..11
+    edges = [(v, (v + 1) % 6) for v in range(6)] + [(6, 7), (7, 8), (9, 10), (10, 11), (9, 11)]
+    adj = [0] * 12
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    assert bipartition(adj, 3) == (0b101010, 0b010101)
+    assert bipartition(adj, 7) == (1 << 7, 1 << 6 | 1 << 8)
+    for v in (9, 10, 11):
+        assert bipartition(adj, v) is None
+    assert bipartition([0], 0) == (1, 0)
 
 
 @given(connected_graphs(), st.randoms(use_true_random=False))
