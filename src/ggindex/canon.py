@@ -283,8 +283,3 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
         orbits=orbits,
         generators=tuple(gens),
     )
-
-
-def canon_key(n: int, adj) -> str:
-    return canon_full(n, adj).key
-

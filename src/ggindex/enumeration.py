@@ -9,8 +9,11 @@ from the centred path and steps through rooted sequences in decreasing
 lexicographic order with Beyer and Hedetniemi's successor. It skips at once
 every sequence whose root is not the chosen centre, so each tree comes out
 exactly once and no canonical search runs. The degree bound filters the
-sequences before any graph is built. A tree class's canonical keys come from
-one canon_full call per generated tree.
+sequences before any graph is built. _trees gives each tree as parent links;
+enumerate_trees builds a Graph from them, and verify values its tree claims
+from the links themselves, building a Graph only for a tie-window candidate.
+A tree class's canonical keys come from one canon_full call per generated
+tree.
 
 Every other class comes from a walk. Each node of the walk is one class's
 representative together with generators of its automorphism group, as found
@@ -332,19 +335,28 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
 def _trees(n: int, max_degree: Optional[int]) -> Iterator[list[int]]:
     """The parent of every vertex (-1 for the root), numbered in preorder,
     of each tree on n vertices with no degree above max_degree. A vertex's
-    parent is the nearest earlier vertex one level up."""
+    parent is the nearest earlier vertex one level up. Each tree gets a new
+    list, so a caller may keep it; a sequence is dropped at the first vertex
+    that takes a parent over the bound."""
+    cap = n if max_degree is None else max_degree
     for seq in _level_sequences(n):
         parent = [-1] * n
-        degree = [0] * n
+        degree = [0] + [1] * (n - 1)  # every vertex but the root has a parent
         latest = [0] * n  # the last vertex seen at each level
         for v in range(1, n):
             level = seq[v]
             u = parent[v] = latest[level - 1]
             degree[u] += 1
-            degree[v] += 1
+            if degree[u] > cap:
+                break
             latest[level] = v
-        if max_degree is None or max(degree) <= max_degree:
+        else:
             yield parent
+
+
+def _tree_graph(parent: list[int]) -> Graph:
+    """The tree with these parent links, labeled as they are."""
+    return build_graph(len(parent), ((u, v) for v, u in enumerate(parent) if v))
 
 
 def _tree_key(parent: list[int]) -> str:
@@ -445,7 +457,4 @@ def enumerate_trees(
     check_bound) is checked when the function is called.
     """
     check_bound(Constraints(n, max_degree=max_degree, cyclomatic=0), max_n)
-    return (
-        build_graph(n, ((u, v) for v, u in enumerate(parent) if v))
-        for parent in _trees(n, max_degree)
-    )
+    return map(_tree_graph, _trees(n, max_degree))

@@ -11,6 +11,14 @@ per index the checks use. Witnesses are reported as graph6 strings of
 canonical forms, so they are directly comparable across runs and platforms;
 the canonical search runs only on candidates left in the window.
 
+The fold holds a candidate in its stream's own form and turns it into a
+Graph only when it keys it. For the tree claims that form is the parent
+links of the level-sequence generator, not a Graph: verify sums each tree's
+subtree sizes, takes the edge splits (s, n - s) from them, and gets the
+values from indices.SPLIT_SUMS, the same sums the index functions use, so
+the floats are the same bits. A tree is built only as a second window entry
+or when the result is taken.
+
 CLAIMS is the table of the claims `ggindex verify` checks: for each, the
 class to scan and the predicted witnesses and values, or a closed-form row
 function. verify runs any of them and produces the VerificationReport that
@@ -21,9 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .enumeration import Constraints, check_bound, enumerate_connected, enumerate_trees
+from .enumeration import Constraints, _tree_graph, _trees, check_bound, enumerate_connected
 from .families import (
     FamilySpec,
     almost_dendrimer,
@@ -37,7 +45,7 @@ from .families import (
     star,
 )
 from .graphs import Graph, canonical_form, from_graph6
-from .indices import INDEX_FNS as _FLOAT_FN, edge_splits, float_tie, gg_index
+from .indices import INDEX_FNS as _FLOAT_FN, SPLIT_SUMS, edge_splits, float_tie, gg_index
 from .radicals import RadicalSum
 
 EVIDENCE_CAVEAT = (
@@ -91,21 +99,28 @@ class ExtremalResult:
     total_classes: int
 
 
+def _same(g: Graph) -> Graph:
+    return g
+
+
 class _Extremum:
     """The fold behind find_extremal for one objective: the running best
-    value, the (value, graph) candidates that float_tie it, and the class
-    count. Candidates are keyed by canonical form only when a second one
-    joins the window, so that isomorphic copies are kept once, and when the
-    result is taken; a lone candidate waits unkeyed under None."""
+    value, the (value, candidate) pairs that float_tie it, and the class
+    count. A candidate is offered in its stream's own form, which to_graph
+    turns into a Graph: a Graph itself for graph streams, parent links for
+    trees. It is built and keyed by canonical form only when a second
+    candidate joins the window, so that isomorphic copies are kept once, and
+    when the result is taken; a lone candidate waits unbuilt under None."""
 
-    def __init__(self, objective: Objective) -> None:
+    def __init__(self, objective: Objective, to_graph: Callable[[Any], Graph] = _same) -> None:
         self.objective = objective
         self.want_min = objective.sense == "min"
+        self.to_graph = to_graph
         self.best: Optional[float] = None
-        self.window: dict[Optional[str], tuple[float, Graph]] = {}
+        self.window: dict[Optional[str], tuple[float, Any]] = {}
         self.total = 0
 
-    def offer(self, v: float, g: Graph) -> None:
+    def offer(self, v: float, candidate: Any) -> None:
         self.total += 1
         best = self.best
         if best is None or (v < best if self.want_min else v > best):
@@ -115,15 +130,17 @@ class _Extremum:
             }
         if float_tie(v, best):
             if self.window:
+                g = self.to_graph(candidate)
                 self._keyed().setdefault(canonical_form(g), (v, g))
             else:
-                self.window[None] = (v, g)
+                self.window[None] = (v, candidate)
 
     def _keyed(self) -> dict[Optional[str], tuple[float, Graph]]:
-        """The window, with the lone unkeyed candidate, if any, keyed."""
+        """The window, with the lone unbuilt candidate, if any, built and keyed."""
         lone = self.window.pop(None, None)
         if lone is not None:
-            self.window[canonical_form(lone[1])] = lone
+            g = self.to_graph(lone[1])
+            self.window[canonical_form(g)] = (lone[0], g)
         return self.window
 
     def result(self) -> ExtremalResult:
@@ -465,6 +482,23 @@ def _check_row(
     )
 
 
+def _subtree_splits(parent: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The edge splits of the tree with these parent links, numbered in
+    preorder from root 0, as (v, n_v, n_u) for the edge from each non-root v
+    to its parent u. The edge is a bridge, so n_v is the size s of v's
+    subtree and n_u = n - s; the sizes are summed in reverse preorder."""
+    n = len(parent)
+    size = [1] * n
+    for v in range(n - 1, 0, -1):
+        size[parent[v]] += size[v]
+    return [(v, size[v], n - size[v]) for v in range(1, n)]
+
+
+def _tree_values(parent: Sequence[int], indices: Iterable[str]) -> dict[str, float]:
+    splits = _subtree_splits(parent)
+    return {index: SPLIT_SUMS[index](splits) for index in indices}
+
+
 def verify(
     claim: str,
     n_values: Iterable[int],
@@ -478,9 +512,11 @@ def verify(
     max_degree is the degree bound of the conjecture probes; the theorem
     claims ignore it. max_n caps the orders as in check_bound. workers
     shards the enumeration of the graph claims; the tree claims (trees,
-    conjecture3) list their trees without any canonical search in one
-    process, and ignore it. Probe outcomes are evidence at the listed orders
-    only.
+    conjecture3) run in one process and ignore it. They take each tree's
+    parent links from the level-sequence generator, with no canonical search
+    and no Graph, and value it from its subtree sizes (_subtree_splits); only
+    candidates that the folds key become Graphs. Probe outcomes are evidence
+    at the listed orders only.
     """
     spec = CLAIMS.get(claim)
     if spec is None:
@@ -499,20 +535,23 @@ def verify(
         check_bound(cons, max_n)
         classes.setdefault(n, cons)
     indices = tuple(dict.fromkeys(check.objective.index for check in spec.checks))
-    folds = {n: [_Extremum(check.objective) for check in spec.checks] for n in classes}
     if any(cons.tree_class for cons in classes.values()):
-        # trees need no canonical search to be listed once each
+        to_graph: Callable[[Any], Graph] = _tree_graph
         stream = (
-            g
+            (cons.n, parent, _tree_values(parent, indices))
             for cons in classes.values()
-            for g in enumerate_trees(cons.n, max_degree=cons.max_degree, max_n=max_n)
+            for parent in _trees(cons.n, cons.max_degree)
         )
     else:
-        stream = enumerate_connected(*classes.values(), max_n=max_n, workers=workers)
-    for g in stream:
-        values = {index: _FLOAT_FN[index](g) for index in indices}
-        for fold in folds[g.n]:
-            fold.offer(values[fold.objective.index], g)
+        to_graph = _same
+        stream = (
+            (g.n, g, {index: _FLOAT_FN[index](g) for index in indices})
+            for g in enumerate_connected(*classes.values(), max_n=max_n, workers=workers)
+        )
+    folds = {n: [_Extremum(check.objective, to_graph) for check in spec.checks] for n in classes}
+    for n, candidate, values in stream:
+        for fold in folds[n]:
+            fold.offer(values[fold.objective.index], candidate)
     rows = tuple(
         _check_row(n, max_degree, fold.result(), check, spec.theorem)
         for n in orders

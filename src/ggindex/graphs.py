@@ -75,11 +75,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def cyclomatic_number(self) -> int:
-        """Independent cycles: m - n + 1 (the graph is connected)."""
-        return self.m - self.n + 1
-
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
@@ -91,10 +86,6 @@ class Graph:
     @property
     def max_degree(self) -> int:
         return max(self.degrees)
-
-    @property
-    def is_tree(self) -> bool:
-        return self.m == self.n - 1
 
 
 def _first_unreachable(edges: Iterable[tuple[int, int]]) -> int:
@@ -150,7 +141,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Isomorphism-invariant total-order key (graph6 of a canonical relabeling)."""
-    return _canon.canon_key(g.n, g.adjacency_bits)
+    return _canon.canon_full(g.n, g.adjacency_bits).key
 
 
 def to_graph6(g: Graph) -> str:

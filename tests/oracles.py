@@ -68,7 +68,7 @@ def _matches(g: Graph, cons) -> bool:
         return False
     if cons.max_degree is not None and g.max_degree > cons.max_degree:
         return False
-    if cons.cyclomatic is not None and g.cyclomatic_number != cons.cyclomatic:
+    if cons.cyclomatic is not None and g.m - g.n + 1 != cons.cyclomatic:
         return False
     return True
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from ggindex import canon
 from ggindex.bitset import iter_bits, mask_of
-from ggindex.canon import _individualize, _refine, canon_full, canon_key
+from ggindex.canon import _individualize, _refine, canon_full
 from ggindex.formats import decode_graph6, graph6_from_bits, upper_triangle_bits
 
 from oracles import canon_key_exhaustive, orbits_exhaustive
@@ -91,7 +91,7 @@ def test_key_decodes_to_the_same_class():
     for _ in range(60):
         n = rng.randint(2, 7)
         adj = _random_masks(rng, n, p=rng.choice([0.2, 0.5, 0.8]))
-        key = canon_key(n, adj)
+        key = canon_full(n, adj).key
         n2, back = _masks_from_key(key)
         assert n2 == n
         assert canon_key_exhaustive(n, back) == canon_key_exhaustive(n, adj)
@@ -106,7 +106,7 @@ def test_sampled_graphs_six_and_seven(rng):
             # same class <=> same key, probed with random relabelings
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canon_key(n, _relabel(n, adj, perm)) == res.key
+            assert canon_full(n, _relabel(n, adj, perm)).key == res.key
 
 
 def test_key_is_relabeling_invariant(rng):
@@ -115,13 +115,13 @@ def test_key_is_relabeling_invariant(rng):
         adj = _random_masks(rng, n)
         perm = list(range(n))
         rng.shuffle(perm)
-        assert canon_key(n, adj) == canon_key(n, _relabel(n, adj, perm))
+        assert canon_full(n, adj).key == canon_full(n, _relabel(n, adj, perm)).key
 
 
 def test_key_separates_nonisomorphic():
     p4 = [2, 5, 10, 4]  # 0-1, 1-2, 2-3
     s4 = [14, 1, 1, 1]  # star at 0
-    assert canon_key(4, p4) != canon_key(4, s4)
+    assert canon_full(4, p4).key != canon_full(4, s4).key
 
 
 def test_labeling_and_last_vertex():
@@ -371,11 +371,11 @@ def test_symmetric_graph_keys_are_relabeling_invariant(symmetric_graphs):
     rng = random.Random(0x5EED)
     for name, g in graphs.items():
         n, adj = g.number_of_nodes(), _nx_masks(g)
-        key = canon_key(n, adj)
+        key = canon_full(n, adj).key
         for _ in range(4):
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canon_key(n, _relabel(n, adj, perm)) == key, name
+            assert canon_full(n, _relabel(n, adj, perm)).key == key, name
 
 
 def test_symmetric_graph_keys_agree_with_vf2(symmetric_graphs):
@@ -385,7 +385,7 @@ def test_symmetric_graph_keys_agree_with_vf2(symmetric_graphs):
     keyed = []
     for name, g in graphs.items():
         n, size = g.number_of_nodes(), g.number_of_edges()
-        keyed.append((name, g, (n, size), canon_key(n, _nx_masks(g))))
+        keyed.append((name, g, (n, size), canon_full(n, _nx_masks(g)).key))
     pairs = same = 0
     for i, (a, ga, size_a, ka) in enumerate(keyed):
         for b, gb, size_b, kb in keyed[i + 1:]:
@@ -549,7 +549,7 @@ def test_twin_families_have_their_groups_and_orbits(symmetric_graphs):
         for _ in range(3):
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canon_key(n, _relabel(n, adj, perm)) == res.key, name
+            assert canon_full(n, _relabel(n, adj, perm)).key == res.key, name
 
 
 def test_blowups_agree_with_vf2(symmetric_graphs):
@@ -578,7 +578,7 @@ def test_blowups_agree_with_vf2(symmetric_graphs):
         perm = list(range(n))
         rng.shuffle(perm)
         relabeled = _relabel(n, adj, perm)
-        assert canon_key(n, relabeled) == res.key
+        assert canon_full(n, relabeled).key == res.key
         keyed.append((g, res.key))
         keyed.append((_masks_to_nx(nx, n, relabeled), res.key))
     pairs = same = 0

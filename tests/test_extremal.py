@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from ggindex.enumeration import Constraints, enumerate_connected
+from ggindex.enumeration import Constraints, _tree_graph, _trees, enumerate_connected
 from ggindex.extremal import (
+    CLAIMS,
     Objective,
     _Extremum,
+    _subtree_splits,
     ExtremalError,
     asymptotic_check,
     crossover_pattern_ok,
@@ -29,8 +31,8 @@ from ggindex.families import (
     path,
     star,
 )
-from ggindex.graphs import build_graph, canonical_form
-from ggindex.indices import INDEX_FNS, gg_index, ngg_index
+from ggindex.graphs import Graph, build_graph, canonical_form
+from ggindex.indices import INDEX_FNS, SPLIT_SUMS, edge_splits, gg_index, ngg_index
 
 
 
@@ -168,6 +170,99 @@ def test_window_keys_isomorphic_copies_once(monkeypatch):
     res = fold.result()
     assert res.witnesses == res.exact_witnesses == (canonical_form(p),)
     assert res.total_classes == 2
+
+
+@pytest.mark.parametrize("max_degree", [None, 3])
+def test_subtree_splits_are_the_split_pass(max_degree):
+    # verify values trees from their parent links: the subtree-size splits
+    # are the split pass's on the built tree, edge by edge, and the split
+    # sums give the index functions' floats exactly
+    for n in range(2, 13):
+        for parent in _trees(n, max_degree):
+            g = _tree_graph(parent)
+            splits = _subtree_splits(parent)
+            sides = sorted(sorted(split[1:]) for split in edge_splits(g))
+            assert sorted(sorted(split[1:]) for split in splits) == sides
+            got = sorted(((parent[v], v), n_u, n_v) for v, n_v, n_u in splits)
+            assert got == [tuple(split) for split in edge_splits(g)]
+            for index, sum_splits in SPLIT_SUMS.items():
+                assert sum_splits(splits) == INDEX_FNS[index](g)
+
+
+def test_tree_claims_use_only_split_sums():
+    tree_claims = [
+        name
+        for name, claim in CLAIMS.items()
+        if claim.graph_class is not None and claim.graph_class(6, 3).tree_class
+    ]
+    assert tree_claims == ["trees", "conjecture3"]
+    for name in tree_claims:
+        for check in CLAIMS[name].checks:
+            assert check.objective.index in SPLIT_SUMS
+
+
+def _count_calls(monkeypatch):
+    """Lists of the Graphs constructed and of the graphs extremal keys."""
+    from ggindex import extremal
+
+    built, keyed = [], []
+    real_init, real_key = Graph.__post_init__, extremal.canonical_form
+
+    def counted_init(g):
+        built.append(g)
+        real_init(g)
+
+    def counted_key(g):
+        keyed.append(g)
+        return real_key(g)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted_init)
+    monkeypatch.setattr(extremal, "canonical_form", counted_key)
+    return built, keyed
+
+
+@pytest.mark.parametrize(
+    "claim, orders, builds",
+    [("trees", range(4, 11), 48), ("conjecture3", range(6, 12), 20)],
+)
+def test_tree_claims_build_only_keyed_candidates(monkeypatch, claim, orders, builds):
+    # a tree becomes a Graph only as an expected witness, a closed-form
+    # value, or a fold candidate that is keyed (a second window entry, or
+    # the result); a Graph per tree would be hundreds more
+    built, keyed = _count_calls(monkeypatch)
+    report = verify(claim, orders, max_degree=3)
+    assert report.passed
+    expected = sum(len(row.expected) for row in report.rows)
+    values = len(orders) * sum(c.value is not None for c in CLAIMS[claim].checks)
+    window_entries = len(keyed) - expected
+    assert len(built) == expected + values + window_entries == builds
+    assert builds < sum(row.classes for row in report.rows) / 2
+
+
+def test_deferred_tree_candidates_keep_their_own_order(monkeypatch):
+    # the folds of order 7 take all their trees before those of order 5;
+    # a lone candidate is built in result(), from its own parent links
+    from ggindex import extremal
+
+    built, _ = _count_calls(monkeypatch)
+    in_result = []
+    real_result = extremal._Extremum.result
+
+    def result(fold):
+        before = len(built)
+        res = real_result(fold)
+        in_result.extend(g.n for g in built[before:])
+        return res
+
+    monkeypatch.setattr(extremal._Extremum, "result", result)
+    report = verify("trees", [7, 5, 7])
+    assert report.passed
+    assert sorted(set(in_result)) == [5, 7]
+    monkeypatch.undo()
+    assert report.rows == tuple(row for n in (7, 5, 7) for row in verify("trees", [n]).rows)
+    for row in report.rows:
+        want = path(row.n) if row.note == "min over trees" else star(row.n)
+        assert row.exact_witnesses == (canonical_form(want),)
 
 
 def test_min_bipartite_expected_table():

@@ -96,7 +96,7 @@ def test_dendrimer_shapes():
     hist = {}
     for d in t.degrees:
         hist[d] = hist.get(d, 0) + 1
-    assert t.n == 41 and t.is_tree
+    assert t.n == 41 and t.m - t.n + 1 == 0
     assert hist == {3: 19, 2: 1, 1: 21}
     # BFS-levels greedy fill keeps degrees monotone nonincreasing in label order
     assert list(t.degrees) == sorted(t.degrees, reverse=True)
@@ -111,7 +111,7 @@ def test_dendrimer_degree_bound_holds():
     for n in range(2, 30):
         for d in (2, 3, 4, 5):
             t = almost_dendrimer(n, d)
-            assert t.n == n and t.is_tree
+            assert t.n == n and t.m - t.n + 1 == 0
             assert t.max_degree <= d
             internal = [deg for deg in t.degrees if deg > 1]
             off = [deg for deg in internal if deg != d]
