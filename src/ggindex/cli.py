@@ -52,23 +52,6 @@ def _fmt(v: float, fmt: str) -> str:
     return format(v, ".4f") if fmt == "text" else format(v, ".10g")
 
 
-def _json_scalar(v, out: list[str]) -> None:
-    if v is None:
-        out.append("null")
-    elif v is True:
-        out.append("true")
-    elif v is False:
-        out.append("false")
-    elif isinstance(v, float):
-        out.append(format(v, ".10g"))
-    elif isinstance(v, int):
-        out.append(str(v))
-    elif isinstance(v, str):
-        out.append(json.dumps(v))
-    else:
-        raise TypeError(f"unserializable value {v!r}")
-
-
 class _JsonText(str):
     """Text that is already JSON; _json_emit writes it verbatim."""
 
@@ -92,8 +75,10 @@ def _json_emit(obj, out: list[str]) -> None:
                 out.append(", ")
             _json_emit(v, out)
         out.append("]")
+    elif isinstance(obj, float):
+        out.append(format(obj, ".10g"))
     else:
-        _json_scalar(obj, out)
+        out.append(json.dumps(obj))
 
 
 def dump_json(obj) -> str:
@@ -347,7 +332,7 @@ def _render_verify(report: VerificationReport, fmt: str) -> str:
 
 
 def _cmd_verify(args) -> int:
-    ns = parse_n_values(args.n) if args.n else CLAIMS[args.claim].orders
+    ns = CLAIMS[args.claim].orders if args.n is None else parse_n_values(args.n)
     t0 = time.perf_counter()
     report = verify(
         args.claim,

@@ -9,11 +9,13 @@ from the centred path and steps through rooted sequences in decreasing
 lexicographic order with Beyer and Hedetniemi's successor. It skips at once
 every sequence whose root is not the chosen centre, so each tree comes out
 exactly once and no canonical search runs. The degree bound filters the
-sequences before any graph is built. _trees gives each tree as parent links;
-enumerate_trees builds a Graph from them, and verify values its tree claims
-from the links themselves, building a Graph only for a tie-window candidate.
-A tree class's canonical keys come from one canon_full call per generated
-tree.
+sequences before any graph is built. _trees gives each tree as parent links,
+and only this module reads that layout: enumerate_trees builds a Graph from
+them, _subtree_splits gives a tree's edge splits from its subtree sizes, and
+_tree_key its canonical key, from one canon_full call with no Graph built.
+verify values its tree claims with the first and keys the trees left in a
+tie window with the second. A tree class's canonical keys come from one
+_tree_key call per generated tree.
 
 Every other class comes from a walk. Each node of the walk is one class's
 representative together with generators of its automorphism group, as found
@@ -359,7 +361,20 @@ def _tree_graph(parent: list[int]) -> Graph:
     return build_graph(len(parent), ((u, v) for v, u in enumerate(parent) if v))
 
 
+def _subtree_splits(parent: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The edge splits of the tree with these parent links, numbered in
+    preorder from root 0, as (v, n_v, n_u) for the edge from each non-root v
+    to its parent u. The edge is a bridge, so n_v is the size s of v's
+    subtree and n_u = n - s; the sizes are summed in reverse preorder."""
+    n = len(parent)
+    size = [1] * n
+    for v in range(n - 1, 0, -1):
+        size[parent[v]] += size[v]
+    return [(v, size[v], n - size[v]) for v in range(1, n)]
+
+
 def _tree_key(parent: list[int]) -> str:
+    """The canonical key of the tree with these parent links."""
     n = len(parent)
     adj = [0] * n
     for v in range(1, n):

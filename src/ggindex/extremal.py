@@ -8,16 +8,19 @@ genuine tie (two graphs whose index values coincide as algebraic numbers) is
 distinguished from float noise. verify runs that fold for every check of a
 claim in one pass over the class stream, computing each class's value once
 per index the checks use. Witnesses are reported as graph6 strings of
-canonical forms, so they are directly comparable across runs and platforms;
-the canonical search runs only on candidates left in the window.
+canonical forms, so they are directly comparable across runs and platforms.
 
-The fold holds a candidate in its stream's own form and turns it into a
-Graph only when it keys it. For the tree claims that form is the parent
-links of the level-sequence generator, not a Graph: verify sums each tree's
-subtree sizes, takes the edge splits (s, n - s) from them, and gets the
-values from indices.SPLIT_SUMS, the same sums the index functions use, so
-the floats are the same bits. A tree is built only as a second window entry
-or when the result is taken.
+The fold holds each candidate in its stream's own form and keys none of
+them while the stream runs. When the result is taken it keys the window's
+candidates once each, with the stream's key function, and the result is
+keys and floats only: a window of several keys is re-ranked from graphs
+decoded from the keys. verify's streams give each class as (n, candidate,
+splits). A walk class is an enumerate_connected Graph, canonically labeled
+already, so its graph6 is its key; a tree is the parent links of the
+level-sequence generator, with the edge splits (s, n - s) from its subtree
+sizes, keyed by enumeration._tree_key. Both take their values from
+indices.SPLIT_SUMS, the sums the index functions use, so the floats are the
+same bits, and no Graph is built in the fold.
 
 CLAIMS is the table of the claims `ggindex verify` checks: for each, the
 class to scan and the predicted witnesses and values, or a closed-form row
@@ -31,7 +34,14 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .enumeration import Constraints, _tree_graph, _trees, check_bound, enumerate_connected
+from .enumeration import (
+    Constraints,
+    _subtree_splits,
+    _tree_key,
+    _trees,
+    check_bound,
+    enumerate_connected,
+)
 from .families import (
     FamilySpec,
     almost_dendrimer,
@@ -44,7 +54,7 @@ from .families import (
     path_ngg_limit,
     star,
 )
-from .graphs import Graph, canonical_form, from_graph6
+from .graphs import Graph, canonical_form, from_graph6, to_graph6
 from .indices import INDEX_FNS as _FLOAT_FN, SPLIT_SUMS, edge_splits, float_tie, gg_index
 from .radicals import RadicalSum
 
@@ -99,25 +109,20 @@ class ExtremalResult:
     total_classes: int
 
 
-def _same(g: Graph) -> Graph:
-    return g
-
-
 class _Extremum:
     """The fold behind find_extremal for one objective: the running best
-    value, the (value, candidate) pairs that float_tie it, and the class
-    count. A candidate is offered in its stream's own form, which to_graph
-    turns into a Graph: a Graph itself for graph streams, parent links for
-    trees. It is built and keyed by canonical form only when a second
-    candidate joins the window, so that isomorphic copies are kept once, and
-    when the result is taken; a lone candidate waits unbuilt under None."""
+    value, the (value, candidate) offers that float_tie it, and the class
+    count. A candidate stays in its stream's own form until the result,
+    which keys each one left in the window with key_of (canonical_form when
+    None). Isomorphic copies therefore each hold a place in the window
+    until then and share one key in the result."""
 
-    def __init__(self, objective: Objective, to_graph: Callable[[Any], Graph] = _same) -> None:
+    def __init__(self, objective: Objective, key_of: Optional[Callable[[Any], str]] = None) -> None:
         self.objective = objective
         self.want_min = objective.sense == "min"
-        self.to_graph = to_graph
+        self.key_of = key_of or canonical_form
         self.best: Optional[float] = None
-        self.window: dict[Optional[str], tuple[float, Any]] = {}
+        self.window: list[tuple[float, Any]] = []
         self.total = 0
 
     def offer(self, v: float, candidate: Any) -> None:
@@ -125,35 +130,20 @@ class _Extremum:
         best = self.best
         if best is None or (v < best if self.want_min else v > best):
             best = self.best = v
-            self.window = {
-                key: pair for key, pair in self.window.items() if float_tie(pair[0], best)
-            }
+            self.window = [pair for pair in self.window if float_tie(pair[0], best)]
         if float_tie(v, best):
-            if self.window:
-                g = self.to_graph(candidate)
-                self._keyed().setdefault(canonical_form(g), (v, g))
-            else:
-                self.window[None] = (v, candidate)
-
-    def _keyed(self) -> dict[Optional[str], tuple[float, Graph]]:
-        """The window, with the lone unbuilt candidate, if any, built and keyed."""
-        lone = self.window.pop(None, None)
-        if lone is not None:
-            g = self.to_graph(lone[1])
-            self.window[canonical_form(g)] = (lone[0], g)
-        return self.window
+            self.window.append((v, candidate))
 
     def result(self) -> ExtremalResult:
-        """Re-rank the window exactly once the stream is exhausted."""
+        """Key the window and re-rank it exactly once the stream is exhausted."""
         if self.best is None:
             raise ExtremalError("cannot take an extremum of an empty graph stream")
-        window = self._keyed()
-        witnesses = tuple(sorted(window))
-        if len(window) == 1:
+        witnesses = tuple(sorted({self.key_of(candidate) for _, candidate in self.window}))
+        if len(witnesses) == 1:
             exact_witnesses = witnesses
         else:
             index = self.objective.index
-            exact = {key: exact_index_value(pair[1], index) for key, pair in window.items()}
+            exact = {key: exact_index_value(from_graph6(key), index) for key in witnesses}
             champion: Optional[RadicalSum] = None
             for val in exact.values():
                 if champion is None:
@@ -162,7 +152,7 @@ class _Extremum:
                 c = val.compare(champion)
                 if (self.want_min and c < 0) or (not self.want_min and c > 0):
                     champion = val
-            exact_witnesses = tuple(sorted(k for k, val in exact.items() if val == champion))
+            exact_witnesses = tuple(k for k, val in exact.items() if val == champion)
 
         return ExtremalResult(
             objective=self.objective,
@@ -179,7 +169,8 @@ def find_extremal(stream: Iterable[Graph], objective: Objective) -> ExtremalResu
     Candidates that float_tie the running best are retained; once the stream
     is exhausted they are re-ranked with exact arithmetic and the
     exactly-extremal subset is reported separately. The witness sets depend
-    only on the set of graphs in the stream, not on their order.
+    only on the set of graphs in the stream, not on their order. Every tying
+    offer, isomorphic copies included, is held until the window is keyed.
     """
     fn = _FLOAT_FN[objective.index]
     fold = _Extremum(objective)
@@ -482,23 +473,6 @@ def _check_row(
     )
 
 
-def _subtree_splits(parent: Sequence[int]) -> list[tuple[int, int, int]]:
-    """The edge splits of the tree with these parent links, numbered in
-    preorder from root 0, as (v, n_v, n_u) for the edge from each non-root v
-    to its parent u. The edge is a bridge, so n_v is the size s of v's
-    subtree and n_u = n - s; the sizes are summed in reverse preorder."""
-    n = len(parent)
-    size = [1] * n
-    for v in range(n - 1, 0, -1):
-        size[parent[v]] += size[v]
-    return [(v, size[v], n - size[v]) for v in range(1, n)]
-
-
-def _tree_values(parent: Sequence[int], indices: Iterable[str]) -> dict[str, float]:
-    splits = _subtree_splits(parent)
-    return {index: SPLIT_SUMS[index](splits) for index in indices}
-
-
 def verify(
     claim: str,
     n_values: Iterable[int],
@@ -514,9 +488,9 @@ def verify(
     shards the enumeration of the graph claims; the tree claims (trees,
     conjecture3) run in one process and ignore it. They take each tree's
     parent links from the level-sequence generator, with no canonical search
-    and no Graph, and value it from its subtree sizes (_subtree_splits); only
-    candidates that the folds key become Graphs. Probe outcomes are evidence
-    at the listed orders only.
+    and no Graph, and value it from its subtree sizes (_subtree_splits); the
+    folds key only the trees left in their windows (_tree_key). Probe
+    outcomes are evidence at the listed orders only.
     """
     spec = CLAIMS.get(claim)
     if spec is None:
@@ -536,20 +510,21 @@ def verify(
         classes.setdefault(n, cons)
     indices = tuple(dict.fromkeys(check.objective.index for check in spec.checks))
     if any(cons.tree_class for cons in classes.values()):
-        to_graph: Callable[[Any], Graph] = _tree_graph
+        key_of: Callable[[Any], str] = _tree_key
         stream = (
-            (cons.n, parent, _tree_values(parent, indices))
+            (cons.n, parent, _subtree_splits(parent))
             for cons in classes.values()
             for parent in _trees(cons.n, cons.max_degree)
         )
     else:
-        to_graph = _same
+        key_of = to_graph6
         stream = (
-            (g.n, g, {index: _FLOAT_FN[index](g) for index in indices})
+            (g.n, g, edge_splits(g))
             for g in enumerate_connected(*classes.values(), max_n=max_n, workers=workers)
         )
-    folds = {n: [_Extremum(check.objective, to_graph) for check in spec.checks] for n in classes}
-    for n, candidate, values in stream:
+    folds = {n: [_Extremum(check.objective, key_of) for check in spec.checks] for n in classes}
+    for n, candidate, splits in stream:
+        values = {index: SPLIT_SUMS[index](splits) for index in indices}
         for fold in folds[n]:
             fold.offer(values[fold.objective.index], candidate)
     rows = tuple(

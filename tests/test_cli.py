@@ -61,6 +61,16 @@ def test_index_json(capsys, tmp_path):
     assert [1, 3] in [s[2:] for s in rec["splits"]]
 
 
+def test_dump_json_scalars():
+    # floats at 10 significant digits, every other scalar as json.dumps
+    # renders it, and nothing else
+    payload = {"a": [None, True, False], "b": (3, 0.1 + 0.2, "\u00e9\"")}
+    want = '{"a": [null, true, false], "b": [3, 0.3, "\\u00e9\\""]}\n'
+    assert ggindex.cli.dump_json(payload) == want
+    with pytest.raises(TypeError):
+        ggindex.cli.dump_json({"c": {1, 2}})
+
+
 def test_index_csv(capsys, p4_file):
     code, out, _ = run(capsys, "index", p4_file, "--format", "csv")
     assert code == 0
@@ -293,6 +303,7 @@ VERIFY_ERRORS = [
     ("4,12", _BIPARTITE_12_REFUSED),
     ("0,4", "error: Constraints.n must be at least 1\n"),
     ("12,0", _BIPARTITE_12_REFUSED),
+    ("", "error: no orders given in ''\n"),
 ]
 
 

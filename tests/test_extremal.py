@@ -2,13 +2,13 @@ import math
 import random
 
 import pytest
+from oracles import relabel
 
-from ggindex.enumeration import Constraints, _tree_graph, _trees, enumerate_connected
+from ggindex.enumeration import Constraints, _subtree_splits, _tree_graph, _tree_key, _trees, enumerate_connected
 from ggindex.extremal import (
     CLAIMS,
     Objective,
     _Extremum,
-    _subtree_splits,
     ExtremalError,
     asymptotic_check,
     crossover_pattern_ok,
@@ -88,17 +88,21 @@ def test_find_extremal_exact_tie():
 
 
 def test_find_extremal_order_invariance():
+    # the witnesses depend only on the classes in the stream: a shuffled
+    # pool with a relabeled copy of every class reports each class once,
+    # and every offer, copies included, counts toward total_classes
     pool = list(enumerate_connected(Constraints(5)))
     rng = random.Random(7)
     for objective in (Objective("min", "ngg"), Objective("max", "gg")):
         baseline = find_extremal(pool, objective)
         for _ in range(5):
-            shuffled = pool[:]
+            shuffled = pool + [relabel(g, rng.sample(range(g.n), g.n)) for g in pool]
             rng.shuffle(shuffled)
             again = find_extremal(shuffled, objective)
             assert again.witnesses == baseline.witnesses
             assert again.exact_witnesses == baseline.exact_witnesses
             assert again.value == pytest.approx(baseline.value, abs=1e-12)
+            assert again.total_classes == 2 * baseline.total_classes == 2 * len(pool)
 
 
 def test_verify_max_bipartite_small():
@@ -126,60 +130,61 @@ def test_verify_tree_extremals_small():
         assert row.exact_witnesses == (canonical_form(want),)
 
 
+def _counting(fn, calls: list):
+    """fn, appending its first argument to calls on every call."""
+
+    def counted(arg):
+        calls.append(arg)
+        return fn(arg)
+
+    return counted
+
+
 def test_verify_canonicalizes_only_the_expected_graphs(monkeypatch):
-    # trees come unkeyed; canonical_form runs once per expected witness,
-    # once per candidate left in a window (one tree a row here), and on the
-    # two 7-vertex trees that share the running maximum GG, with equal edge
-    # splits, until the star displaces them
+    # trees come unkeyed: canonical_form runs once per expected witness, and
+    # the folds key each tree left in a window once, when the result is
+    # taken, not the two 7-vertex trees that share the running maximum GG
+    # until the star displaces them
     from ggindex import extremal
 
-    real = extremal.canonical_form
-    calls = []
-
-    def counted(g):
-        calls.append(g)
-        return real(g)
-
-    monkeypatch.setattr(extremal, "canonical_form", counted)
+    forms, tree_keys = [], []
+    monkeypatch.setattr(extremal, "canonical_form", _counting(extremal.canonical_form, forms))
+    monkeypatch.setattr(extremal, "_tree_key", _counting(extremal._tree_key, tree_keys))
     report = verify("trees", range(4, 9))
     assert report.passed
     assert len(report.rows) == 10
-    assert all(len(row.witnesses) == 1 for row in report.rows)
-    assert len(calls) == len(report.rows) + sum(len(row.witnesses) for row in report.rows) + 2
+    assert len(forms) == sum(len(row.expected) for row in report.rows) == 10
+    assert len(tree_keys) == sum(len(row.witnesses) for row in report.rows) == 10
 
 
 def test_window_keys_isomorphic_copies_once(monkeypatch):
-    # a lone candidate is not keyed until the result; a second one keys both,
-    # and an isomorphic copy joins under its class's key, not as a new entry
+    # nothing is keyed while the stream runs; the result keys each copy in
+    # the window, and two isomorphic copies are one witness
     from ggindex import extremal
 
-    real = extremal.canonical_form
     calls = []
-
-    def counted(g):
-        calls.append(g)
-        return real(g)
-
-    monkeypatch.setattr(extremal, "canonical_form", counted)
+    monkeypatch.setattr(extremal, "canonical_form", _counting(extremal.canonical_form, calls))
     p, relabeled = path(5), build_graph(5, [(0, 4), (4, 1), (1, 3), (3, 2)])
     fold = _Extremum(Objective("min", "gg"))
     fold.offer(gg_index(p), p)
-    assert calls == []
     fold.offer(gg_index(relabeled), relabeled)
-    assert len(calls) == 2
+    assert calls == []
     res = fold.result()
+    assert len(calls) == 2
     assert res.witnesses == res.exact_witnesses == (canonical_form(p),)
     assert res.total_classes == 2
 
 
 @pytest.mark.parametrize("max_degree", [None, 3])
 def test_subtree_splits_are_the_split_pass(max_degree):
-    # verify values trees from their parent links: the subtree-size splits
-    # are the split pass's on the built tree, edge by edge, and the split
-    # sums give the index functions' floats exactly
+    # verify values and keys trees from their parent links: the subtree-size
+    # splits are the split pass's on the built tree, edge by edge, the split
+    # sums give the index functions' floats exactly, and the tree key is the
+    # built tree's canonical form
     for n in range(2, 13):
         for parent in _trees(n, max_degree):
             g = _tree_graph(parent)
+            assert _tree_key(parent) == canonical_form(g)
             splits = _subtree_splits(parent)
             sides = sorted(sorted(split[1:]) for split in edge_splits(g))
             assert sorted(sorted(split[1:]) for split in splits) == sides
@@ -190,73 +195,52 @@ def test_subtree_splits_are_the_split_pass(max_degree):
 
 
 def test_tree_claims_use_only_split_sums():
-    tree_claims = [
-        name
-        for name, claim in CLAIMS.items()
-        if claim.graph_class is not None and claim.graph_class(6, 3).tree_class
-    ]
+    # verify values every exhaustive claim, trees included, from its splits
+    exhaustive = [name for name, claim in CLAIMS.items() if claim.graph_class is not None]
+    tree_claims = [name for name in exhaustive if CLAIMS[name].graph_class(6, 3).tree_class]
     assert tree_claims == ["trees", "conjecture3"]
-    for name in tree_claims:
+    for name in exhaustive:
         for check in CLAIMS[name].checks:
             assert check.objective.index in SPLIT_SUMS
 
 
-def _count_calls(monkeypatch):
-    """Lists of the Graphs constructed and of the graphs extremal keys."""
-    from ggindex import extremal
-
-    built, keyed = [], []
-    real_init, real_key = Graph.__post_init__, extremal.canonical_form
-
-    def counted_init(g):
-        built.append(g)
-        real_init(g)
-
-    def counted_key(g):
-        keyed.append(g)
-        return real_key(g)
-
-    monkeypatch.setattr(Graph, "__post_init__", counted_init)
-    monkeypatch.setattr(extremal, "canonical_form", counted_key)
-    return built, keyed
-
-
 @pytest.mark.parametrize(
     "claim, orders, builds",
-    [("trees", range(4, 11), 48), ("conjecture3", range(6, 12), 20)],
+    [("trees", range(4, 11), 28), ("conjecture3", range(6, 12), 6)],
 )
-def test_tree_claims_build_only_keyed_candidates(monkeypatch, claim, orders, builds):
-    # a tree becomes a Graph only as an expected witness, a closed-form
-    # value, or a fold candidate that is keyed (a second window entry, or
-    # the result); a Graph per tree would be hundreds more
-    built, keyed = _count_calls(monkeypatch)
+def test_tree_claims_build_no_graph_in_the_fold(monkeypatch, claim, orders, builds):
+    # a Graph is built only for an expected witness or a closed-form value:
+    # the folds value and key each tree from its parent links, and a Graph
+    # per tree would be hundreds more
+    built = []
+    monkeypatch.setattr(Graph, "__post_init__", _counting(Graph.__post_init__, built))
     report = verify(claim, orders, max_degree=3)
     assert report.passed
     expected = sum(len(row.expected) for row in report.rows)
     values = len(orders) * sum(c.value is not None for c in CLAIMS[claim].checks)
-    window_entries = len(keyed) - expected
-    assert len(built) == expected + values + window_entries == builds
+    assert len(built) == expected + values == builds
     assert builds < sum(row.classes for row in report.rows) / 2
 
 
 def test_deferred_tree_candidates_keep_their_own_order(monkeypatch):
     # the folds of order 7 take all their trees before those of order 5;
-    # a lone candidate is built in result(), from its own parent links
+    # every fold keys its window in result(), from its own parent links
     from ggindex import extremal
 
-    built, _ = _count_calls(monkeypatch)
-    in_result = []
+    keyed, in_result = [], []
+    monkeypatch.setattr(extremal, "_tree_key", _counting(extremal._tree_key, keyed))
     real_result = extremal._Extremum.result
 
     def result(fold):
-        before = len(built)
+        before = len(keyed)
         res = real_result(fold)
-        in_result.extend(g.n for g in built[before:])
+        in_result.extend(len(parent) for parent in keyed[before:])
         return res
 
     monkeypatch.setattr(extremal._Extremum, "result", result)
     report = verify("trees", [7, 5, 7])
     assert report.passed
+    assert len(in_result) == len(keyed)
     assert sorted(set(in_result)) == [5, 7]
     monkeypatch.undo()
     assert report.rows == tuple(row for n in (7, 5, 7) for row in verify("trees", [n]).rows)
