@@ -66,29 +66,32 @@ Canonical positions ascend with degree: the root refinement numbers its
 cells by degree first, and the search only splits cells in place, so the
 canonically last vertex of degree d sits at position #{v : deg v <= d} - 1,
 in the last root cell among the vertices of degree d. canon_full(n, adj,
-last=v) returns None unless v is in that vertex's orbit for d = deg v:
-without searching when v is outside that cell (an automorphism keeps every
-vertex in its root cell), otherwise once the search has found the orbits.
-The root refinement stops with that verdict after the first round in which
-the cell after v's cell holds vertices of degree d: cells only split in
-place, so v cannot get back into the last cell of its degree.
+last=v) returns None unless v is in that vertex's orbit for d = deg v, and
+the root coloring decides that verdict before any search where it can:
+
+  * v outside that cell: reject, since an automorphism keeps every vertex
+    in its root cell. The root refinement stops with this verdict after the
+    first round in which the cell after v's cell holds vertices of degree d:
+    cells only split in place, so v cannot get back into the last cell of
+    its degree;
+  * the cell is {v}, or holds only twins of v: accept. The canonically last
+    vertex of degree d is in the cell, and swapping v with a twin is an
+    automorphism, so the cell is one orbit;
+  * otherwise the search runs, and its orbits give the verdict.
+
+canon_full returns its result unsearched where the verdict needed no
+search: CanonResult runs the search from the stored root coloring the first
+time its key, labeling, orbits or generators are read, and only once. The
+enumerator reads the generators of every inner level's class, but a last
+level's class is searched only where its verdict or its key needs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bitset import iter_bits
 from .formats import graph6_from_bits, upper_triangle_bits
-
-
-@dataclass(frozen=True)
-class CanonResult:
-    key: str                   # graph6 of the canonically relabeled graph
-    labeling: tuple[int, ...]  # canonical position -> original vertex
-    orbits: tuple[int, ...]    # orbit id (smallest member) per vertex
-    generators: tuple[tuple[int, ...], ...]  # automorphisms that generate Aut
 
 
 def _refine(
@@ -180,22 +183,13 @@ def _orbit_union(
     return find, join
 
 
-def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResult]:
-    """Canonical key, labeling, orbits and automorphism generators of a graph.
+# what the search finds: key, labeling, orbits, generators
+Found = tuple[str, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
 
-    With last given, return None unless vertex last is in the orbit of the
-    canonically last vertex of its degree (see the module docstring).
-    """
-    if n < 1:
-        raise ValueError("canonical form needs at least one vertex")
-    if n == 1:
-        return CanonResult(graph6_from_bits(1, ""), (0,), (0,), ())
 
-    neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
-    root = _refine(n, neigh, [0] * n, last)
-    if root is None:
-        return None
-
+def _search(n: int, adj, neigh: list[tuple[int, ...]], root: list[int]) -> Found:
+    """The key, labeling, orbits and generators the search finds below the
+    root coloring root."""
     # twin[v] is the smallest vertex with v's open (adj[v]) or closed
     # (adj[v] | 1 << v) neighborhood; no open key equals a closed key, so one
     # dict groups both, and swapping a vertex with its twin is an automorphism
@@ -272,14 +266,94 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
     find, join = _orbit_union(n)
     join(gens)
     orbits = tuple(find(v) for v in range(n))
-    if last is not None:
-        position = sum(len(nb) <= len(neigh[last]) for nb in neigh) - 1
-        if orbits[last] != orbits[best_lab[position]]:
-            return None
+    return graph6_from_bits(n, best_bits), best_lab, orbits, tuple(gens)
 
-    return CanonResult(
-        key=graph6_from_bits(n, best_bits),
-        labeling=best_lab,
-        orbits=orbits,
-        generators=tuple(gens),
-    )
+
+class CanonResult:
+    """A graph's canonical key, labeling, orbits and automorphism generators.
+
+    canon_full stores the graph with its root coloring, and the search runs
+    from there the first time any of the four is read, once. A caller that
+    needs only canon_full's verdict (last=) pays for no search when the root
+    coloring decides it. Two results are equal when their four fields are.
+    """
+
+    __slots__ = ("_graph", "_found")
+
+    def __init__(self, n: int, adj, neigh: list[tuple[int, ...]], root: list[int]) -> None:
+        self._graph: Optional[tuple] = (n, adj, neigh, root)
+        self._found: Optional[Found] = None
+
+    def _searched(self) -> Found:
+        if self._found is None:
+            self._found = _search(*self._graph)
+            self._graph = None
+        return self._found
+
+    @property
+    def key(self) -> str:
+        """graph6 of the canonically relabeled graph."""
+        return self._searched()[0]
+
+    @property
+    def labeling(self) -> tuple[int, ...]:
+        """Canonical position -> original vertex."""
+        return self._searched()[1]
+
+    @property
+    def orbits(self) -> tuple[int, ...]:
+        """Orbit id (smallest member) per vertex."""
+        return self._searched()[2]
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """Automorphisms that generate Aut."""
+        return self._searched()[3]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CanonResult):
+            return NotImplemented
+        return self._searched() == other._searched()
+
+    __hash__ = None  # equality reads the search, so a result is no dict key
+
+    def __repr__(self) -> str:
+        key, labeling, orbits, generators = self._searched()
+        return (
+            f"CanonResult(key={key!r}, labeling={labeling!r}, orbits={orbits!r},"
+            f" generators={generators!r})"
+        )
+
+
+def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResult]:
+    """Canonical key, labeling, orbits and automorphism generators of a graph,
+    searched for when first read (CanonResult), so adj must not change until
+    then.
+
+    With last given, return None unless vertex last is in the orbit of the
+    canonically last vertex of its degree. The root coloring decides that
+    verdict unless last's root cell holds a vertex that is not its twin; only
+    then does the search run here (see the module docstring).
+    """
+    if n < 1:
+        raise ValueError("canonical form needs at least one vertex")
+    neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
+    root = _refine(n, neigh, [0] * n, last)
+    if root is None:
+        return None
+
+    result = CanonResult(n, adj, neigh, root)
+    if last is not None:
+        # last's root cell is one orbit if it holds only twins of last
+        cell = root[last]
+        hood = adj[last]
+        closed = hood | 1 << last
+        if any(
+            c == cell and adj[v] != hood and adj[v] | 1 << v != closed
+            for v, c in enumerate(root)
+        ):
+            position = sum(len(nb) <= len(neigh[last]) for nb in neigh) - 1
+            orbits = result.orbits
+            if orbits[last] != orbits[result.labeling[position]]:
+                return None
+    return result

@@ -23,7 +23,7 @@ import sys
 import time
 from typing import Iterable, Optional, Sequence
 
-from .enumeration import Constraints, enumerate_connected
+from .enumeration import Constraints, enumerate_keys
 from .extremal import (
     CLAIMS,
     AsymptoticRow,
@@ -238,8 +238,7 @@ def _cmd_enumerate(args) -> int:
         max_degree=args.max_degree,
         cyclomatic=0 if args.trees else args.cyclomatic,
     )
-    stream = enumerate_connected(cons, max_n=args.max_n, workers=args.workers)
-    lines = [to_graph6(g) for g in stream]
+    lines = list(enumerate_keys(cons, max_n=args.max_n, workers=args.workers))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.writelines(line + "\n" for line in lines)

@@ -18,8 +18,11 @@ tie window with the second. A tree class's canonical keys come from one
 _tree_key call per generated tree.
 
 Every other class comes from a walk. Each node of the walk is one class's
-representative together with generators of its automorphism group, as found
-by the canonical search that keyed it. A parent's automorphism maps one
+representative, as adjacency masks, together with its canon_full result. A
+node's children are tried with the generators of its automorphism group,
+which its search finds. A node of the largest order is never expanded, so
+it is searched only if its canonical-deletion test needed that or a caller
+reads its key (see canon). A parent's automorphism maps one
 admissible neighborhood of the new vertex onto another that gives an
 isomorphic child, so only the first neighborhood of each orbit of the
 parent's group is tried (McKay, "Isomorph-free exhaustive generation",
@@ -61,14 +64,19 @@ depth two below the largest order are dealt round-robin, and shard res
 descends into every mod-th of them. A tree shard keys every mod-th tree of
 each order. Shards are deterministic, disjoint and together cover every
 class, so a run over several processes maps them over one pool and merges
-their keys. Emission is sorted by canonical form within each order, so
-output order is a function of the constraint sets alone; worker count
-changes wall time, never bytes.
+what they find. enumerate_keys sorts the keys within each order, so its
+output order is a function of the constraint sets alone, and
+enumerate_connected decodes those keys; worker count changes wall time,
+never bytes. verify takes the walk's classes unkeyed and unsorted instead
+(_walk_splits): adjacency masks in walk order, with the edge splits read off
+them. Its folds key only the classes left in a tie window, and its witness
+sets do not depend on the order.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, islice
@@ -76,8 +84,8 @@ from typing import Iterator, Optional, Sequence
 
 from . import canon as _canon
 from .bitset import bipartition, components, iter_bits, mask_of, reach
-from .formats import graph6_from_bits
 from .graphs import Graph, build_graph, from_graph6
+from .indices import EdgeSplit, split_pass
 
 ENV_MAX_N = "GGINDEX_MAX_N"
 
@@ -208,21 +216,21 @@ def _orbit_representatives(options: list[int], generators) -> list[int]:
     return reps
 
 
-Entry = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (masks, generators)
+Child = tuple[tuple[int, ...], _canon.CanonResult]  # (masks, canonical search)
+Walked = tuple[int, tuple[int, ...], tuple[EdgeSplit, ...]]  # (n, masks, splits)
 
-_K1 = graph6_from_bits(1, "")  # the key of the one-vertex graph
 
-
-def _expand_parent(masks, generators, cons: Constraints, final: bool) -> dict[str, Entry]:
+def _expand_parent(masks, generators, cons: Constraints, final: bool) -> list[Child]:
     """Children of one parent class that pass the canonical-deletion test, one
-    per class, each with the automorphism generators of its representative.
-    generators generate the parent's automorphism group; an automorphism maps
-    a neighborhood to one giving an isomorphic child, so one neighborhood per
-    orbit is tried."""
+    per class, each with its canon_full result: the search behind it runs when
+    a caller first reads the result, and a last level's child whose root
+    coloring decided the test has not been searched. generators generate the
+    parent's automorphism group; an automorphism maps a neighborhood to one
+    giving an isomorphic child, so one neighborhood per orbit is tried."""
     k = len(masks)
     m_parent = sum(x.bit_count() for x in masks) // 2
     target_r = cons.cyclomatic
-    out: dict[str, Entry] = {}
+    out: list[Child] = []
     for s in _orbit_representatives(_neighborhood_options(masks, cons, final), generators):
         child = list(masks)
         child.append(s)
@@ -238,9 +246,10 @@ def _expand_parent(masks, generators, cons: Constraints, final: bool) -> dict[st
         deg = s.bit_count()
         if any(x.bit_count() > deg for x in child):
             continue
+        child = tuple(child)
         res = _canon.canon_full(k + 1, child, last=k)
         if res is not None:
-            out[res.key] = (tuple(child), res.generators)
+            out.append((child, res))
     return out
 
 
@@ -255,39 +264,82 @@ def _emitted(masks, cons: Constraints) -> bool:
     return r is None or sum(x.bit_count() for x in masks) // 2 - k + 1 == r
 
 
-def _walk(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[str]]:
-    """Unsorted canonical keys of the classes of each order in orders that
-    shard res of mod finds, cons naming a class other than trees. The walk is
-    depth-first from K1 up to the largest order. The nodes at the split depth
-    are dealt round-robin in walk order, and shard res descends only into
-    those whose index is res mod mod. Every shard walks the nodes above that
-    depth, so all deal the same sequence, but only shard 0 emits them."""
+def _walk(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> Iterator[Child]:
+    """The classes of each order in orders that shard res of mod finds, cons
+    naming a class other than trees, as (masks, canon_full result) in walk
+    order. The walk is depth-first from K1 up to the largest order. The nodes
+    at the split depth are dealt round-robin in walk order, and shard res
+    descends only into those whose index is res mod mod. Every shard walks
+    the nodes above that depth, so all deal the same sequence, but only
+    shard 0 emits them. A class of the largest order is searched only if
+    its canonical-deletion test needed it or the caller reads its result."""
     if cons.tree_class:
         # with no tree rule left, cyclomatic number 0 would prune nothing
         # and the walk would grow every graph
         raise ValueError("trees come from level sequences, not from the walk")
     top = max(orders)
     split = max(1, top - 2)
-    keys: dict[int, list[str]] = {k: [] for k in orders}
-    dealt = 0
 
-    def visit(key: str, masks, generators) -> None:
-        nonlocal dealt
-        k = len(masks)
-        if k == split:
-            mine = dealt % mod == res
-            dealt += 1
-            if not mine:
-                return
-        if k in keys and (k >= split or res == 0) and _emitted(masks, cons):
-            keys[k].append(key)
-        if k < top:
-            children = _expand_parent(masks, generators, cons, k == top - 1)
-            for child_key, (child, child_generators) in children.items():
-                visit(child_key, child, child_generators)
+    def descend() -> Iterator[Child]:
+        dealt = 0
+        stack = [((0,), _canon.canon_full(1, (0,)))]
+        while stack:
+            masks, result = stack.pop()
+            k = len(masks)
+            if k == split:
+                mine = dealt % mod == res
+                dealt += 1
+                if not mine:
+                    continue
+            if k in orders and (k >= split or res == 0) and _emitted(masks, cons):
+                yield masks, result
+            if k < top:
+                children = _expand_parent(masks, result.generators, cons, k == top - 1)
+                stack.extend(reversed(children))
 
-    visit(_K1, (0,), ())
-    return keys
+    return descend()
+
+
+def _edges(masks) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, of the graph with these adjacency masks, sorted."""
+    return [(u, v) for u, m in enumerate(masks) for v in iter_bits(m >> u + 1 << u + 1)]
+
+
+def _with_splits(walk: Iterator[Child]) -> Iterator[Walked]:
+    """The walk's classes as (n, masks, splits), the splits in _edges order."""
+    for masks, _ in walk:
+        yield len(masks), masks, split_pass(len(masks), _edges(masks))
+
+
+def _packed_splits(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> array:
+    """Shard res of mod of the walk's classes with their splits, packed for a
+    worker to send back: per class n, its n masks, then (n_u, n_v) for each
+    edge of _edges(masks)."""
+    packed = array("I")
+    for n, masks, splits in _with_splits(_walk(cons, orders, res, mod)):
+        packed.append(n)
+        packed.extend(masks)
+        for split in splits:
+            packed.extend(split[1:])
+    return packed
+
+
+def _unpacked(packed: array) -> Iterator[Walked]:
+    """The classes _packed_splits packed, as _with_splits gives them."""
+    i = 0
+    while i < len(packed):
+        n = packed[i]
+        masks = tuple(packed[i + 1:i + 1 + n])
+        i += 1 + n
+        edges = _edges(masks)
+        sides = packed[i:i + 2 * len(edges)]
+        i += len(sides)
+        yield n, masks, tuple(map(EdgeSplit, edges, sides[::2], sides[1::2]))
+
+
+def _masks_key(masks) -> str:
+    """The canonical key of the graph with these adjacency masks."""
+    return _canon.canon_full(len(masks), masks).key
 
 
 # ------------------------------------------------------------------ trees ----
@@ -381,7 +433,7 @@ def _tree_key(parent: list[int]) -> str:
         u = parent[v]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return _canon.canon_full(n, adj).key
+    return _masks_key(adj)
 
 
 def _tree_keys(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[str]]:
@@ -394,28 +446,60 @@ def _tree_keys(cons: Constraints, orders: frozenset[int], res: int, mod: int) ->
 
 
 def _shard(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[str]]:
-    """Shard res of mod of the keys of cons's class at each order in orders."""
-    return (_tree_keys if cons.tree_class else _walk)(cons, orders, res, mod)
+    """Shard res of mod of the keys of cons's class at each order in orders,
+    unsorted."""
+    if cons.tree_class:
+        return _tree_keys(cons, orders, res, mod)
+    keys: dict[int, list[str]] = {k: [] for k in orders}
+    for masks, result in _walk(cons, orders, res, mod):
+        keys[len(masks)].append(result.key)
+    return keys
 
 
-def _sorted_keys(conses: Sequence[Constraints], workers: int = 1) -> list[list[str]]:
-    """Sorted canonical keys of every class matching each of conses, which
-    must differ only in n, from one shard per process: at most workers, and
-    at most the CPU count."""
-    if not conses:
-        return []
+def _shard_count(workers: int) -> int:
+    """How many shards a run with this many workers cuts its classes into:
+    at most workers, and at most the CPU count."""
+    return min(workers, os.cpu_count() or 1)
+
+
+def _map_shards(fn, conses: Sequence[Constraints], mod: int) -> list:
+    """fn(cons, orders, res, mod) for every shard res of mod of one walk that
+    serves conses, which must differ only in n; each shard runs in its own
+    process unless mod is 1."""
     if len({replace(c, n=1) for c in conses}) > 1:
         raise ValueError("one walk serves constraints that differ only in n")
     cons = conses[0]
     orders = frozenset(c.n for c in conses)
-    mod = min(workers, os.cpu_count() or 1)
     if mod == 1:
-        shards = [_shard(cons, orders, 0, 1)]
-    else:
-        with ProcessPoolExecutor(max_workers=mod) as pool:
-            shards = list(pool.map(_shard, [cons] * mod, [orders] * mod, range(mod), [mod] * mod))
-    keys = {k: sorted(key for shard in shards for key in shard[k]) for k in orders}
+        return [fn(cons, orders, 0, 1)]
+    with ProcessPoolExecutor(max_workers=mod) as pool:
+        return list(pool.map(fn, [cons] * mod, [orders] * mod, range(mod), [mod] * mod))
+
+
+def _sorted_keys(conses: Sequence[Constraints], workers: int = 1) -> list[list[str]]:
+    """Sorted canonical keys of every class matching each of conses, which
+    must differ only in n, from one shard per process (_shard_count)."""
+    if not conses:
+        return []
+    shards = _map_shards(_shard, conses, _shard_count(workers))
+    keys = {k: sorted(key for shard in shards for key in shard[k]) for k in shards[0]}
     return [keys[c.n] for c in conses]
+
+
+def _walk_splits(conses: Sequence[Constraints], workers: int = 1) -> Iterator[Walked]:
+    """Every class matching one of conses, which must name one class other
+    than trees at orders that differ only in n, as (n, masks, splits) in walk
+    order: the walk's adjacency masks, in no canonical labeling, and the edge
+    splits read off them. No class is keyed, decoded or built as a Graph.
+    In one shard the classes stream as the walk finds them; with several
+    (_shard_count), each shard's process packs its own into an array, a few
+    bytes per mask and split."""
+    mod = _shard_count(workers)
+    if mod == 1:
+        (walk,) = _map_shards(_walk, conses, 1)
+        return _with_splits(walk)
+    shards = _map_shards(_packed_splits, conses, mod)
+    return (item for packed in shards for item in _unpacked(packed))
 
 
 def check_bound(cons: Constraints, max_n: Optional[int] = None) -> None:
@@ -435,25 +519,37 @@ def check_bound(cons: Constraints, max_n: Optional[int] = None) -> None:
         raise EnumerationBoundError(cons.n, max_n, cons.describe())
 
 
-def enumerate_connected(
+def enumerate_keys(
     *cons: Constraints,
     max_n: Optional[int] = None,
     workers: int = 1,
-) -> Iterator[Graph]:
-    """One Graph per isomorphism class matching cons, in canonical-form order.
+) -> Iterator[str]:
+    """The canonical key of every isomorphism class matching cons, in sorted
+    order within each order.
 
     Given several constraint sets that differ only in n, one walk (for
     trees, one generator run per order) serves them all, and the stream
     holds the classes of each in turn, in the order given. Every order cap
     is checked (see check_bound), in that order, when the function is
-    called. Emitted graphs carry their canonical labeling, so to_graph6 of
-    the k-th graph of an order is exactly the k-th key in that order's sort
-    order. Trees are keyed with one canonical search each, and workers shard
+    called. Trees are keyed with one canonical search each, and workers shard
     that keying.
     """
     for c in cons:
         check_bound(c, max_n)
-    return (from_graph6(key) for keys in _sorted_keys(cons, workers) for key in keys)
+    return (key for keys in _sorted_keys(cons, workers) for key in keys)
+
+
+def enumerate_connected(
+    *cons: Constraints,
+    max_n: Optional[int] = None,
+    workers: int = 1,
+) -> Iterator[Graph]:
+    """One Graph per isomorphism class matching cons, in canonical-form order:
+    enumerate_keys's keys, each decoded. Emitted graphs carry their canonical
+    labeling, so to_graph6 of the k-th graph of an order is exactly the k-th
+    key in that order's sort order.
+    """
+    return map(from_graph6, enumerate_keys(*cons, max_n=max_n, workers=workers))
 
 
 def enumerate_trees(

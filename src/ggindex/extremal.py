@@ -15,12 +15,14 @@ them while the stream runs. When the result is taken it keys the window's
 candidates once each, with the stream's key function, and the result is
 keys and floats only: a window of several keys is re-ranked from graphs
 decoded from the keys. verify's streams give each class as (n, candidate,
-splits). A walk class is an enumerate_connected Graph, canonically labeled
-already, so its graph6 is its key; a tree is the parent links of the
-level-sequence generator, with the edge splits (s, n - s) from its subtree
-sizes, keyed by enumeration._tree_key. Both take their values from
-indices.SPLIT_SUMS, the sums the index functions use, so the floats are the
-same bits, and no Graph is built in the fold.
+splits). A walk class is the adjacency masks the walk holds, in no
+canonical labeling, with indices.split_pass's splits read off them, keyed
+by enumeration._masks_key; a tree is the parent links of the level-sequence
+generator, with the edge splits (s, n - s) from its subtree sizes, keyed by
+enumeration._tree_key. Both take their values from indices.SPLIT_SUMS, the
+sums the index functions use. math.fsum rounds the exact sum of the terms,
+so the floats are the same bits in any labeling, and the fold builds no
+Graph and decodes no key.
 
 CLAIMS is the table of the claims `ggindex verify` checks: for each, the
 class to scan and the predicted witnesses and values, or a closed-form row
@@ -36,11 +38,12 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .enumeration import (
     Constraints,
+    _masks_key,
     _subtree_splits,
     _tree_key,
     _trees,
+    _walk_splits,
     check_bound,
-    enumerate_connected,
 )
 from .families import (
     FamilySpec,
@@ -54,7 +57,7 @@ from .families import (
     path_ngg_limit,
     star,
 )
-from .graphs import Graph, canonical_form, from_graph6, to_graph6
+from .graphs import Graph, canonical_form, from_graph6
 from .indices import INDEX_FNS as _FLOAT_FN, SPLIT_SUMS, edge_splits, float_tie, gg_index
 from .radicals import RadicalSum
 
@@ -485,12 +488,15 @@ def verify(
 
     max_degree is the degree bound of the conjecture probes; the theorem
     claims ignore it. max_n caps the orders as in check_bound. workers
-    shards the enumeration of the graph claims; the tree claims (trees,
-    conjecture3) run in one process and ignore it. They take each tree's
-    parent links from the level-sequence generator, with no canonical search
-    and no Graph, and value it from its subtree sizes (_subtree_splits); the
-    folds key only the trees left in their windows (_tree_key). Probe
-    outcomes are evidence at the listed orders only.
+    shards the walk of the graph claims, which take its classes unsorted, as
+    adjacency masks with their splits (_walk_splits); a class of the largest
+    order is searched only where its canonical-deletion test needs it. The
+    tree claims (trees, conjecture3) run in one process and ignore workers.
+    They take each tree's parent links from the level-sequence generator,
+    with no canonical search and no Graph, and value it from its subtree
+    sizes (_subtree_splits). The folds key only the classes left in their
+    windows (_masks_key, _tree_key). Probe outcomes are evidence at the
+    listed orders only.
     """
     spec = CLAIMS.get(claim)
     if spec is None:
@@ -517,11 +523,8 @@ def verify(
             for parent in _trees(cons.n, cons.max_degree)
         )
     else:
-        key_of = to_graph6
-        stream = (
-            (g.n, g, edge_splits(g))
-            for g in enumerate_connected(*classes.values(), max_n=max_n, workers=workers)
-        )
+        key_of = _masks_key
+        stream = _walk_splits(list(classes.values()), workers)
     folds = {n: [_Extremum(check.objective, key_of) for check in spec.checks] for n in classes}
     for n, candidate, splits in stream:
         values = {index: SPLIT_SUMS[index](splits) for index in indices}

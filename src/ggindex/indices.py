@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from operator import add, or_
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph
 
@@ -47,7 +47,14 @@ class EdgeSplit(NamedTuple):
 
 
 def edge_splits(g: Graph) -> tuple[EdgeSplit, ...]:
-    """Closer-vertex counts (n_u, n_v) for every edge, in edge order.
+    """Closer-vertex counts (n_u, n_v) for every edge, in edge order, from
+    one split pass (split_pass)."""
+    return split_pass(g.n, g.edges)
+
+
+def split_pass(n: int, edges: Sequence[tuple[int, int]]) -> tuple[EdgeSplit, ...]:
+    """Closer-vertex counts (n_u, n_v) for every edge of the connected graph
+    on vertices 0..n-1 with these edges, in the order given.
 
     One bit-parallel pass runs all n breadth-first searches together:
     ball[u] is the bitmask of the vertices within distance k of u, and ORing
@@ -77,7 +84,6 @@ def edge_splits(g: Graph) -> tuple[EdgeSplit, ...]:
     Cost: O(n + m) for the peel, plus O(m_core * diameter_core) operations
     on n-bit masks, with 2 n_core masks in memory.
     """
-    n, edges = g.n, g.edges
     # deg[v] counts v's unpeeled edges and incident[v] XORs their indices,
     # so a leaf's one remaining edge is incident[x]; peeled vertices end at 0
     deg = [0] * n

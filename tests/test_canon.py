@@ -186,6 +186,77 @@ def test_last_outside_the_last_root_cell_is_rejected_before_the_search(graph):
                 assert canon_full(n, adj, last=v) is None
 
 
+def _circulant_unions(rng, n_max=12):
+    """A disjoint union of 1-3 circulants with one jump set, vertices
+    shuffled, at most n_max vertices. Components of equal degree leave the
+    refinement one root cell, which may hold several orbits."""
+    jumps = rng.sample(range(1, 4), rng.randint(1, 3))
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(3, 8)
+        if n + size > n_max:
+            break
+        edges += [(n + i, n + (i + j) % size) for i in range(size) for j in jumps if 2 * j <= size]
+        n += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return n, _relabel(n, _edges_to_masks(n, edges), perm)
+
+
+@st.composite
+def _verdict_graphs(draw):
+    # random graphs of every density, twin-rich blow-ups and unions of
+    # circulants, up to 12 vertices
+    kind = draw(st.sampled_from(("random", "blowup", "circulants")))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        n = draw(st.integers(1, 12))
+        return n, _random_masks(rng, n, draw(st.floats(0.0, 1.0)))
+    if kind == "blowup":
+        return next((n, adj) for n, adj in _blowups(rng) if n <= 12)
+    return _circulant_unions(rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_verdict_graphs())
+def test_the_verdict_without_a_search_is_the_searched_verdict(graph):
+    # with every vertex v as last: canon_full(last=v) searches only when v is
+    # in the last root cell of its degree and that cell holds a vertex that
+    # is not v's twin. Its verdict, searched or not, is the full search's:
+    # v is in the orbit of labeling[#{u : deg u <= deg v} - 1]
+    n, adj = graph
+    degrees = [x.bit_count() for x in adj]
+    plain = canon_full(n, adj)
+    verdicts = [
+        plain.orbits[v] == plain.orbits[plain.labeling[sum(d <= degrees[v] for d in degrees) - 1]]
+        for v in range(n)
+    ]
+    neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
+    root = _refine(n, neigh, [0] * n)
+    searches = []
+    search = canon._search
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canon, "_search", counted)
+        for v in range(n):
+            last_cell = root[v] == max(root[u] for u in range(n) if degrees[u] == degrees[v])
+            twins_only = all(
+                adj[u] == adj[v] or adj[u] | 1 << u == adj[v] | 1 << v
+                for u in range(n)
+                if root[u] == root[v]
+            )
+            searches.clear()
+            got = canon_full(n, adj, last=v)
+            assert bool(searches) == (last_cell and not twins_only)
+            assert (got is not None) == verdicts[v]
+            if got is not None:
+                assert got == plain
+
+
 def _refine_by_rounds(n, neigh, colors):
     """The reference refinement: every round ranks every vertex by (color,
     sorted neighbor colors) until nothing changes. _refine must return the
@@ -609,5 +680,5 @@ def test_twin_only_root_is_the_only_leaf(monkeypatch, name, n, edges):
         return upper_triangle_bits(*args)
 
     monkeypatch.setattr(canon, "upper_triangle_bits", counting)
-    canon_full(n, _edges_to_masks(n, edges))
+    canon_full(n, _edges_to_masks(n, edges)).key  # the search runs when a field is read
     assert len(calls) == 1

@@ -13,6 +13,7 @@ from ggindex.enumeration import (
     _neighborhood_options,
     check_bound,
     enumerate_connected,
+    enumerate_keys,
     enumerate_trees,
 )
 from ggindex.extremal import verify
@@ -336,17 +337,19 @@ def test_degree_prefilter_keeps_every_canonical_child(cons):
     # every parent class of every level up to cons.n, expanded both as an
     # inner and as a final level with its automorphism generators: the
     # filtered expansion returns the same keys and the same representatives
-    # as the unfiltered test
+    # as the unfiltered test. _expand_parent lists its children unkeyed, so
+    # the keys are read here, and no key may repeat among one parent's
     level = [((0,), ())]
     for k in range(1, cons.n):
         nxt = {}
         for masks, generators in level:
             for final in (False, True) if k < cons.n - 1 else (True,):
                 got = _expand_parent(masks, generators, cons, final)
-                reps = {key: child for key, (child, _) in got.items()}
+                reps = {res.key: child for child, res in got}
+                assert len(reps) == len(got)
                 assert reps == _expand_unfiltered(masks, cons, final)
                 if not final:
-                    nxt.update(got)
+                    nxt.update((res.key, (child, res.generators)) for child, res in got)
         level = [nxt[key] for key in sorted(nxt)]
 
 
@@ -392,13 +395,20 @@ def test_one_walk_gives_every_order_its_own_walks_keys(cls, workers):
 
 def _children_per_parent(cons):
     """For each level of the walk to cons.n, the children of every parent
-    class, one dict per parent, as _walk expands them."""
+    class as _walk expands them, one list of (key, masks, generators) per
+    parent; reading the key runs the search a last level may skip."""
     level = [((0,), ())]
     for k in range(1, cons.n):
         final = k == cons.n - 1
-        children = [_expand_parent(masks, gens, cons, final) for masks, gens in level]
+        children = [
+            [
+                (res.key, child, res.generators)
+                for child, res in _expand_parent(masks, gens, cons, final)
+            ]
+            for masks, gens in level
+        ]
         yield children
-        merged = {key: entry for part in children for key, entry in part.items()}
+        merged = {key: (child, gens) for part in children for key, child, gens in part}
         level = [merged[key] for key in sorted(merged)]
 
 
@@ -427,10 +437,41 @@ def test_every_class_comes_from_one_parent(cons, monkeypatch):
     # one parent gives it once: no key repeats within a level's children
     results = _count_searched(monkeypatch)
     for children in _children_per_parent(cons):
-        level_keys = [key for part in children for key in part]
+        level_keys = [key for part in children for key, _, _ in part]
         assert len(level_keys) == len(set(level_keys))
         assert sorted(results) == sorted(level_keys)
         results.clear()
+
+
+@pytest.mark.parametrize(
+    "cons", [Constraints(8, bipartite_only=True), Constraints(8, max_degree=3)],
+    ids=lambda c: c.describe(),
+)
+def test_each_walk_class_is_searched_at_most_once(cons, monkeypatch):
+    # the walk reads every inner class's generators and enumerate every key,
+    # and each canon_full result is searched once: during its verdict or
+    # when first read. The other searches are rejects that needed one
+    calls = {"results": 0, "searched_rejects": 0, "searches": 0}
+    full, search = canon.canon_full, canon._search
+
+    def counted_full(n, adj, **kwargs):
+        before = calls["searches"]
+        res = full(n, adj, **kwargs)
+        if res is not None:
+            calls["results"] += 1
+        elif calls["searches"] > before:
+            calls["searched_rejects"] += 1
+        return res
+
+    def counted_search(*args):
+        calls["searches"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(canon, "canon_full", counted_full)
+    monkeypatch.setattr(canon, "_search", counted_search)
+    keys = list(enumerate_keys(cons))
+    assert keys == sorted(set(keys))
+    assert calls["searches"] == calls["results"] + calls["searched_rejects"]
 
 
 @pytest.mark.parametrize("max_degree, classes", [(None, 986), (3, 283)])
@@ -491,6 +532,18 @@ def test_shards_partition_the_classes(cons):
             assert sorted(key for shard in shards for key in shard[k]) == sorted(whole[k])
 
 
+def test_packed_shards_unpack_to_the_walk_stream():
+    # what a worker sends back to verify, a shard's classes with their splits
+    # packed into one array, unpacks to the stream the walk gives in process
+    cons = Constraints(8, max_degree=3)
+    orders = frozenset({5, 8})
+    for res in range(2):
+        walked = list(enumeration._with_splits(enumeration._walk(cons, orders, res, 2)))
+        assert len(walked) >= 100
+        packed = enumeration._packed_splits(cons, orders, res, 2)
+        assert list(enumeration._unpacked(packed)) == walked
+
+
 def test_pool_is_capped_at_the_cpu_count(monkeypatch):
     # an in-process stand-in for the pool records the process count asked for
     started = []
@@ -516,4 +569,8 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch):
     # an unknown CPU count means one: the walk runs in process
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
     assert len(list(enumerate_connected(cons, workers=64))) == 182
+    assert started == [3]
+    # and verify's one shard streams its classes, packing none
+    monkeypatch.setattr(enumeration, "_packed_splits", None)
+    assert len(list(enumeration._walk_splits([cons], workers=64))) == 182
     assert started == [3]

@@ -31,6 +31,7 @@ from ggindex.families import (
     path,
     star,
 )
+from ggindex import formats
 from ggindex.graphs import Graph, build_graph, canonical_form
 from ggindex.indices import INDEX_FNS, SPLIT_SUMS, edge_splits, gg_index, ngg_index
 
@@ -220,6 +221,39 @@ def test_tree_claims_build_no_graph_in_the_fold(monkeypatch, claim, orders, buil
     values = len(orders) * sum(c.value is not None for c in CLAIMS[claim].checks)
     assert len(built) == expected + values == builds
     assert builds < sum(row.classes for row in report.rows) / 2
+
+
+@pytest.mark.parametrize(
+    "claim, orders, decodes",
+    [
+        ("max-bipartite", range(4, 10), []),
+        ("conjecture2", range(6, 10), []),
+        # the n = 5 window's three keys re-ranked exactly, then the probe's
+        # exact witnesses decoded to test them, up to the first that fails
+        (
+            "conjecture1",
+            range(5, 9),
+            ["DFw", "Dd[", "Dr[", "DFw", "E{Sw", "FqSpW", "GsX_ok"],
+        ),
+    ],
+)
+def test_walk_claims_build_no_graph_and_decode_no_key_per_class(
+    monkeypatch, claim, orders, decodes
+):
+    # the walk's classes reach the folds as adjacency masks with their
+    # splits: a Graph is built only for an expected witness or a key the
+    # report decodes, and a key is decoded only to re-rank a window of
+    # several keys exactly or to test a probe's exact witnesses. A Graph
+    # and a decode per class would be hundreds more
+    built, decoded = [], []
+    monkeypatch.setattr(Graph, "__post_init__", _counting(Graph.__post_init__, built))
+    monkeypatch.setattr(formats, "decode_graph6", _counting(formats.decode_graph6, decoded))
+    report = verify(claim, orders, max_degree=3)
+    reranked = [key for row in report.rows if len(row.witnesses) > 1 for key in row.witnesses]
+    assert decoded[:len(reranked)] == reranked
+    assert decoded == decodes
+    assert len(built) == sum(len(row.expected) for row in report.rows) + len(decodes)
+    assert len(built) < sum(row.classes for row in report.rows) / 10
 
 
 def test_deferred_tree_candidates_keep_their_own_order(monkeypatch):
