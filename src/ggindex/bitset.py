@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -11,6 +12,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=1 << 12)
+def bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of mask in increasing order, as a tuple. The
+    walk asks for the same small masks over and over, so the tuples are kept
+    in a bounded cache (every mask on 12 vertices fits); large masks belong
+    to iter_bits."""
+    return tuple(iter_bits(mask))
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -26,7 +36,7 @@ def reach(adj: tuple[int, ...] | list[int], start: int) -> int:
     frontier = seen
     while frontier:
         nxt = 0
-        for v in iter_bits(frontier):
+        for v in bits(frontier):
             nxt |= adj[v]
         frontier = nxt & ~seen
         seen |= frontier
@@ -55,7 +65,7 @@ def bipartition(adj: tuple[int, ...] | list[int], start: int) -> tuple[int, int]
     while frontier:
         sides[side] |= frontier
         nxt = 0
-        for v in iter_bits(frontier):
+        for v in bits(frontier):
             nxt |= adj[v]
         if nxt & frontier:
             return None

@@ -82,15 +82,16 @@ the root coloring decides that verdict before any search where it can:
 canon_full returns its result unsearched where the verdict needed no
 search: CanonResult runs the search from the stored root coloring the first
 time its key, labeling, orbits or generators are read, and only once. The
-enumerator reads the generators of every inner level's class, but a last
-level's class is searched only where its verdict or its key needs it.
+enumerator reads a parent's generators only when two or more of its
+neighborhoods pass the degree test, so a class is searched only where its
+verdict, its key or such a choice needs it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from .bitset import iter_bits
+from .bitset import bits
 from .formats import graph6_from_bits, upper_triangle_bits
 
 
@@ -337,7 +338,7 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
     """
     if n < 1:
         raise ValueError("canonical form needs at least one vertex")
-    neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
+    neigh = [bits(adj[v]) for v in range(n)]
     root = _refine(n, neigh, [0] * n, last)
     if root is None:
         return None

@@ -19,14 +19,15 @@ _tree_key call per generated tree.
 
 Every other class comes from a walk. Each node of the walk is one class's
 representative, as adjacency masks, together with its canon_full result. A
-node's children are tried with the generators of its automorphism group,
-which its search finds. A node of the largest order is never expanded, so
-it is searched only if its canonical-deletion test needed that or a caller
-reads its key (see canon). A parent's automorphism maps one
-admissible neighborhood of the new vertex onto another that gives an
-isomorphic child, so only the first neighborhood of each orbit of the
-parent's group is tried (McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998).
+parent's automorphism maps one admissible neighborhood of the new vertex
+onto another that gives an isomorphic child, so only the first neighborhood
+of each orbit of the parent's group is tried (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998). The orbits come from the
+generators its search finds, read only when two or more neighborhoods pass
+the degree test below: with one or none there is no orbit to choose from.
+So a node is searched only if its canonical-deletion test needed that, its
+children needed its group, or a caller reads its key (see canon); a node of
+the largest order is never expanded.
 
 Every class grows one vertex at a time (canonical augmentation). Level k,
 the nodes at depth k of the walk, holds one representative per isomorphism
@@ -35,7 +36,14 @@ just added is, up to automorphism, the canonically last vertex of its own
 degree (canon_full with last=), so every class is produced from exactly one
 parent class and exactly once overall. The deleted vertex has maximum
 degree, so a child whose new vertex has lower degree is rejected before canon
-is called. Intermediate graphs may be disconnected, and connectivity is
+is called. That degree test reads only the neighborhood s: with top the
+parent's maximum degree and T its vertices of that degree, the child's
+other degrees peak at top + 1 if s meets T and at top otherwise, so s passes
+iff |s| >= top + [s meets T]. It runs on the admissible neighborhoods before
+their orbits are closed. The parent's automorphisms keep |s| and permute T,
+so each orbit passes or fails whole, and the first neighborhood of each
+passing orbit is the one the closure over all of them would pick, in the
+same order. Intermediate graphs may be disconnected, and connectivity is
 enforced on the last level by requiring the new vertex to touch every
 component. Constraint classes are pruned hereditarily:
 
@@ -83,7 +91,7 @@ from itertools import combinations, islice
 from typing import Iterator, Optional, Sequence
 
 from . import canon as _canon
-from .bitset import bipartition, components, iter_bits, mask_of, reach
+from .bitset import bipartition, bits, components, mask_of, reach
 from .graphs import Graph, build_graph, from_graph6
 from .indices import EdgeSplit, split_pass
 
@@ -142,7 +150,7 @@ class Constraints:
 # ----------------------------------------------------------- augmentation ----
 
 def _nonempty_submasks(mask: int, cap: int) -> list[int]:
-    verts = list(iter_bits(mask))
+    verts = bits(mask)
     out = []
     for r in range(1, min(cap, len(verts)) + 1):
         for combo in combinations(verts, r):
@@ -220,21 +228,35 @@ Child = tuple[tuple[int, ...], _canon.CanonResult]  # (masks, canonical search)
 Walked = tuple[int, tuple[int, ...], tuple[EdgeSplit, ...]]  # (n, masks, splits)
 
 
-def _expand_parent(masks, generators, cons: Constraints, final: bool) -> list[Child]:
+def _expand_parent(
+    masks, parent: _canon.CanonResult, cons: Constraints, final: bool
+) -> list[Child]:
     """Children of one parent class that pass the canonical-deletion test, one
     per class, each with its canon_full result: the search behind it runs when
     a caller first reads the result, and a last level's child whose root
-    coloring decided the test has not been searched. generators generate the
-    parent's automorphism group; an automorphism maps a neighborhood to one
-    giving an isomorphic child, so one neighborhood per orbit is tried."""
+    coloring decided the test has not been searched. parent is the parent's
+    canon_full result. The neighborhoods that pass the degree test (module
+    docstring) are cut to one per orbit of the parent's group, whose
+    generators are read only when two or more pass."""
     k = len(masks)
-    m_parent = sum(x.bit_count() for x in masks) // 2
+    degrees = [x.bit_count() for x in masks]
+    top = max(degrees)
+    at_top = mask_of(v for v, d in enumerate(degrees) if d == top)
+    # the deleted vertex has maximum degree
+    options = [
+        s
+        for s in _neighborhood_options(masks, cons, final)
+        if s.bit_count() >= (top + 1 if s & at_top else top)
+    ]
+    if len(options) > 1:
+        options = _orbit_representatives(options, parent.generators)
+    m_parent = sum(degrees) // 2
     target_r = cons.cyclomatic
     out: list[Child] = []
-    for s in _orbit_representatives(_neighborhood_options(masks, cons, final), generators):
+    for s in options:
         child = list(masks)
         child.append(s)
-        for u in iter_bits(s):
+        for u in bits(s):
             child[u] |= 1 << k
         if target_r:
             m_child = m_parent + s.bit_count()
@@ -242,10 +264,6 @@ def _expand_parent(masks, generators, cons: Constraints, final: bool) -> list[Ch
             r_child = m_child - (k + 1) + c_child
             if r_child > target_r or (final and r_child != target_r):
                 continue
-        # the deleted vertex has maximum degree
-        deg = s.bit_count()
-        if any(x.bit_count() > deg for x in child):
-            continue
         child = tuple(child)
         res = _canon.canon_full(k + 1, child, last=k)
         if res is not None:
@@ -294,7 +312,7 @@ def _walk(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> Iter
             if k in orders and (k >= split or res == 0) and _emitted(masks, cons):
                 yield masks, result
             if k < top:
-                children = _expand_parent(masks, result.generators, cons, k == top - 1)
+                children = _expand_parent(masks, result, cons, k == top - 1)
                 stack.extend(reversed(children))
 
     return descend()
@@ -302,7 +320,7 @@ def _walk(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> Iter
 
 def _edges(masks) -> list[tuple[int, int]]:
     """The edges (u, v), u < v, of the graph with these adjacency masks, sorted."""
-    return [(u, v) for u, m in enumerate(masks) for v in iter_bits(m >> u + 1 << u + 1)]
+    return [(u, v) for u, m in enumerate(masks) for v in bits(m >> u + 1 << u + 1)]
 
 
 def _with_splits(walk: Iterator[Child]) -> Iterator[Walked]:

@@ -348,11 +348,13 @@ class Claim:
     tie window, and the value matches; a probe row only compares witnesses
     and is reported as consistent or counterexample found, with the caveat.
     A closed-form claim maps the orders to rows with scan and passes when
-    pattern holds on them.
+    pattern holds on them. least(max_degree) is the smallest order an
+    exhaustive claim speaks of.
     """
 
     orders: tuple[int, ...]
     graph_class: Optional[Callable[[int, int], Constraints]] = None
+    least: Callable[[int], int] = lambda d: 1
     checks: tuple[Check, ...] = ()
     theorem: bool = True
     scan: Optional[Callable[[Iterable[int]], list]] = None
@@ -369,6 +371,7 @@ CLAIMS: dict[str, Claim] = {
     "max-bipartite": Claim(
         orders=tuple(range(4, 11)),
         graph_class=lambda n, d: Constraints(n, bipartite_only=True),
+        least=lambda d: 2,
         checks=(
             Check(
                 Objective("max", "ngg"),
@@ -380,6 +383,7 @@ CLAIMS: dict[str, Claim] = {
     "min-bipartite": Claim(
         orders=tuple(range(4, 11)),
         graph_class=lambda n, d: Constraints(n, bipartite_only=True),
+        least=lambda d: 4,
         checks=(
             Check(
                 Objective("min", "ngg"),
@@ -393,6 +397,7 @@ CLAIMS: dict[str, Claim] = {
     "trees": Claim(
         orders=tuple(range(4, 13)),
         graph_class=lambda n, d: Constraints(n, cyclomatic=0),
+        least=lambda d: 2,
         checks=(
             Check(
                 Objective("min", "gg"),
@@ -419,10 +424,12 @@ CLAIMS: dict[str, Claim] = {
         pattern=residuals_positive_decreasing,
     ),
     # GG maximizers among connected graphs with degree bound D are D-regular
-    # or D-regular but for one vertex of degree D - 1
+    # or D-regular but for one vertex of degree D - 1; no graph on n <= D
+    # vertices has a vertex of degree D
     "conjecture1": Claim(
         orders=tuple(range(5, 9)),
         graph_class=lambda n, d: Constraints(n, max_degree=d),
+        least=lambda d: d + 1,
         checks=(Check(Objective("max", "gg"), accept=is_almost_regular),),
         theorem=False,
     ),
@@ -430,6 +437,7 @@ CLAIMS: dict[str, Claim] = {
     "conjecture2": Claim(
         orders=tuple(range(6, 11)),
         graph_class=lambda n, d: Constraints(n, max_degree=d),
+        least=lambda d: 3,
         checks=(Check(Objective("min", "gg"), expected=lambda n, d: [cycle(n)]),),
         theorem=False,
     ),
@@ -438,6 +446,7 @@ CLAIMS: dict[str, Claim] = {
     "conjecture3": Claim(
         orders=tuple(range(6, 13)),
         graph_class=lambda n, d: Constraints(n, max_degree=d, cyclomatic=0),
+        least=lambda d: 2,
         checks=(
             Check(Objective("max", "gg"), expected=lambda n, d: [almost_dendrimer(n, d)]),
         ),
@@ -487,7 +496,9 @@ def verify(
     """Check one claim of CLAIMS at the given orders.
 
     max_degree is the degree bound of the conjecture probes; the theorem
-    claims ignore it. max_n caps the orders as in check_bound. workers
+    claims ignore it. max_n caps the orders as in check_bound, and an order
+    below the claim's least one is refused with them, before any class is
+    generated. workers
     shards the walk of the graph claims, which take its classes unsorted, as
     adjacency masks with their splits (_walk_splits); a class of the largest
     order is searched only where its canonical-deletion test needs it. The
@@ -507,12 +518,17 @@ def verify(
     if not spec.theorem and max_degree < 2:
         raise ExtremalError("a degree bound below 2 leaves nothing to scan")
     orders = list(n_values)
-    # every order's class and cap are checked, in the order given, before
-    # one walk enumerates them all; a repeated order repeats its rows
+    # every order's class, cap and place in the claim's domain are checked,
+    # in the order given, before one walk enumerates them all; a repeated
+    # order repeats its rows
+    least = spec.least(max_degree)
+    at_bound = "" if spec.theorem else f" at max degree {max_degree}"
     classes: dict[int, Constraints] = {}
     for n in orders:
         cons = spec.graph_class(n, max_degree)
         check_bound(cons, max_n)
+        if n < least:
+            raise ExtremalError(f"claim {claim} starts at n = {least}{at_bound}, got n = {n}")
         classes.setdefault(n, cons)
     indices = tuple(dict.fromkeys(check.objective.index for check in spec.checks))
     if any(cons.tree_class for cons in classes.values()):

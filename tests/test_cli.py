@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ggindex.cli
+import ggindex.extremal
 import ggindex.indices
 from ggindex.cli import CliError, main, parse_n_values
 from ggindex.families import construct, ngg_closed, parse_spec
@@ -311,6 +312,33 @@ VERIFY_ERRORS = [
 def test_verify_order_errors(capsys, monkeypatch, orders, want_err):
     monkeypatch.delenv("GGINDEX_MAX_N", raising=False)
     code, out, err = run(capsys, "verify", "max-bipartite", "--n", orders)
+    assert (code, out, err) == (2, "", want_err)
+
+
+# (arguments, stderr) of verify runs with an order below the claim's domain:
+# refused at once, before the walk of the orders that are in it
+VERIFY_DOMAIN_ERRORS = [
+    (
+        ("conjecture1", "--n", "1..3", "--max-degree", "3"),
+        "error: claim conjecture1 starts at n = 4 at max degree 3, got n = 1\n",
+    ),
+    (
+        ("conjecture2", "--n", "2..10", "--max-degree", "3"),
+        "error: claim conjecture2 starts at n = 3 at max degree 3, got n = 2\n",
+    ),
+    (("max-bipartite", "--n", "1..10"), "error: claim max-bipartite starts at n = 2, got n = 1\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, want_err", VERIFY_DOMAIN_ERRORS, ids=[args[0] for args, _ in VERIFY_DOMAIN_ERRORS]
+)
+def test_verify_refuses_orders_outside_the_claim(capsys, monkeypatch, args, want_err):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(ggindex.extremal, "_walk_splits", no_walk)
+    code, out, err = run(capsys, "verify", *args)
     assert (code, out, err) == (2, "", want_err)
 
 

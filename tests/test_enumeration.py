@@ -1,4 +1,5 @@
 import functools
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -27,6 +28,10 @@ CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 CONNECTED_BIPARTITE = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
 TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235}
 UNICYCLIC = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33}
+
+# the root of every walk, with its canon_full result, taken before any test
+# patches canon_full
+K1 = ((0,), canon.canon_full(1, (0,)))
 
 # each order's oracle trees are decoded once per session (n = 8 alone takes
 # all 262 144 Prufer sequences)
@@ -299,6 +304,14 @@ def test_prufer_tree_counts():
         prufer_trees(9)
 
 
+def _grown(masks, s):
+    """The adjacency masks of masks with a new vertex joined to the set s."""
+    child = list(masks) + [s]
+    for u in iter_bits(s):
+        child[u] |= 1 << len(masks)
+    return child
+
+
 def _expand_unfiltered(masks, cons, final):
     """_expand_parent without the orbit, degree and root-cell pre-filters: the
     canonical-deletion test alone, run on every admissible child. It deletes
@@ -307,9 +320,7 @@ def _expand_unfiltered(masks, cons, final):
     k = len(masks)
     out = {}
     for s in _neighborhood_options(masks, cons, final):
-        child = list(masks) + [s]
-        for u in iter_bits(s):
-            child[u] |= 1 << k
+        child = _grown(masks, s)
         if cons.cyclomatic:
             edges = sum(x.bit_count() for x in child) // 2
             r = edges - (k + 1) + len(components(child, k + 1))
@@ -335,21 +346,21 @@ PREFILTER_CLASSES = [
 @pytest.mark.parametrize("cons", PREFILTER_CLASSES, ids=lambda c: c.describe() + f" n<={c.n}")
 def test_degree_prefilter_keeps_every_canonical_child(cons):
     # every parent class of every level up to cons.n, expanded both as an
-    # inner and as a final level with its automorphism generators: the
-    # filtered expansion returns the same keys and the same representatives
-    # as the unfiltered test. _expand_parent lists its children unkeyed, so
-    # the keys are read here, and no key may repeat among one parent's
-    level = [((0,), ())]
+    # inner and as a final level with its canon_full result: the filtered
+    # expansion returns the same keys and the same representatives as the
+    # unfiltered test. _expand_parent lists its children unkeyed, so the
+    # keys are read here, and no key may repeat among one parent's
+    level = [K1]
     for k in range(1, cons.n):
         nxt = {}
-        for masks, generators in level:
+        for masks, parent in level:
             for final in (False, True) if k < cons.n - 1 else (True,):
-                got = _expand_parent(masks, generators, cons, final)
+                got = _expand_parent(masks, parent, cons, final)
                 reps = {res.key: child for child, res in got}
                 assert len(reps) == len(got)
                 assert reps == _expand_unfiltered(masks, cons, final)
                 if not final:
-                    nxt.update((res.key, (child, res.generators)) for child, res in got)
+                    nxt.update((res.key, (child, res)) for child, res in got)
         level = [nxt[key] for key in sorted(nxt)]
 
 
@@ -395,20 +406,20 @@ def test_one_walk_gives_every_order_its_own_walks_keys(cls, workers):
 
 def _children_per_parent(cons):
     """For each level of the walk to cons.n, the children of every parent
-    class as _walk expands them, one list of (key, masks, generators) per
-    parent; reading the key runs the search a last level may skip."""
-    level = [((0,), ())]
+    class as _walk expands them, one list of (key, masks, canon_full result)
+    per parent; reading the key runs the search a last level may skip."""
+    level = [K1]
     for k in range(1, cons.n):
         final = k == cons.n - 1
         children = [
             [
-                (res.key, child, res.generators)
-                for child, res in _expand_parent(masks, gens, cons, final)
+                (res.key, child, res)
+                for child, res in _expand_parent(masks, parent, cons, final)
             ]
-            for masks, gens in level
+            for masks, parent in level
         ]
         yield children
-        merged = {key: (child, gens) for part in children for key, child, gens in part}
+        merged = {key: (child, res) for part in children for key, child, res in part}
         level = [merged[key] for key in sorted(merged)]
 
 
@@ -443,35 +454,84 @@ def test_every_class_comes_from_one_parent(cons, monkeypatch):
         results.clear()
 
 
+def _admissible(masks, cons, final):
+    """How many neighborhoods _neighborhood_options offers whose child keeps
+    the new vertex at maximum degree, read off each child built in full."""
+    return sum(
+        max(x.bit_count() for x in _grown(masks, s)) == s.bit_count()
+        for s in _neighborhood_options(masks, cons, final)
+    )
+
+
+def _watch_searches(monkeypatch):
+    """Patch canon_full, canon._search and enumeration._expand_parent to
+    record every search as (kind, root coloring, admissible): kind "verdict"
+    inside canon_full, "group" inside _expand_parent but outside canon_full
+    (the parent's generators), "read" otherwise, and admissible the
+    _admissible count of the parent being expanded, None outside one. Also
+    records the _admissible count of every parent expanded."""
+    searches, expanded = [], []
+    state = {"in_full": 0, "admissible": None}
+    full, search, expand = canon.canon_full, canon._search, enumeration._expand_parent
+
+    def counted_full(*args, **kwargs):
+        state["in_full"] += 1
+        try:
+            return full(*args, **kwargs)
+        finally:
+            state["in_full"] -= 1
+
+    def counted_search(n, adj, neigh, root):
+        kind = "verdict" if state["in_full"] else "read" if state["admissible"] is None else "group"
+        # the root list is the result's own, so holding it keeps ids unique
+        searches.append((kind, root, state["admissible"]))
+        return search(n, adj, neigh, root)
+
+    def counted_expand(masks, parent, cons, final):
+        state["admissible"] = _admissible(masks, cons, final)
+        expanded.append(state["admissible"])
+        try:
+            return expand(masks, parent, cons, final)
+        finally:
+            state["admissible"] = None
+
+    monkeypatch.setattr(canon, "canon_full", counted_full)
+    monkeypatch.setattr(canon, "_search", counted_search)
+    monkeypatch.setattr(enumeration, "_expand_parent", counted_expand)
+    return searches, expanded
+
+
 @pytest.mark.parametrize(
     "cons", [Constraints(8, bipartite_only=True), Constraints(8, max_degree=3)],
     ids=lambda c: c.describe(),
 )
 def test_each_walk_class_is_searched_at_most_once(cons, monkeypatch):
-    # the walk reads every inner class's generators and enumerate every key,
-    # and each canon_full result is searched once: during its verdict or
-    # when first read. The other searches are rejects that needed one
-    calls = {"results": 0, "searched_rejects": 0, "searches": 0}
-    full, search = canon.canon_full, canon._search
-
-    def counted_full(n, adj, **kwargs):
-        before = calls["searches"]
-        res = full(n, adj, **kwargs)
-        if res is not None:
-            calls["results"] += 1
-        elif calls["searches"] > before:
-            calls["searched_rejects"] += 1
-        return res
-
-    def counted_search(*args):
-        calls["searches"] += 1
-        return search(*args)
-
-    monkeypatch.setattr(canon, "canon_full", counted_full)
-    monkeypatch.setattr(canon, "_search", counted_search)
+    # enumerate reads every key, and the walk reads the group of a parent
+    # only when two admissible neighborhoods are there to choose from. Each
+    # canon_full result is searched at most once, and every search is a
+    # verdict, a key read or such a group
+    searches, expanded = _watch_searches(monkeypatch)
     keys = list(enumerate_keys(cons))
     assert keys == sorted(set(keys))
-    assert calls["searches"] == calls["results"] + calls["searched_rejects"]
+    assert len({id(root) for _, root, _ in searches}) == len(searches)
+    kinds = Counter(kind for kind, _, _ in searches)
+    assert kinds["read"] <= len(keys)
+    assert all(admissible >= 2 for kind, _, admissible in searches if kind == "group")
+    assert kinds["group"] <= sum(admissible >= 2 for admissible in expanded)
+
+
+@pytest.mark.parametrize(
+    "claim, orders", [("max-bipartite", range(4, 9)), ("conjecture1", range(5, 9))]
+)
+def test_a_verify_walk_searches_no_parent_with_one_admissible_child(claim, orders, monkeypatch):
+    # verify reads no key outside its tie windows, so past the verdicts the
+    # only searches are the groups of parents with two admissible children
+    # or more; a parent with one or none is never searched for its group
+    searches, expanded = _watch_searches(monkeypatch)
+    verify(claim, orders, max_degree=3)
+    groups = [admissible for kind, _, admissible in searches if kind == "group"]
+    assert groups and min(groups) >= 2
+    assert sum(admissible < 2 for admissible in expanded) > 0
 
 
 @pytest.mark.parametrize("max_degree, classes", [(None, 986), (3, 283)])

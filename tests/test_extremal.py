@@ -31,7 +31,7 @@ from ggindex.families import (
     path,
     star,
 )
-from ggindex import formats
+from ggindex import extremal, formats
 from ggindex.graphs import Graph, build_graph, canonical_form
 from ggindex.indices import INDEX_FNS, SPLIT_SUMS, edge_splits, gg_index, ngg_index
 
@@ -146,8 +146,6 @@ def test_verify_canonicalizes_only_the_expected_graphs(monkeypatch):
     # the folds key each tree left in a window once, when the result is
     # taken, not the two 7-vertex trees that share the running maximum GG
     # until the star displaces them
-    from ggindex import extremal
-
     forms, tree_keys = [], []
     monkeypatch.setattr(extremal, "canonical_form", _counting(extremal.canonical_form, forms))
     monkeypatch.setattr(extremal, "_tree_key", _counting(extremal._tree_key, tree_keys))
@@ -161,8 +159,6 @@ def test_verify_canonicalizes_only_the_expected_graphs(monkeypatch):
 def test_window_keys_isomorphic_copies_once(monkeypatch):
     # nothing is keyed while the stream runs; the result keys each copy in
     # the window, and two isomorphic copies are one witness
-    from ggindex import extremal
-
     calls = []
     monkeypatch.setattr(extremal, "canonical_form", _counting(extremal.canonical_form, calls))
     p, relabeled = path(5), build_graph(5, [(0, 4), (4, 1), (1, 3), (3, 2)])
@@ -259,8 +255,6 @@ def test_walk_claims_build_no_graph_and_decode_no_key_per_class(
 def test_deferred_tree_candidates_keep_their_own_order(monkeypatch):
     # the folds of order 7 take all their trees before those of order 5;
     # every fold keys its window in result(), from its own parent links
-    from ggindex import extremal
-
     keyed, in_result = [], []
     monkeypatch.setattr(extremal, "_tree_key", _counting(extremal._tree_key, keyed))
     real_result = extremal._Extremum.result
@@ -379,6 +373,55 @@ def test_probe_conjecture_validation():
         verify("conjecture4", [6], max_degree=3)
     with pytest.raises(ExtremalError):
         verify("conjecture2", [6], max_degree=1)
+
+
+@pytest.mark.parametrize(
+    "claim, orders, max_degree, least, refused",
+    [
+        ("max-bipartite", [4, 1], 3, 2, 1),
+        ("min-bipartite", [3, 9], 3, 4, 3),
+        ("trees", [1], 3, 2, 1),
+        ("conjecture1", [5, 3, 1], 3, 4, 3),
+        ("conjecture1", [4], 4, 5, 4),
+        ("conjecture2", [2, 10], 3, 3, 2),
+        ("conjecture3", [1], 3, 2, 1),
+    ],
+)
+def test_orders_outside_a_claims_domain_are_refused_before_the_walk(
+    monkeypatch, claim, orders, max_degree, least, refused
+):
+    # the first order below the claim's domain is named before any class is
+    # generated: no graph on n <= D vertices has degree D (conjecture 1), and
+    # the predicted witnesses do not exist below least for the others
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(extremal, "_walk_splits", no_walk)
+    monkeypatch.setattr(extremal, "_trees", no_walk)
+    at_bound = f" at max degree {max_degree}" if claim.startswith("conjecture") else ""
+    want = f"claim {claim} starts at n = {least}{at_bound}, got n = {refused}"
+    assert CLAIMS[claim].least(max_degree) == least
+    with pytest.raises(ExtremalError) as info:
+        verify(claim, orders, max_degree=max_degree)
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize(
+    "claim, max_degree",
+    [
+        ("max-bipartite", 3),
+        ("min-bipartite", 3),
+        ("trees", 3),
+        ("conjecture1", 2),
+        ("conjecture1", 3),
+        ("conjecture2", 3),
+        ("conjecture3", 3),
+    ],
+)
+def test_each_claim_runs_at_its_least_order(claim, max_degree):
+    n = CLAIMS[claim].least(max_degree)
+    (row, *_) = verify(claim, [n], max_degree=max_degree).rows
+    assert row.n == n and row.classes >= 1
 
 
 def test_probe_conjecture_two_finds_the_small_counterexamples():

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from ggindex.bitset import bipartition, iter_bits
+from ggindex.bitset import bipartition, bits, iter_bits
 from ggindex.graphs import (
     GraphError,
     all_pairs_distances,
@@ -145,6 +145,18 @@ def test_two_coloring_properties():
     for v in (9, 10, 11):
         assert bipartition(adj, v) is None
     assert bipartition([0], 0) == (1, 0)
+
+
+def test_cached_bit_lists_are_iter_bits():
+    # every mask on 12 vertices, then masks past the cache's size and far
+    # wider than any walk graph, which evict the small ones
+    limit = bits.cache_info().maxsize
+    assert limit is not None and limit <= 1 << 16
+    assert all(bits(m) == tuple(iter_bits(m)) for m in range(1 << 12))
+    wide = [(m << 200) | m for m in range(limit + 1, 2 * limit + 2)]
+    assert all(bits(m) == tuple(iter_bits(m)) for m in wide)
+    assert bits.cache_info().currsize <= limit
+    assert bits(0b1011) == (0, 1, 3) and bits((1 << 300) | 1) == (0, 300)
 
 
 @given(connected_graphs(), st.randoms(use_true_random=False))
