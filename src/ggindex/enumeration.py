@@ -75,16 +75,17 @@ class, so a run over several processes maps them over one pool and merges
 what they find. enumerate_keys sorts the keys within each order, so its
 output order is a function of the constraint sets alone, and
 enumerate_connected decodes those keys; worker count changes wall time,
-never bytes. verify takes the walk's classes unkeyed and unsorted instead
-(_walk_splits): adjacency masks in walk order, with the edge splits read off
-them. Its folds key only the classes left in a tie window, and its witness
-sets do not depend on the order.
+never bytes. verify takes each shard's classes unkeyed and unsorted instead
+(_classes): a walk class as its adjacency masks in walk order, a tree as its
+parent links, each with its edge splits. Each shard folds its own classes
+and sends back only the fold states, which verify merges; the folds key only
+the classes left in a tie window, and their witness sets depend neither on
+the order nor on the shard count.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, islice
@@ -93,7 +94,7 @@ from typing import Iterator, Optional, Sequence
 from . import canon as _canon
 from .bitset import bipartition, bits, components, mask_of, reach
 from .graphs import Graph, build_graph, from_graph6
-from .indices import EdgeSplit, split_pass
+from .indices import split_pass
 
 ENV_MAX_N = "GGINDEX_MAX_N"
 
@@ -225,7 +226,7 @@ def _orbit_representatives(options: list[int], generators) -> list[int]:
 
 
 Child = tuple[tuple[int, ...], _canon.CanonResult]  # (masks, canonical search)
-Walked = tuple[int, tuple[int, ...], tuple[EdgeSplit, ...]]  # (n, masks, splits)
+Scanned = tuple[int, Sequence[int], Sequence[tuple]]  # (n, candidate, splits)
 
 
 def _expand_parent(
@@ -321,38 +322,6 @@ def _walk(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> Iter
 def _edges(masks) -> list[tuple[int, int]]:
     """The edges (u, v), u < v, of the graph with these adjacency masks, sorted."""
     return [(u, v) for u, m in enumerate(masks) for v in bits(m >> u + 1 << u + 1)]
-
-
-def _with_splits(walk: Iterator[Child]) -> Iterator[Walked]:
-    """The walk's classes as (n, masks, splits), the splits in _edges order."""
-    for masks, _ in walk:
-        yield len(masks), masks, split_pass(len(masks), _edges(masks))
-
-
-def _packed_splits(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> array:
-    """Shard res of mod of the walk's classes with their splits, packed for a
-    worker to send back: per class n, its n masks, then (n_u, n_v) for each
-    edge of _edges(masks)."""
-    packed = array("I")
-    for n, masks, splits in _with_splits(_walk(cons, orders, res, mod)):
-        packed.append(n)
-        packed.extend(masks)
-        for split in splits:
-            packed.extend(split[1:])
-    return packed
-
-
-def _unpacked(packed: array) -> Iterator[Walked]:
-    """The classes _packed_splits packed, as _with_splits gives them."""
-    i = 0
-    while i < len(packed):
-        n = packed[i]
-        masks = tuple(packed[i + 1:i + 1 + n])
-        i += 1 + n
-        edges = _edges(masks)
-        sides = packed[i:i + 2 * len(edges)]
-        i += len(sides)
-        yield n, masks, tuple(map(EdgeSplit, edges, sides[::2], sides[1::2]))
 
 
 def _masks_key(masks) -> str:
@@ -474,20 +443,40 @@ def _shard(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dic
     return keys
 
 
+def _classes(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> Iterator[Scanned]:
+    """Shard res of mod of the classes of cons's class at each order in
+    orders, unkeyed and unsorted, as (n, candidate, splits). A walk class is
+    its adjacency masks in walk order, in no canonical labeling, with the
+    splits of its edges in _edges order; a tree is its parent links, the
+    trees of each order dealt as in _tree_keys, with the splits from its
+    subtree sizes (_subtree_splits). No class is decoded or built as a Graph."""
+    if not cons.tree_class:
+        return (
+            (len(masks), masks, split_pass(len(masks), _edges(masks)))
+            for masks, _ in _walk(cons, orders, res, mod)
+        )
+    return (
+        (k, parent, _subtree_splits(parent))
+        for k in orders
+        for parent in islice(_trees(k, cons.max_degree), res, None, mod)
+    )
+
+
 def _shard_count(workers: int) -> int:
     """How many shards a run with this many workers cuts its classes into:
     at most workers, and at most the CPU count."""
     return min(workers, os.cpu_count() or 1)
 
 
-def _map_shards(fn, conses: Sequence[Constraints], mod: int) -> list:
+def _map_shards(fn, conses: Sequence[Constraints], workers: int) -> list:
     """fn(cons, orders, res, mod) for every shard res of mod of one walk that
-    serves conses, which must differ only in n; each shard runs in its own
-    process unless mod is 1."""
+    serves conses, which must differ only in n, with mod = _shard_count(workers);
+    each shard runs in its own process unless mod is 1."""
     if len({replace(c, n=1) for c in conses}) > 1:
         raise ValueError("one walk serves constraints that differ only in n")
     cons = conses[0]
     orders = frozenset(c.n for c in conses)
+    mod = _shard_count(workers)
     if mod == 1:
         return [fn(cons, orders, 0, 1)]
     with ProcessPoolExecutor(max_workers=mod) as pool:
@@ -499,25 +488,9 @@ def _sorted_keys(conses: Sequence[Constraints], workers: int = 1) -> list[list[s
     must differ only in n, from one shard per process (_shard_count)."""
     if not conses:
         return []
-    shards = _map_shards(_shard, conses, _shard_count(workers))
+    shards = _map_shards(_shard, conses, workers)
     keys = {k: sorted(key for shard in shards for key in shard[k]) for k in shards[0]}
     return [keys[c.n] for c in conses]
-
-
-def _walk_splits(conses: Sequence[Constraints], workers: int = 1) -> Iterator[Walked]:
-    """Every class matching one of conses, which must name one class other
-    than trees at orders that differ only in n, as (n, masks, splits) in walk
-    order: the walk's adjacency masks, in no canonical labeling, and the edge
-    splits read off them. No class is keyed, decoded or built as a Graph.
-    In one shard the classes stream as the walk finds them; with several
-    (_shard_count), each shard's process packs its own into an array, a few
-    bytes per mask and split."""
-    mod = _shard_count(workers)
-    if mod == 1:
-        (walk,) = _map_shards(_walk, conses, 1)
-        return _with_splits(walk)
-    shards = _map_shards(_packed_splits, conses, mod)
-    return (item for packed in shards for item in _unpacked(packed))
 
 
 def check_bound(cons: Constraints, max_n: Optional[int] = None) -> None:

@@ -6,16 +6,19 @@ value, keep every candidate whose float value may equal it exactly
 re-compare the surviving candidates with exact radical arithmetic so that a
 genuine tie (two graphs whose index values coincide as algebraic numbers) is
 distinguished from float noise. verify runs that fold for every check of a
-claim in one pass over the class stream, computing each class's value once
-per index the checks use. Witnesses are reported as graph6 strings of
-canonical forms, so they are directly comparable across runs and platforms.
+claim in one pass over each shard's classes, computing each class's value
+once per index the checks use, and merges the shards' fold states: a merge
+offers one fold's window to the other and adds the counts, and the result is
+that of one fold over both streams. Witnesses are reported as graph6 strings
+of canonical forms, so they are directly comparable across runs and
+platforms.
 
 The fold holds each candidate in its stream's own form and keys none of
 them while the stream runs. When the result is taken it keys the window's
 candidates once each, with the stream's key function, and the result is
 keys and floats only: a window of several keys is re-ranked from graphs
-decoded from the keys. verify's streams give each class as (n, candidate,
-splits). A walk class is the adjacency masks the walk holds, in no
+decoded from the keys. enumeration._classes gives each class as (n,
+candidate, splits). A walk class is the adjacency masks the walk holds, in no
 canonical labeling, with indices.split_pass's splits read off them, keyed
 by enumeration._masks_key; a tree is the parent links of the level-sequence
 generator, with the edge splits (s, n - s) from its subtree sizes, keyed by
@@ -34,17 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .enumeration import (
-    Constraints,
-    _masks_key,
-    _subtree_splits,
-    _tree_key,
-    _trees,
-    _walk_splits,
-    check_bound,
-)
+from .enumeration import Constraints, _classes, _map_shards, _masks_key, _tree_key, check_bound
 from .families import (
     FamilySpec,
     almost_dendrimer,
@@ -136,6 +132,15 @@ class _Extremum:
             self.window = [pair for pair in self.window if float_tie(pair[0], best)]
         if float_tie(v, best):
             self.window.append((v, candidate))
+
+    def merge(self, other: _Extremum) -> None:
+        """Fold in a fold of the same objective over another part of the
+        stream: other's window is offered again and the counts add. An offer
+        other pruned cannot tie the merged best (see indices.TIE_RTOL)."""
+        total = self.total + other.total
+        for v, candidate in other.window:
+            self.offer(v, candidate)
+        self.total = total
 
     def result(self) -> ExtremalResult:
         """Key the window and re-rank it exactly once the stream is exhausted."""
@@ -362,9 +367,9 @@ class Claim:
 
 
 # The verify claims in the CLI's order. The rows hold no reference to the
-# enumeration, extremal or index functions: verify and the row lambdas look
-# them up as module globals at call time, so wrappers installed on those
-# globals (bench/spans.py) see every call.
+# enumeration, extremal or index functions: verify, _fold_shard and the row
+# lambdas look them up as module globals at call time, so wrappers installed
+# on those globals (bench/spans.py) see every call.
 CLAIMS: dict[str, Claim] = {
     # max NGG over connected bipartite graphs is the balanced complete
     # bipartite graph, uniquely, with value sqrt(floor(n/2) * ceil(n/2))
@@ -485,6 +490,23 @@ def _check_row(
     )
 
 
+def _fold_shard(
+    claim: str, cons: Constraints, orders: frozenset[int], res: int, mod: int
+) -> dict[int, list[_Extremum]]:
+    """The folds of claim's checks at each order in orders, in the order of
+    its checks, over shard res of mod of cons's classes (enumeration._classes).
+    Each class is valued once per index the checks use."""
+    checks = CLAIMS[claim].checks
+    key_of = _tree_key if cons.tree_class else _masks_key
+    folds = {n: [_Extremum(check.objective, key_of) for check in checks] for n in orders}
+    indices = tuple(dict.fromkeys(check.objective.index for check in checks))
+    for n, candidate, splits in _classes(cons, orders, res, mod):
+        values = {index: SPLIT_SUMS[index](splits) for index in indices}
+        for fold in folds[n]:
+            fold.offer(values[fold.objective.index], candidate)
+    return folds
+
+
 def verify(
     claim: str,
     n_values: Iterable[int],
@@ -498,16 +520,14 @@ def verify(
     max_degree is the degree bound of the conjecture probes; the theorem
     claims ignore it. max_n caps the orders as in check_bound, and an order
     below the claim's least one is refused with them, before any class is
-    generated. workers
-    shards the walk of the graph claims, which take its classes unsorted, as
-    adjacency masks with their splits (_walk_splits); a class of the largest
-    order is searched only where its canonical-deletion test needs it. The
-    tree claims (trees, conjecture3) run in one process and ignore workers.
-    They take each tree's parent links from the level-sequence generator,
-    with no canonical search and no Graph, and value it from its subtree
-    sizes (_subtree_splits). The folds key only the classes left in their
-    windows (_masks_key, _tree_key). Probe outcomes are evidence at the
-    listed orders only.
+    generated. Every order comes from one enumeration (enumeration._classes):
+    one walk, or for the tree claims (trees, conjecture3) the level-sequence
+    generator, which runs no canonical search; no class is built as a Graph.
+    workers cuts it into shards (_map_shards); each shard runs every check's
+    fold over its own classes (_fold_shard) and returns only the fold states,
+    which are merged here. The folds key only the classes left in their
+    windows (_masks_key, _tree_key). Probe outcomes are evidence at the listed
+    orders only.
     """
     spec = CLAIMS.get(claim)
     if spec is None:
@@ -519,7 +539,7 @@ def verify(
         raise ExtremalError("a degree bound below 2 leaves nothing to scan")
     orders = list(n_values)
     # every order's class, cap and place in the claim's domain are checked,
-    # in the order given, before one walk enumerates them all; a repeated
+    # in the order given, before one enumeration covers them all; a repeated
     # order repeats its rows
     least = spec.least(max_degree)
     at_bound = "" if spec.theorem else f" at max degree {max_degree}"
@@ -530,22 +550,11 @@ def verify(
         if n < least:
             raise ExtremalError(f"claim {claim} starts at n = {least}{at_bound}, got n = {n}")
         classes.setdefault(n, cons)
-    indices = tuple(dict.fromkeys(check.objective.index for check in spec.checks))
-    if any(cons.tree_class for cons in classes.values()):
-        key_of: Callable[[Any], str] = _tree_key
-        stream = (
-            (cons.n, parent, _subtree_splits(parent))
-            for cons in classes.values()
-            for parent in _trees(cons.n, cons.max_degree)
-        )
-    else:
-        key_of = _masks_key
-        stream = _walk_splits(list(classes.values()), workers)
-    folds = {n: [_Extremum(check.objective, key_of) for check in spec.checks] for n in classes}
-    for n, candidate, splits in stream:
-        values = {index: SPLIT_SUMS[index](splits) for index in indices}
-        for fold in folds[n]:
-            fold.offer(values[fold.objective.index], candidate)
+    folds, *others = _map_shards(partial(_fold_shard, claim), list(classes.values()), workers)
+    for shard in others:
+        for n, shard_folds in shard.items():
+            for fold, other in zip(folds[n], shard_folds):
+                fold.merge(other)
     rows = tuple(
         _check_row(n, max_degree, fold.result(), check, spec.theorem)
         for n in orders

@@ -337,7 +337,7 @@ def test_verify_refuses_orders_outside_the_claim(capsys, monkeypatch, args, want
     def no_walk(*args, **kwargs):
         raise AssertionError("the walk ran")
 
-    monkeypatch.setattr(ggindex.extremal, "_walk_splits", no_walk)
+    monkeypatch.setattr(ggindex.extremal, "_classes", no_walk)
     code, out, err = run(capsys, "verify", *args)
     assert (code, out, err) == (2, "", want_err)
 
@@ -501,8 +501,13 @@ def test_index_bad_second_file_writes_nothing(capsys, tmp_path, p4_file, to_file
     assert not dest.exists()
 
 
-def test_verify_json_deterministic_across_runs_and_workers(capsys):
-    args = ["verify", "max-bipartite", "--n", "4..7", "--format", "json"]
+# claim -> orders; every exhaustive claim shards, the tree claims included
+SHARDED = {"max-bipartite": "4..7", "trees": "4..10", "conjecture3": "6..12"}
+
+
+@pytest.mark.parametrize("claim, orders", SHARDED.items(), ids=SHARDED)
+def test_verify_json_deterministic_across_runs_and_workers(capsys, claim, orders):
+    args = ["verify", claim, "--n", orders, "--format", "json"]
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args, "--workers", "2")
     code3, out3, _ = run(capsys, *args)

@@ -17,7 +17,7 @@ from ggindex.enumeration import (
     enumerate_keys,
     enumerate_trees,
 )
-from ggindex.extremal import verify
+from ggindex.extremal import CLAIMS, _fold_shard, verify
 from ggindex.graphs import all_pairs_distances, build_graph, canonical_form, to_graph6
 
 from oracles import ahu_certificate, brute_force_classes, is_bipartite, prufer_decode, prufer_trees
@@ -592,16 +592,25 @@ def test_shards_partition_the_classes(cons):
             assert sorted(key for shard in shards for key in shard[k]) == sorted(whole[k])
 
 
-def test_packed_shards_unpack_to_the_walk_stream():
-    # what a worker sends back to verify, a shard's classes with their splits
-    # packed into one array, unpacks to the stream the walk gives in process
-    cons = Constraints(8, max_degree=3)
-    orders = frozenset({5, 8})
-    for res in range(2):
-        walked = list(enumeration._with_splits(enumeration._walk(cons, orders, res, 2)))
-        assert len(walked) >= 100
-        packed = enumeration._packed_splits(cons, orders, res, 2)
-        assert list(enumeration._unpacked(packed)) == walked
+@pytest.mark.parametrize("claim", [name for name, c in CLAIMS.items() if c.graph_class is not None])
+def test_merged_shard_folds_are_the_one_shard_fold(claim):
+    # what verify merges from k shards, each shard's fold states, gives the
+    # one-shard fold's result at every order, above, at and below the walk's
+    # split depth (top - 2)
+    least = CLAIMS[claim].least(3)
+    top = 11 if claim in ("trees", "conjecture3") else 8
+    orders = frozenset({least, top - 3, top - 2, top})
+    cons = CLAIMS[claim].graph_class(top, 3)
+    whole = _fold_shard(claim, cons, orders, 0, 1)
+    for mod in (1, 2, 3):
+        folds, *others = shards = [_fold_shard(claim, cons, orders, res, mod) for res in range(mod)]
+        assert sum(shard[top][0].total > 0 for shard in shards) == mod
+        for shard in others:
+            for n in orders:
+                for fold, other in zip(folds[n], shard[n]):
+                    fold.merge(other)
+        for n in orders:
+            assert [fold.result() for fold in folds[n]] == [fold.result() for fold in whole[n]]
 
 
 def test_pool_is_capped_at_the_cpu_count(monkeypatch):
@@ -630,7 +639,10 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
     assert len(list(enumerate_connected(cons, workers=64))) == 182
     assert started == [3]
-    # and verify's one shard streams its classes, packing none
-    monkeypatch.setattr(enumeration, "_packed_splits", None)
-    assert len(list(enumeration._walk_splits([cons], workers=64))) == 182
-    assert started == [3]
+    # verify's shards go through the same pool, and one shard starts none
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    report = verify("max-bipartite", range(4, 9), workers=64)
+    assert started == [3, 3]
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+    assert verify("max-bipartite", range(4, 9), workers=64) == report
+    assert started == [3, 3]

@@ -106,6 +106,50 @@ def test_find_extremal_order_invariance():
             assert again.total_classes == 2 * baseline.total_classes == 2 * len(pool)
 
 
+def _fold(objective, offers):
+    fold = _Extremum(objective, str)
+    for v, candidate in offers:
+        fold.offer(v, candidate)
+    return fold
+
+
+TIED = 1.0 + 2.0 ** -52  # float_ties 1.0
+MERGES = {
+    # case -> (one shard's offers, the other's, the merged window)
+    "the best moves between shards": ([(2.0, "a")], [(1.0, "b")], [(1.0, "b")]),
+    "a tie spans two shards": ([(1.0, "a"), (3.0, "x")], [(TIED, "b")], [(1.0, "a"), (TIED, "b")]),
+    "a stale offer is dropped": ([(1.0, "a")], [(2.0, "b"), (2.0, "c")], [(1.0, "a")]),
+    "a shard is empty": ([(1.0, "a"), (TIED, "b")], [], [(1.0, "a"), (TIED, "b")]),
+}
+
+
+@pytest.mark.parametrize("mine, theirs, window", MERGES.values(), ids=MERGES)
+def test_merge_is_the_fold_of_both_shards(mine, theirs, window):
+    # merging two folds, either way round, leaves the best, the window and
+    # the count of one fold over both shards' offers
+    objective = Objective("min", "ngg")
+    whole = _fold(objective, mine + theirs)
+    for first, second in ((mine, theirs), (theirs, mine)):
+        merged = _fold(objective, first)
+        merged.merge(_fold(objective, second))
+        assert sorted(merged.window) == sorted(whole.window) == window
+        assert (merged.best, merged.total) == (whole.best, whole.total) == (1.0, len(mine + theirs))
+
+
+def test_merge_keeps_an_exact_tie_across_shards():
+    # the two odd-order minimizers at n = 15 tie exactly: each alone in its
+    # shard, both are exact witnesses of the merge
+    objective = Objective("min", "ngg")
+    pendant, hook = cycle_pendant(15), cycle_hook(15)
+    merged = _Extremum(objective)
+    merged.offer(ngg_index(pendant), pendant)
+    other = _Extremum(objective)
+    other.offer(ngg_index(hook), hook)
+    merged.merge(other)
+    assert merged.result() == find_extremal([pendant, hook], objective)
+    assert len(merged.result().exact_witnesses) == 2
+
+
 def test_verify_max_bipartite_small():
     report = verify("max-bipartite", range(4, 8))
     assert report.passed and [row.n for row in report.rows] == [4, 5, 6, 7]
@@ -253,7 +297,7 @@ def test_walk_claims_build_no_graph_and_decode_no_key_per_class(
 
 
 def test_deferred_tree_candidates_keep_their_own_order(monkeypatch):
-    # the folds of order 7 take all their trees before those of order 5;
+    # the folds of each order take all its trees before those of the other;
     # every fold keys its window in result(), from its own parent links
     keyed, in_result = [], []
     monkeypatch.setattr(extremal, "_tree_key", _counting(extremal._tree_key, keyed))
@@ -396,8 +440,7 @@ def test_orders_outside_a_claims_domain_are_refused_before_the_walk(
     def no_walk(*args, **kwargs):
         raise AssertionError("the walk ran")
 
-    monkeypatch.setattr(extremal, "_walk_splits", no_walk)
-    monkeypatch.setattr(extremal, "_trees", no_walk)
+    monkeypatch.setattr(extremal, "_classes", no_walk)
     at_bound = f" at max degree {max_degree}" if claim.startswith("conjecture") else ""
     want = f"claim {claim} starts at n = {least}{at_bound}, got n = {refused}"
     assert CLAIMS[claim].least(max_degree) == least
