@@ -69,18 +69,24 @@ comes from it once, no level is kept and nothing is deduplicated: working
 memory is O(n * branching), one parent's children per depth, plus the keys
 output. The walk is cut into res/mod shards as in geng: the nodes at a split
 depth two below the largest order are dealt round-robin, and shard res
-descends into every mod-th of them. A tree shard keys every mod-th tree of
-each order. Shards are deterministic, disjoint and together cover every
-class, so a run over several processes maps them over one pool and merges
-what they find. enumerate_keys sorts the keys within each order, so its
-output order is a function of the constraint sets alone, and
-enumerate_connected decodes those keys; worker count changes wall time,
-never bytes. verify takes each shard's classes unkeyed and unsorted instead
-(_classes): a walk class as its adjacency masks in walk order, a tree as its
-parent links, each with its edge splits. Each shard folds its own classes
-and sends back only the fold states, which verify merges; the folds key only
-the classes left in a tie window, and their witness sets depend neither on
-the order nor on the shard count.
+descends into every mod-th of them. A tree shard takes every mod-th level
+sequence of each order, before the degree test and any parent link. Shards
+are deterministic, disjoint and together cover every class, so a run over
+several processes maps them over one pool and merges what they find.
+
+_classes is each shard's one class stream, for enumerate and verify alike.
+It returns (stream, key_of, splits_of): the stream yields (n, candidate),
+unkeyed and unsorted, a walk class as its walk node (its masks in walk order
+with their canon_full result) and a tree as its parent links; key_of gives a
+candidate's canonical key, read off the node's own result or from one
+canon_full call per tree, and splits_of its edge splits. enumerate_keys keys
+every class (_shard) and sorts the keys within each order, so its output
+order is a function of the constraint sets alone, and enumerate_connected
+decodes those keys; worker count changes wall time, never bytes. verify
+folds each shard's classes unkeyed instead and sends back only the fold
+states, which it merges; the folds key only the classes left in a tie
+window, and their witness sets depend neither on the order nor on the shard
+count.
 """
 
 from __future__ import annotations
@@ -89,7 +95,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, islice
-from typing import Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import canon as _canon
 from .bitset import bipartition, bits, components, mask_of, reach
@@ -226,7 +232,6 @@ def _orbit_representatives(options: list[int], generators) -> list[int]:
 
 
 Child = tuple[tuple[int, ...], _canon.CanonResult]  # (masks, canonical search)
-Scanned = tuple[int, Sequence[int], Sequence[tuple]]  # (n, candidate, splits)
 
 
 def _expand_parent(
@@ -292,31 +297,23 @@ def _walk(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> Iter
     the nodes above that depth, so all deal the same sequence, but only
     shard 0 emits them. A class of the largest order is searched only if
     its canonical-deletion test needed it or the caller reads its result."""
-    if cons.tree_class:
-        # with no tree rule left, cyclomatic number 0 would prune nothing
-        # and the walk would grow every graph
-        raise ValueError("trees come from level sequences, not from the walk")
     top = max(orders)
     split = max(1, top - 2)
-
-    def descend() -> Iterator[Child]:
-        dealt = 0
-        stack = [((0,), _canon.canon_full(1, (0,)))]
-        while stack:
-            masks, result = stack.pop()
-            k = len(masks)
-            if k == split:
-                mine = dealt % mod == res
-                dealt += 1
-                if not mine:
-                    continue
-            if k in orders and (k >= split or res == 0) and _emitted(masks, cons):
-                yield masks, result
-            if k < top:
-                children = _expand_parent(masks, result, cons, k == top - 1)
-                stack.extend(reversed(children))
-
-    return descend()
+    dealt = 0
+    stack = [((0,), _canon.canon_full(1, (0,)))]
+    while stack:
+        masks, result = stack.pop()
+        k = len(masks)
+        if k == split:
+            mine = dealt % mod == res
+            dealt += 1
+            if not mine:
+                continue
+        if k in orders and (k >= split or res == 0) and _emitted(masks, cons):
+            yield masks, result
+        if k < top:
+            children = _expand_parent(masks, result, cons, k == top - 1)
+            stack.extend(reversed(children))
 
 
 def _edges(masks) -> list[tuple[int, int]]:
@@ -324,9 +321,15 @@ def _edges(masks) -> list[tuple[int, int]]:
     return [(u, v) for u, m in enumerate(masks) for v in bits(m >> u + 1 << u + 1)]
 
 
-def _masks_key(masks) -> str:
-    """The canonical key of the graph with these adjacency masks."""
-    return _canon.canon_full(len(masks), masks).key
+def _node_key(node: Child) -> str:
+    """The canonical key of a walk node, read off its own canon_full result."""
+    return node[1].key
+
+
+def _node_splits(node: Child) -> Sequence[tuple]:
+    """The edge splits of a walk node's graph, its edges in _edges order."""
+    masks = node[0]
+    return split_pass(len(masks), _edges(masks))
 
 
 # ------------------------------------------------------------------ trees ----
@@ -373,14 +376,15 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
             seq[n - h:] = range(1, h + 1)
 
 
-def _trees(n: int, max_degree: Optional[int]) -> Iterator[list[int]]:
+def _trees(n: int, max_degree: Optional[int], res: int = 0, mod: int = 1) -> Iterator[list[int]]:
     """The parent of every vertex (-1 for the root), numbered in preorder,
-    of each tree on n vertices with no degree above max_degree. A vertex's
-    parent is the nearest earlier vertex one level up. Each tree gets a new
-    list, so a caller may keep it; a sequence is dropped at the first vertex
-    that takes a parent over the bound."""
+    of each tree on n vertices with no degree above max_degree whose level
+    sequence's index is res mod mod. A vertex's parent is the nearest
+    earlier vertex one level up. Each tree gets a new list, so a caller may
+    keep it; a sequence is dropped at the first vertex that takes a parent
+    over the bound."""
     cap = n if max_degree is None else max_degree
-    for seq in _level_sequences(n):
+    for seq in islice(_level_sequences(n), res, None, mod):
         parent = [-1] * n
         degree = [0] + [1] * (n - 1)  # every vertex but the root has a parent
         latest = [0] * n  # the last vertex seen at each level
@@ -420,46 +424,37 @@ def _tree_key(parent: list[int]) -> str:
         u = parent[v]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return _masks_key(adj)
+    return _canon.canon_full(n, adj).key
 
 
-def _tree_keys(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[str]]:
-    """Unsorted canonical keys of the trees of each order in orders whose
-    generation index is res mod mod, cons naming the degree bound."""
-    return {
-        k: [_tree_key(parent) for parent in islice(_trees(k, cons.max_degree), res, None, mod)]
-        for k in orders
-    }
+def _classes(
+    cons: Constraints, orders: frozenset[int], res: int, mod: int
+) -> tuple[Iterator[tuple[int, Any]], Callable[[Any], str], Callable[[Any], Sequence[tuple]]]:
+    """Shard res of mod of the classes of cons's class at each order in
+    orders, unkeyed and unsorted, as (stream, key_of, splits_of): stream
+    yields (n, candidate), key_of(candidate) is its canonical key and
+    splits_of(candidate) its edge splits. A walk class is its walk node,
+    the adjacency masks in walk order with their canon_full result, keyed
+    from that result (_node_key) and split in _edges order (_node_splits);
+    a tree is its parent links, dealt by level sequence (_trees), keyed by
+    _tree_key and split by subtree sizes (_subtree_splits). No class is
+    decoded or built as a Graph, and both functions are module-level, so a
+    fold that holds one pickles."""
+    if not cons.tree_class:
+        stream = ((len(node[0]), node) for node in _walk(cons, orders, res, mod))
+        return stream, _node_key, _node_splits
+    stream = ((k, parent) for k in orders for parent in _trees(k, cons.max_degree, res, mod))
+    return stream, _tree_key, _subtree_splits
 
 
 def _shard(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[str]]:
     """Shard res of mod of the keys of cons's class at each order in orders,
     unsorted."""
-    if cons.tree_class:
-        return _tree_keys(cons, orders, res, mod)
+    stream, key_of, _ = _classes(cons, orders, res, mod)
     keys: dict[int, list[str]] = {k: [] for k in orders}
-    for masks, result in _walk(cons, orders, res, mod):
-        keys[len(masks)].append(result.key)
+    for n, candidate in stream:
+        keys[n].append(key_of(candidate))
     return keys
-
-
-def _classes(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> Iterator[Scanned]:
-    """Shard res of mod of the classes of cons's class at each order in
-    orders, unkeyed and unsorted, as (n, candidate, splits). A walk class is
-    its adjacency masks in walk order, in no canonical labeling, with the
-    splits of its edges in _edges order; a tree is its parent links, the
-    trees of each order dealt as in _tree_keys, with the splits from its
-    subtree sizes (_subtree_splits). No class is decoded or built as a Graph."""
-    if not cons.tree_class:
-        return (
-            (len(masks), masks, split_pass(len(masks), _edges(masks)))
-            for masks, _ in _walk(cons, orders, res, mod)
-        )
-    return (
-        (k, parent, _subtree_splits(parent))
-        for k in orders
-        for parent in islice(_trees(k, cons.max_degree), res, None, mod)
-    )
 
 
 def _shard_count(workers: int) -> int:
@@ -468,29 +463,15 @@ def _shard_count(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _map_shards(fn, conses: Sequence[Constraints], workers: int) -> list:
-    """fn(cons, orders, res, mod) for every shard res of mod of one walk that
-    serves conses, which must differ only in n, with mod = _shard_count(workers);
-    each shard runs in its own process unless mod is 1."""
-    if len({replace(c, n=1) for c in conses}) > 1:
-        raise ValueError("one walk serves constraints that differ only in n")
-    cons = conses[0]
-    orders = frozenset(c.n for c in conses)
+def _map_shards(fn, cons: Constraints, orders: frozenset[int], workers: int) -> list:
+    """fn(cons, orders, res, mod) for every shard res of mod of the classes of
+    cons's class at the orders, with mod = _shard_count(workers); each shard
+    runs in its own process unless mod is 1. cons.n is not read."""
     mod = _shard_count(workers)
     if mod == 1:
         return [fn(cons, orders, 0, 1)]
     with ProcessPoolExecutor(max_workers=mod) as pool:
         return list(pool.map(fn, [cons] * mod, [orders] * mod, range(mod), [mod] * mod))
-
-
-def _sorted_keys(conses: Sequence[Constraints], workers: int = 1) -> list[list[str]]:
-    """Sorted canonical keys of every class matching each of conses, which
-    must differ only in n, from one shard per process (_shard_count)."""
-    if not conses:
-        return []
-    shards = _map_shards(_shard, conses, workers)
-    keys = {k: sorted(key for shard in shards for key in shard[k]) for k in shards[0]}
-    return [keys[c.n] for c in conses]
 
 
 def check_bound(cons: Constraints, max_n: Optional[int] = None) -> None:
@@ -527,7 +508,13 @@ def enumerate_keys(
     """
     for c in cons:
         check_bound(c, max_n)
-    return (key for keys in _sorted_keys(cons, workers) for key in keys)
+    if not cons:
+        return iter(())
+    if len({replace(c, n=1) for c in cons}) > 1:
+        raise ValueError("one walk serves constraints that differ only in n")
+    shards = _map_shards(_shard, cons[0], frozenset(c.n for c in cons), workers)
+    keys = {k: sorted(key for shard in shards for key in shard[k]) for k in shards[0]}
+    return (key for c in cons for key in keys[c.n])
 
 
 def enumerate_connected(

@@ -17,15 +17,14 @@ The fold holds each candidate in its stream's own form and keys none of
 them while the stream runs. When the result is taken it keys the window's
 candidates once each, with the stream's key function, and the result is
 keys and floats only: a window of several keys is re-ranked from graphs
-decoded from the keys. enumeration._classes gives each class as (n,
-candidate, splits). A walk class is the adjacency masks the walk holds, in no
-canonical labeling, with indices.split_pass's splits read off them, keyed
-by enumeration._masks_key; a tree is the parent links of the level-sequence
-generator, with the edge splits (s, n - s) from its subtree sizes, keyed by
-enumeration._tree_key. Both take their values from indices.SPLIT_SUMS, the
-sums the index functions use. math.fsum rounds the exact sum of the terms,
-so the floats are the same bits in any labeling, and the fold builds no
-Graph and decodes no key.
+decoded from the keys. enumeration._classes gives a shard's classes as a
+stream of (n, candidate) together with the candidate's key and split
+functions, so only enumeration knows how a class is held: a walk class is
+its walk node, keyed from the canonical search the walk already holds, a
+tree its parent links. The splits take their values from
+indices.SPLIT_SUMS, the sums the index functions use. math.fsum rounds the
+exact sum of the terms, so the floats are the same bits in any labeling, and
+the fold builds no Graph and decodes no key.
 
 CLAIMS is the table of the claims `ggindex verify` checks: for each, the
 class to scan and the predicted witnesses and values, or a closed-form row
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .enumeration import Constraints, _classes, _map_shards, _masks_key, _tree_key, check_bound
+from .enumeration import Constraints, _classes, _map_shards, check_bound
 from .families import (
     FamilySpec,
     almost_dendrimer,
@@ -81,6 +80,8 @@ class Objective:
 
 def exact_index_value(g: Graph, index: str) -> RadicalSum:
     """The index value as an exact sum of radicals."""
+    if index not in ("abc", "gg", "ngg"):
+        raise ExtremalError(f"unknown index {index!r}")
     total = RadicalSum.zero()
     if index == "abc":
         deg = g.degrees
@@ -92,10 +93,8 @@ def exact_index_value(g: Graph, index: str) -> RadicalSum:
             total = total + RadicalSum.sqrt_rational(
                 split.n_u + split.n_v - 2, split.n_u * split.n_v
             )
-        elif index == "ngg":
-            total = total + RadicalSum.sqrt_rational(1, split.n_u * split.n_v)
         else:
-            raise ExtremalError(f"unknown index {index!r}")
+            total = total + RadicalSum.sqrt_rational(1, split.n_u * split.n_v)
     return total
 
 
@@ -497,10 +496,11 @@ def _fold_shard(
     its checks, over shard res of mod of cons's classes (enumeration._classes).
     Each class is valued once per index the checks use."""
     checks = CLAIMS[claim].checks
-    key_of = _tree_key if cons.tree_class else _masks_key
+    stream, key_of, splits_of = _classes(cons, orders, res, mod)
     folds = {n: [_Extremum(check.objective, key_of) for check in checks] for n in orders}
     indices = tuple(dict.fromkeys(check.objective.index for check in checks))
-    for n, candidate, splits in _classes(cons, orders, res, mod):
+    for n, candidate in stream:
+        splits = splits_of(candidate)
         values = {index: SPLIT_SUMS[index](splits) for index in indices}
         for fold in folds[n]:
             fold.offer(values[fold.objective.index], candidate)
@@ -520,37 +520,38 @@ def verify(
     max_degree is the degree bound of the conjecture probes; the theorem
     claims ignore it. max_n caps the orders as in check_bound, and an order
     below the claim's least one is refused with them, before any class is
-    generated. Every order comes from one enumeration (enumeration._classes):
-    one walk, or for the tree claims (trees, conjecture3) the level-sequence
-    generator, which runs no canonical search; no class is built as a Graph.
-    workers cuts it into shards (_map_shards); each shard runs every check's
-    fold over its own classes (_fold_shard) and returns only the fold states,
-    which are merged here. The folds key only the classes left in their
-    windows (_masks_key, _tree_key). Probe outcomes are evidence at the listed
-    orders only.
+    generated, and an empty order list is refused. Every order comes from
+    one enumeration (enumeration._classes): one walk, or for the tree claims
+    (trees, conjecture3) the level-sequence generator, which runs no
+    canonical search; no class is built as a Graph. workers cuts it into
+    shards (_map_shards); each shard runs every check's fold over its own
+    classes (_fold_shard) and returns only the fold states, which are merged
+    here. The folds key only the classes left in their windows, with the
+    stream's key function. Probe outcomes are evidence at the listed orders
+    only.
     """
     spec = CLAIMS.get(claim)
     if spec is None:
         raise ExtremalError(f"unknown claim {claim!r}; known claims: {', '.join(CLAIMS)}")
+    orders = list(n_values)
+    if not orders:
+        raise ExtremalError(f"claim {claim} needs at least one order")
     if spec.scan is not None:
-        rows = tuple(spec.scan(n_values))
+        rows = tuple(spec.scan(orders))
         return VerificationReport(claim=claim, rows=rows, passed=spec.pattern(rows))
     if not spec.theorem and max_degree < 2:
         raise ExtremalError("a degree bound below 2 leaves nothing to scan")
-    orders = list(n_values)
     # every order's class, cap and place in the claim's domain are checked,
     # in the order given, before one enumeration covers them all; a repeated
     # order repeats its rows
     least = spec.least(max_degree)
     at_bound = "" if spec.theorem else f" at max degree {max_degree}"
-    classes: dict[int, Constraints] = {}
     for n in orders:
         cons = spec.graph_class(n, max_degree)
         check_bound(cons, max_n)
         if n < least:
             raise ExtremalError(f"claim {claim} starts at n = {least}{at_bound}, got n = {n}")
-        classes.setdefault(n, cons)
-    folds, *others = _map_shards(partial(_fold_shard, claim), list(classes.values()), workers)
+    folds, *others = _map_shards(partial(_fold_shard, claim), cons, frozenset(orders), workers)
     for shard in others:
         for n, shard_folds in shard.items():
             for fold, other in zip(folds[n], shard_folds):

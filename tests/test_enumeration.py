@@ -1,4 +1,5 @@
 import functools
+import pickle
 from collections import Counter
 from dataclasses import replace
 
@@ -546,11 +547,6 @@ def test_each_tree_class_is_searched_once(max_degree, classes, monkeypatch):
     assert len(results) == len(set(results)) == classes
 
 
-def test_the_walk_refuses_trees():
-    with pytest.raises(ValueError, match="level sequences"):
-        enumeration._walk(tree_class(5), frozenset({5}), 0, 1)
-
-
 def test_one_walk_checks_every_bound_first():
     with pytest.raises(EnumerationBoundError, match="n=11"):
         enumerate_connected(Constraints(4), Constraints(11), Constraints(12))
@@ -603,7 +599,13 @@ def test_merged_shard_folds_are_the_one_shard_fold(claim):
     cons = CLAIMS[claim].graph_class(top, 3)
     whole = _fold_shard(claim, cons, orders, 0, 1)
     for mod in (1, 2, 3):
-        folds, *others = shards = [_fold_shard(claim, cons, orders, res, mod) for res in range(mod)]
+        # fold states come back from worker processes pickled, walk nodes'
+        # canon_full results included
+        shards = [
+            pickle.loads(pickle.dumps(_fold_shard(claim, cons, orders, res, mod)))
+            for res in range(mod)
+        ]
+        folds, *others = shards
         assert sum(shard[top][0].total > 0 for shard in shards) == mod
         for shard in others:
             for n in orders:
@@ -611,6 +613,33 @@ def test_merged_shard_folds_are_the_one_shard_fold(claim):
                     fold.merge(other)
         for n in orders:
             assert [fold.result() for fold in folds[n]] == [fold.result() for fold in whole[n]]
+
+
+@pytest.mark.parametrize(
+    "claim, top, keys_per_candidate",
+    [("max-bipartite", 8, 0), ("conjecture1", 8, 0), ("trees", 11, 1), ("conjecture3", 11, 1)],
+)
+def test_a_fold_result_keys_walk_nodes_from_their_own_search(
+    claim, top, keys_per_candidate, monkeypatch
+):
+    # a walk fold's window holds walk nodes, keyed from the canon_full
+    # results the walk made for them: taking the result runs no canon_full
+    # call. A tree fold keys each tree left in its window with one call
+    orders = frozenset(range(CLAIMS[claim].least(3), top + 1))
+    folds = _fold_shard(claim, CLAIMS[claim].graph_class(top, 3), orders, 0, 1)
+    calls = []
+    full = canon.canon_full
+
+    def counted(n, adj, **kwargs):
+        calls.append(n)
+        return full(n, adj, **kwargs)
+
+    monkeypatch.setattr(canon, "canon_full", counted)
+    for n in orders:
+        for fold in folds[n]:
+            calls.clear()
+            fold.result()
+            assert calls == [n] * keys_per_candidate * len(fold.window)
 
 
 def test_pool_is_capped_at_the_cpu_count(monkeypatch):

@@ -31,7 +31,7 @@ from ggindex.families import (
     path,
     star,
 )
-from ggindex import extremal, formats
+from ggindex import enumeration, extremal, formats
 from ggindex.graphs import Graph, build_graph, canonical_form
 from ggindex.indices import INDEX_FNS, SPLIT_SUMS, edge_splits, gg_index, ngg_index
 
@@ -42,6 +42,18 @@ def test_objective_validation():
         Objective("mid", "gg")
     with pytest.raises(ExtremalError):
         Objective("min", "wiener")
+
+
+@pytest.mark.parametrize("g", [build_graph(1, []), path(2)], ids=["K1", "K2"])
+def test_unknown_exact_index_is_refused_with_or_without_edges(g):
+    with pytest.raises(ExtremalError, match="unknown index 'bogus'"):
+        exact_index_value(g, "bogus")
+
+
+@pytest.mark.parametrize("claim", list(CLAIMS))
+def test_an_empty_order_list_is_refused(claim):
+    with pytest.raises(ExtremalError, match=f"claim {claim} needs at least one order"):
+        verify(claim, [])
 
 
 def test_index_value_dispatch():
@@ -192,7 +204,7 @@ def test_verify_canonicalizes_only_the_expected_graphs(monkeypatch):
     # until the star displaces them
     forms, tree_keys = [], []
     monkeypatch.setattr(extremal, "canonical_form", _counting(extremal.canonical_form, forms))
-    monkeypatch.setattr(extremal, "_tree_key", _counting(extremal._tree_key, tree_keys))
+    monkeypatch.setattr(enumeration, "_tree_key", _counting(enumeration._tree_key, tree_keys))
     report = verify("trees", range(4, 9))
     assert report.passed
     assert len(report.rows) == 10
@@ -300,7 +312,7 @@ def test_deferred_tree_candidates_keep_their_own_order(monkeypatch):
     # the folds of each order take all its trees before those of the other;
     # every fold keys its window in result(), from its own parent links
     keyed, in_result = [], []
-    monkeypatch.setattr(extremal, "_tree_key", _counting(extremal._tree_key, keyed))
+    monkeypatch.setattr(enumeration, "_tree_key", _counting(enumeration._tree_key, keyed))
     real_result = extremal._Extremum.result
 
     def result(fold):
