@@ -16,6 +16,7 @@ sorts and the command line prints it.
 from .graphs import Graph, GraphError, build_graph, canonical_form, from_graph6, to_graph6
 from .indices import EdgeSplit, abc_index, edge_splits, gg_index, ngg_index
 from .families import (
+    FAMILIES,
     FamilyError,
     FamilySpec,
     almost_dendrimer,
@@ -26,6 +27,7 @@ from .families import (
     cycle_hook,
     cycle_pendant,
     ngg_closed,
+    ngg_closed_exact,
     ngg_path_closed,
     parse_spec,
     path,
@@ -64,6 +66,7 @@ __all__ = [
     "edge_splits",
     "gg_index",
     "ngg_index",
+    "FAMILIES",
     "FamilyError",
     "FamilySpec",
     "almost_dendrimer",
@@ -74,6 +77,7 @@ __all__ = [
     "cycle_hook",
     "cycle_pendant",
     "ngg_closed",
+    "ngg_closed_exact",
     "ngg_path_closed",
     "parse_spec",
     "path",

@@ -48,8 +48,8 @@ class CliError(ValueError):
 
 # ------------------------------------------------------------- formatting ----
 
-def _fmt(v: float, fmt: str) -> str:
-    return format(v, ".4f") if fmt == "text" else format(v, ".10g")
+def _fmt(v: float) -> str:
+    return format(v, ".4f")
 
 
 class _JsonText(str):
@@ -182,7 +182,7 @@ def _cmd_index(args) -> int:
             elif args.format == "csv":
                 chunks.append(_csv_line([label, lineno, g.n, g.m, *values]))
             else:
-                vals = "  ".join(f"{w} {_fmt(v, 'text')}" for w, v in zip(which, values))
+                vals = "  ".join(f"{w} {_fmt(v)}" for w, v in zip(which, values))
                 chunks.append(f"{label}:{lineno}  n={g.n} m={g.m}  {vals}\n")
                 if args.splits:
                     chunks.extend(
@@ -225,7 +225,7 @@ def _cmd_family(args) -> int:
     else:
         sys.stdout.write(f"spec {spec.text}\nn {g.n}\nm {g.m}\ngraph6 {line}\n")
         if closed is not None:
-            sys.stdout.write(f"ngg-closed {_fmt(closed, 'text')}\n")
+            sys.stdout.write(f"ngg-closed {_fmt(closed)}\n")
     return OK
 
 
@@ -280,7 +280,7 @@ def _cmd_enumerate(args) -> int:
 def _check_line(r: CheckRow) -> str:
     extra = f" [{r.note}]" if r.note else ""
     line = (
-        f"  n={r.n}{extra} {r.label}: value={_fmt(r.value, 'text')}"
+        f"  n={r.n}{extra} {r.label}: value={_fmt(r.value)}"
         f" witnesses={','.join(r.witnesses)}"
     )
     if r.expected:
@@ -290,13 +290,13 @@ def _check_line(r: CheckRow) -> str:
 
 def _crossover_line(r: CrossoverRow) -> str:
     return (
-        f"  n={r.n} k={r.k}  C'={_fmt(r.ngg_cycle_pendant, 'text')}"
-        f"  C''={_fmt(r.ngg_cycle_hook, 'text')}  {r.comparison}\n"
+        f"  n={r.n} k={r.k}  C'={_fmt(r.ngg_cycle_pendant)}"
+        f"  C''={_fmt(r.ngg_cycle_hook)}  {r.comparison}\n"
     )
 
 
 def _asymptote_line(r: AsymptoticRow) -> str:
-    return f"  n={r.n}  ngg={_fmt(r.ngg_path, 'text')}  residual={_fmt(r.residual, 'text')}\n"
+    return f"  n={r.n}  ngg={_fmt(r.ngg_path)}  residual={_fmt(r.residual)}\n"
 
 
 _TEXT_LINE = {

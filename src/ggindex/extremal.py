@@ -28,26 +28,30 @@ the fold builds no Graph and decodes no key.
 
 CLAIMS is the table of the claims `ggindex verify` checks: for each, the
 class to scan and the predicted witnesses and values, or a closed-form row
-function. verify runs any of them and produces the VerificationReport that
-the CLI serializes.
+function. The predicted witnesses and values are family specs looked up in
+families.FAMILIES, built with their constructors and valued with their
+closed forms; crossover_scan takes the float and exact C' and C'' values
+from the same table. verify runs any claim and produces the
+VerificationReport that the CLI serializes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .enumeration import Constraints, _classes, _map_shards, check_bound
 from .families import (
+    FamilyError,
     FamilySpec,
     almost_dendrimer,
-    complete_bipartite,
     construct,
     cycle,
     ngg_closed,
+    ngg_closed_exact,
     ngg_path_closed,
+    odd_half,
     path,
     path_ngg_limit,
     star,
@@ -213,16 +217,21 @@ def _min_bipartite_families(n: int) -> tuple[FamilySpec, ...]:
     if n < 4:
         raise ExtremalError(f"the minimum-bipartite table starts at n = 4, got {n}")
     if n < 8:
-        kinds = ("path",)
+        codes = ("P",)
     elif n % 2 == 0:
-        kinds = ("cycle",)
+        codes = ("C",)
     elif n < 15:
-        kinds = ("cycle_pendant",)
+        codes = ("CP",)
     elif n == 15:
-        kinds = ("cycle_pendant", "cycle_hook")
+        codes = ("CP", "CH")
     else:
-        kinds = ("cycle_hook",)
-    return tuple(FamilySpec(kind, (n,)) for kind in kinds)
+        codes = ("CH",)
+    return tuple(FamilySpec(code, (n,)) for code in codes)
+
+
+def _balanced_bipartite(n: int) -> FamilySpec:
+    """K_{floor(n/2), ceil(n/2)}: the predicted maximizer of NGG over bipartite graphs."""
+    return FamilySpec("KB", (n // 2, n - n // 2))
 
 
 def min_bipartite_expected(n: int) -> list[Graph]:
@@ -260,17 +269,14 @@ def crossover_scan(n_values: Iterable[int]) -> list[CrossoverRow]:
     """
     rows = []
     for n in n_values:
-        if n < 5 or n % 2 == 0:
-            raise ExtremalError(f"crossover_scan wants odd n >= 5, got {n}")
-        k = (n - 1) // 2
-        pendant = RadicalSum.sqrt_rational(1, 2 * k) + RadicalSum.sqrt_rational(
-            1, k * (k + 1), scale=2 * k
-        )
-        hook = RadicalSum.sqrt_rational(1, k * (k + 1), scale=2 * k + 2)
-        sign = pendant.compare(hook)
+        try:
+            k = odd_half(n, "crossover_scan")
+        except FamilyError as exc:
+            raise ExtremalError(f"{exc}, got {n}") from None
+        pendant, hook = FamilySpec("CP", (n,)), FamilySpec("CH", (n,))
+        sign = ngg_closed_exact(pendant).compare(ngg_closed_exact(hook))
         comparison = "C' < C''" if sign < 0 else ("equal" if sign == 0 else "C'' < C'")
-        closed = (ngg_closed(FamilySpec(kind, (n,))) for kind in ("cycle_pendant", "cycle_hook"))
-        rows.append(CrossoverRow(n, k, *closed, comparison))
+        rows.append(CrossoverRow(n, k, ngg_closed(pendant), ngg_closed(hook), comparison))
     return rows
 
 
@@ -379,8 +385,8 @@ CLAIMS: dict[str, Claim] = {
         checks=(
             Check(
                 Objective("max", "ngg"),
-                expected=lambda n, d: [complete_bipartite(n // 2, n - n // 2)],
-                value=lambda n: math.sqrt((n // 2) * (n - n // 2)),
+                expected=lambda n, d: [construct(_balanced_bipartite(n))],
+                value=lambda n: ngg_closed(_balanced_bipartite(n)),
             ),
         ),
     ),

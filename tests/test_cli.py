@@ -152,6 +152,39 @@ def test_family_bad_spec(capsys):
     assert code == 2 and "known codes" in err
 
 
+FAMILY_GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "family"
+
+# One spec per family code, the odd cycle too, in every output format, and two
+# refused specs. A golden file is named after the spec with ':' and ',' as
+# '-'. <name>.<fmt> holds the stdout of
+# `PYTHONPATH=src python -m ggindex family <spec> --format <fmt>`, exit 0;
+# <name>.stderr the stderr of `... family <spec>`, exit 2 with no stdout.
+FAMILY_GOLDEN_SPECS = (
+    "P:7", "C:8", "C:7", "K:5", "KB:3,4", "S:9", "CP:9", "CH:9", "TH:4,2,2", "AD:41,3",
+)
+FAMILY_GOLDEN_RUNS = [
+    *(
+        pytest.param(spec, fmt, 0, id=f"{spec}-{fmt}")
+        for spec in FAMILY_GOLDEN_SPECS
+        for fmt in ("text", "json", "csv")
+    ),
+    pytest.param("CP:4", "text", 2, id="CP:4-refused"),
+    pytest.param("Z:4", "text", 2, id="Z:4-refused"),
+]
+
+
+@pytest.mark.parametrize("spec, fmt, exit_code", FAMILY_GOLDEN_RUNS)
+def test_family_golden_bytes(capsys, spec, fmt, exit_code):
+    code, out, err = run(capsys, "family", spec, "--format", fmt)
+    name = spec.replace(":", "-").replace(",", "-")
+    assert code == exit_code
+    if exit_code == 0:
+        assert out == (FAMILY_GOLDEN_DIR / f"{name}.{fmt}").read_bytes().decode("ascii")
+    else:
+        assert out == ""
+        assert err == (FAMILY_GOLDEN_DIR / f"{name}.stderr").read_bytes().decode("ascii")
+
+
 def test_enumerate_text(capsys):
     code, out, err = run(capsys, "enumerate", "--n", "6")
     assert code == 0

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ggindex.families import (
+    FAMILIES,
     FamilyError,
+    FamilySpec,
     almost_dendrimer,
     complete,
     complete_bipartite,
@@ -13,6 +15,7 @@ from ggindex.families import (
     cycle_hook,
     cycle_pendant,
     ngg_closed,
+    ngg_closed_exact,
     ngg_path_closed,
     parse_spec,
     path,
@@ -50,6 +53,10 @@ def test_parse_spec_rejects_malformed():
     for text in ("", "P", "P:", "Q:5", "KB:3", "TH:1,2", "P:x", "P:7,8"):
         with pytest.raises(FamilyError):
             parse_spec(text)
+    # a spec built directly is held to its family's arity too
+    for code, params in (("KB", (3,)), ("P", (7, 8)), ("TH", ()), ("kb", (3, 4))):
+        with pytest.raises(FamilyError):
+            FamilySpec(code, params)
 
 
 def test_constructor_bounds():
@@ -119,24 +126,55 @@ def test_dendrimer_degree_bound_holds():
             assert len(off) <= 1
 
 
+# for every code with a closed form, specs over a range from its smallest
+# valid parameters; INVALID_SPECS holds those just below
+CLOSED_FORM_SPECS = {
+    "P": [f"P:{n}" for n in range(1, 31)],
+    "C": [f"C:{n}" for n in range(4, 31, 2)],
+    "KB": [f"KB:{a},{b}" for a in range(1, 7) for b in range(1, 7)],
+    "S": [f"S:{n}" for n in range(2, 31)],
+    "CP": [f"CP:{n}" for n in range(5, 42, 2)],
+    "CH": [f"CH:{n}" for n in range(5, 42, 2)],
+}
+# parameters every closed-form code's constructor refuses
+INVALID_SPECS = [
+    "P:0", "P:-3", "C:2", "C:0", "KB:0,3", "KB:3,0", "S:1", "S:0",
+    "CP:3", "CP:4", "CP:6", "CP:-1", "CH:3", "CH:4", "CH:8", "CH:-1",
+]
+
+
 def test_closed_forms_match_computed():
-    cases = [
-        ("P:9", path(9)),
-        ("P:14", path(14)),
-        ("C:8", cycle(8)),
-        ("C:12", cycle(12)),
-        ("KB:3,4", complete_bipartite(3, 4)),
-        ("KB:5,5", complete_bipartite(5, 5)),
-        ("S:7", star(7)),
-        ("CP:9", cycle_pendant(9)),
-        ("CP:15", cycle_pendant(15)),
-        ("CH:9", cycle_hook(9)),
-        ("CH:15", cycle_hook(15)),
-    ]
-    for text, g in cases:
-        assert ngg_closed(parse_spec(text)) == pytest.approx(
-            ngg_index(g), abs=1e-10
-        ), text
+    with_closed = {c for c, f in FAMILIES.items() if f.closed or f.terms}
+    assert with_closed == set(CLOSED_FORM_SPECS)
+    for specs in CLOSED_FORM_SPECS.values():
+        for text in specs:
+            spec = parse_spec(text)
+            assert ngg_closed(spec) == pytest.approx(
+                ngg_index(construct(spec)), abs=1e-10
+            ), text
+    # a constructor and its closed form refuse the same parameters
+    for text in INVALID_SPECS:
+        spec = parse_spec(text)
+        with pytest.raises(FamilyError):
+            construct(spec)
+        with pytest.raises(FamilyError):
+            ngg_closed(spec)
+    # families without a closed form, and odd cycles, build but have no value
+    for text in ("K:5", "TH:4,2,2", "AD:41,3", "C:3", "C:7"):
+        spec = parse_spec(text)
+        construct(spec)
+        with pytest.raises(FamilyError):
+            ngg_closed(spec)
+    # the exact C' and C'' forms: the float forms' values, and equal only at n = 15
+    for n in range(5, 200, 2):
+        pendant, hook = parse_spec(f"CP:{n}"), parse_spec(f"CH:{n}")
+        exact = ngg_closed_exact(pendant), ngg_closed_exact(hook)
+        assert exact[0].to_float() == pytest.approx(ngg_closed(pendant), abs=1e-12), n
+        assert exact[1].to_float() == pytest.approx(ngg_closed(hook), abs=1e-12), n
+        assert (exact[0].compare(exact[1]) == 0) == (n == 15), n
+    for text in ("P:9", "C:8", "KB:3,4", "S:7"):
+        with pytest.raises(FamilyError):
+            ngg_closed_exact(parse_spec(text))
 
 
 def test_closed_form_spot_values():

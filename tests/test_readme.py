@@ -43,6 +43,12 @@ def test_library_block_states_its_results():
     value, comment = results['exact_index_value(cycle_hook(15), "ngg")']
     assert comment == repr(value)
 
+    for expr in (
+        "spec", "construct(spec) == cycle_hook(15)", "ngg_closed(spec)", "ngg_closed_exact(spec)"
+    ):
+        value, comment = results[expr]
+        assert comment == repr(value), expr
+
     value, comment = results["sum(1 for _ in trees)"]
     assert comment == repr(value)
 
