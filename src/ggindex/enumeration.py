@@ -75,11 +75,14 @@ are deterministic, disjoint and together cover every class, so a run over
 several processes maps them over one pool and merges what they find.
 
 _classes is each shard's one class stream, for enumerate and verify alike.
-It returns (stream, key_of, splits_of): the stream yields (n, candidate),
-unkeyed and unsorted, a walk class as its walk node (its masks in walk order
-with their canon_full result) and a tree as its parent links; key_of gives a
-candidate's canonical key, read off the node's own result or from one
-canon_full call per tree, and splits_of its edge splits. enumerate_keys keys
+It returns (stream, key_of, splits_of, floors_of): the stream yields
+(n, candidate), unkeyed and unsorted, a walk class as its walk node (its
+masks in walk order with their canon_full result) and a tree as its parent
+links; key_of gives a candidate's canonical key, read off the node's own
+result or from one canon_full call per tree, splits_of its edge splits, and
+floors_of, for walk classes only, a floor on each side of each edge's split,
+one AND-NOT and one popcount of the masks, which verify bounds a class's
+value with before it pays for the split pass. enumerate_keys keys
 every class (_shard) and sorts the keys within each order, so its output
 order is a function of the constraint sets alone, and enumerate_connected
 decodes those keys; worker count changes wall time, never bytes. verify
@@ -332,6 +335,17 @@ def _node_splits(node: Child) -> Sequence[tuple]:
     return split_pass(len(masks), _edges(masks))
 
 
+def _node_floors(node: Child) -> list[tuple[int, int]]:
+    """Floors (a0, b0) on the edge splits (n_u, n_v) of a walk node's graph,
+    its edges in _edges order: a0 = popcount(adj[u] & ~adj[v]) <= n_u and
+    likewise b0 <= n_v (indices.split_term_bounds)."""
+    masks = node[0]
+    return [
+        ((masks[u] & ~masks[v]).bit_count(), (masks[v] & ~masks[u]).bit_count())
+        for u, v in _edges(masks)
+    ]
+
+
 # ------------------------------------------------------------------ trees ----
 
 def _level_sequences(n: int) -> Iterator[list[int]]:
@@ -427,30 +441,35 @@ def _tree_key(parent: list[int]) -> str:
     return _canon.canon_full(n, adj).key
 
 
-def _classes(
-    cons: Constraints, orders: frozenset[int], res: int, mod: int
-) -> tuple[Iterator[tuple[int, Any]], Callable[[Any], str], Callable[[Any], Sequence[tuple]]]:
+def _classes(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> tuple[
+    Iterator[tuple[int, Any]],
+    Callable[[Any], str],
+    Callable[[Any], Sequence[tuple]],
+    Optional[Callable[[Any], list[tuple[int, int]]]],
+]:
     """Shard res of mod of the classes of cons's class at each order in
-    orders, unkeyed and unsorted, as (stream, key_of, splits_of): stream
-    yields (n, candidate), key_of(candidate) is its canonical key and
-    splits_of(candidate) its edge splits. A walk class is its walk node,
-    the adjacency masks in walk order with their canon_full result, keyed
-    from that result (_node_key) and split in _edges order (_node_splits);
-    a tree is its parent links, dealt by level sequence (_trees), keyed by
-    _tree_key and split by subtree sizes (_subtree_splits). No class is
-    decoded or built as a Graph, and both functions are module-level, so a
-    fold that holds one pickles."""
+    orders, unkeyed and unsorted, as (stream, key_of, splits_of, floors_of):
+    stream yields (n, candidate), key_of(candidate) is its canonical key,
+    splits_of(candidate) its edge splits and floors_of(candidate) floors on
+    them. A walk class is its walk node, the adjacency masks in walk order
+    with their canon_full result, keyed from that result (_node_key), split
+    in _edges order (_node_splits) and floored from its masks
+    (_node_floors); a tree is its parent links, dealt by level sequence
+    (_trees), keyed by _tree_key and split by subtree sizes
+    (_subtree_splits), and floors_of is None: those splits take O(n), so a
+    bound on them saves nothing. No class is decoded or built as a Graph,
+    and the functions are module-level, so a fold that holds one pickles."""
     if not cons.tree_class:
         stream = ((len(node[0]), node) for node in _walk(cons, orders, res, mod))
-        return stream, _node_key, _node_splits
+        return stream, _node_key, _node_splits, _node_floors
     stream = ((k, parent) for k in orders for parent in _trees(k, cons.max_degree, res, mod))
-    return stream, _tree_key, _subtree_splits
+    return stream, _tree_key, _subtree_splits, None
 
 
 def _shard(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> dict[int, list[str]]:
     """Shard res of mod of the keys of cons's class at each order in orders,
     unsorted."""
-    stream, key_of, _ = _classes(cons, orders, res, mod)
+    stream, key_of, _, _ = _classes(cons, orders, res, mod)
     keys: dict[int, list[str]] = {k: [] for k in orders}
     for n, candidate in stream:
         keys[n].append(key_of(candidate))

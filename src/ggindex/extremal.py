@@ -24,7 +24,9 @@ its walk node, keyed from the canonical search the walk already holds, a
 tree its parent links. The splits take their values from
 indices.SPLIT_SUMS, the sums the index functions use. math.fsum rounds the
 exact sum of the terms, so the floats are the same bits in any labeling, and
-the fold builds no Graph and decodes no key.
+the fold builds no Graph and decodes no key. A walk class also comes with
+floors on its splits, and a class whose bound from them cannot reach any
+fold of its order is counted without its split pass (_fold_shard).
 
 CLAIMS is the table of the claims `ggindex verify` checks: for each, the
 class to scan and the predicted witnesses and values, or a closed-form row
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from math import fsum
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .enumeration import Constraints, _classes, _map_shards, check_bound
@@ -57,7 +60,16 @@ from .families import (
     star,
 )
 from .graphs import Graph, canonical_form, from_graph6
-from .indices import INDEX_FNS as _FLOAT_FN, SPLIT_SUMS, edge_splits, float_tie, gg_index
+from .indices import (
+    BOUND_RTOL,
+    INDEX_FNS as _FLOAT_FN,
+    SPLIT_SUMS,
+    TIE_RTOL,
+    edge_splits,
+    float_tie,
+    gg_index,
+    split_term_bounds,
+)
 from .radicals import RadicalSum
 
 EVIDENCE_CAVEAT = (
@@ -113,11 +125,12 @@ class ExtremalResult:
 
 class _Extremum:
     """The fold behind find_extremal for one objective: the running best
-    value, the (value, candidate) offers that float_tie it, and the class
-    count. A candidate stays in its stream's own form until the result,
-    which keys each one left in the window with key_of (canonical_form when
-    None). Isomorphic copies therefore each hold a place in the window
-    until then and share one key in the result."""
+    value, the (value, candidate) offers that float_tie it, the class count,
+    and how many of those classes were skipped on a bound (skip). A
+    candidate stays in its stream's own form until the result, which keys
+    each one left in the window with key_of (canonical_form when None).
+    Isomorphic copies therefore each hold a place in the window until then
+    and share one key in the result."""
 
     def __init__(self, objective: Objective, key_of: Optional[Callable[[Any], str]] = None) -> None:
         self.objective = objective
@@ -126,6 +139,7 @@ class _Extremum:
         self.best: Optional[float] = None
         self.window: list[tuple[float, Any]] = []
         self.total = 0
+        self.skipped = 0
 
     def offer(self, v: float, candidate: Any) -> None:
         self.total += 1
@@ -136,6 +150,21 @@ class _Extremum:
         if float_tie(v, best):
             self.window.append((v, candidate))
 
+    def out_of_reach(self, bound: float) -> bool:
+        """Whether a class whose value the float bound bounds (from above for
+        max, from below for min) cannot enter the window or better the best:
+        offering it would only count it (see indices.BOUND_RTOL)."""
+        best = self.best
+        if best is None:
+            return False
+        gap = bound - best if self.want_min else best - bound
+        return gap > (TIE_RTOL + BOUND_RTOL) * (best + bound)
+
+    def skip(self) -> None:
+        """Count a class that out_of_reach ruled out, without its value."""
+        self.total += 1
+        self.skipped += 1
+
     def merge(self, other: _Extremum) -> None:
         """Fold in a fold of the same objective over another part of the
         stream: other's window is offered again and the counts add. An offer
@@ -144,6 +173,7 @@ class _Extremum:
         for v, candidate in other.window:
             self.offer(v, candidate)
         self.total = total
+        self.skipped += other.skipped
 
     def result(self) -> ExtremalResult:
         """Key the window and re-rank it exactly once the stream is exhausted."""
@@ -500,12 +530,44 @@ def _fold_shard(
 ) -> dict[int, list[_Extremum]]:
     """The folds of claim's checks at each order in orders, in the order of
     its checks, over shard res of mod of cons's classes (enumeration._classes).
-    Each class is valued once per index the checks use."""
+    Each class is valued once per index the checks use.
+
+    A walk class is bounded before it is split. floors_of gives floors on
+    both sides of each edge's split, and each fold's table
+    (indices.split_term_bounds) turns them into a bound on the edge's term:
+    every split that fits the floors has a term on the table's side of it,
+    since the term is monotone in each side and n_u + n_v <= n. The
+    math.fsum of those bounds bounds the class's value from the side the
+    fold's sense faces. When every fold of the order has a best and none can
+    be reached from its bound (_Extremum.out_of_reach), each fold counts the
+    class (skip), and neither the split pass nor the sums run. By the
+    derivation at indices.BOUND_RTOL such a class's float value is neither
+    better than the running best nor float_tie to it, so offering it would
+    only have counted it: a skip leaves the fold as the offer would, against
+    a shard's own running best as against any other, and merged results do
+    not change. Trees have no floors_of and are always split."""
     checks = CLAIMS[claim].checks
-    stream, key_of, splits_of = _classes(cons, orders, res, mod)
+    stream, key_of, splits_of, floors_of = _classes(cons, orders, res, mod)
     folds = {n: [_Extremum(check.objective, key_of) for check in checks] for n in orders}
     indices = tuple(dict.fromkeys(check.objective.index for check in checks))
+    if floors_of is not None:
+        tables = {
+            n: [
+                split_term_bounds(n, c.objective.index, c.objective.sense, cons.bipartite_only)
+                for c in checks
+            ]
+            for n in orders
+        }
     for n, candidate in stream:
+        if floors_of is not None:
+            floors = floors_of(candidate)
+            if all(
+                fold.out_of_reach(fsum(map(table.__getitem__, floors)))
+                for fold, table in zip(folds[n], tables[n])
+            ):
+                for fold in folds[n]:
+                    fold.skip()
+                continue
         splits = splits_of(candidate)
         values = {index: SPLIT_SUMS[index](splits) for index in indices}
         for fold in folds[n]:
@@ -533,8 +595,15 @@ def verify(
     shards (_map_shards); each shard runs every check's fold over its own
     classes (_fold_shard) and returns only the fold states, which are merged
     here. The folds key only the classes left in their windows, with the
-    stream's key function. Probe outcomes are evidence at the listed orders
-    only.
+    stream's key function. A walk class whose value, bounded from floors on
+    its edges' splits, cannot reach the running best of any fold of its
+    order is counted without its split pass (_fold_shard): the floors bound
+    each side of each split, the term is monotone in each side, the min-GG
+    bound is 0 only on closed twins (indices.split_term_bounds), and the
+    float slack (indices.BOUND_RTOL) makes such a skip exactly an offer that
+    only counts the class, so the report is the same bytes with or without
+    it, at any worker count. Probe outcomes are evidence at the listed
+    orders only.
     """
     spec = CLAIMS.get(claim)
     if spec is None:

@@ -34,6 +34,21 @@ from .graphs import Graph
 # the final best B, |v - b1| > TIE_RTOL(v + b1) implies |v - B| > TIE_RTOL(v + B).
 TIE_RTOL = 2.0 ** -50
 
+# The slack of a bound on a value (split_term_bounds). A float bound b is the
+# math.fsum of table entries >= 0, each within 2u (relative) of its exact
+# term bound, so b is within 3u of the exact class bound; the class's float
+# value v is within 3u of its exact value, which lies on the bound's side of
+# the exact bound. So v <= b(1 + 3u)/(1 - 3u) <= b(1 + 7u) in a max fold, and
+# v >= b(1 - 7u) in a min fold.
+# Take a max fold with running best B; if
+#     B - b > (TIE_RTOL + BOUND_RTOL)(B + b)
+# holds in floats, it holds exactly with BOUND_RTOL shrunk by a factor
+# 1 - 3u, and then B - v > TIE_RTOL(B + v) since BOUND_RTOL >= 7u(1 + TIE_RTOL)
+# covers the gap between b and v. So v is neither above B nor float_tie to it,
+# and offering it would only count it; the min case is the mirror image.
+# BOUND_RTOL = 32u leaves a 4x margin.
+BOUND_RTOL = 2.0 ** -48
+
 
 def float_tie(a: float, b: float) -> bool:
     """True when the floats a and b of two index values cannot order them."""
@@ -167,6 +182,58 @@ def gg_sum(splits) -> float:
 
 def ngg_sum(splits) -> float:
     return math.fsum(1.0 / math.sqrt(nu * nv) for _, nu, nv in splits)
+
+
+def split_term_bounds(
+    n: int, index: str, sense: str, bipartite: bool
+) -> dict[tuple[int, int], float]:
+    """Bounds on one edge's term of the split index (gg or ngg) in a
+    connected graph on n vertices, bipartite if so flagged, by the floors
+    (a0, b0) of the edge's split: an upper bound for sense "max", a lower
+    one for "min", for every a0, b0 >= 1 with a0 + b0 <= n.
+
+    The floors of an edge uv are a0 = popcount(adj[u] & ~adj[v]) =
+    1 + |N(u) minus N[v]| (the mask keeps v, which stands for u) and b0
+    likewise: every neighbour of u that is neither v nor adjacent to v is
+    closer to u, so n_u >= a0 and n_v >= b0.
+    No vertex counts for both sides, so n_u + n_v <= n, and in a bipartite
+    graph no vertex is equidistant from u and v, so n_u + n_v = n. Every
+    split that fits has n_u = x for some x in [a0, n - b0].
+
+    With g(a, b) the GG term, g(a, b)**2 = 1 - (1 - 1/a)(1 - 1/b) <= 1, and g
+    does not increase in a while b >= 2, nor in b while a >= 2. So:
+      * max GG: g(a0, b0) when both floors are at least 2, else 1;
+      * min GG: if a0 >= 2, g(x, n_v) >= g(x, n - x) =
+        sqrt((n - 2)/(x(n - x))), and the case b0 >= 2 gives the same
+        bound. When a0 = b0 = 1, N[u] = N[v] (closed twins), every other
+        vertex is equidistant, the term is g(1, 1) = 0 and so is the bound;
+      * max NGG: 1/sqrt(a0 b0), and in a bipartite graph the term is
+        1/sqrt(x(n - x)), largest at an end of x's interval;
+      * min NGG: n_u n_v <= x(n - x), since n_v <= n - x.
+    x(n - x) is largest at the x of the interval nearest n/2. Each entry is
+    computed as a term is, within 2u of the exact bound (see BOUND_RTOL).
+    """
+    if index not in SPLIT_SUMS or sense not in ("min", "max"):
+        raise ValueError(f"no split term bounds for {sense} {index}")
+
+    def widest(a: int, b: int) -> int:
+        """The largest x(n - x) over the integers x in [a, n - b]."""
+        x = min(max(n // 2, a), n - b)
+        return x * (n - x)
+
+    if index == "gg" and sense == "max":
+        def bound(a: int, b: int) -> float:
+            return math.sqrt((a + b - 2) / (a * b)) if a > 1 and b > 1 else 1.0
+    elif index == "gg":
+        def bound(a: int, b: int) -> float:
+            return math.sqrt((n - 2) / widest(a, b)) if a > 1 or b > 1 else 0.0
+    elif sense == "max":
+        def bound(a: int, b: int) -> float:
+            return 1.0 / math.sqrt(min(a * (n - a), b * (n - b)) if bipartite else a * b)
+    else:
+        def bound(a: int, b: int) -> float:
+            return 1.0 / math.sqrt(widest(a, b))
+    return {(a, b): bound(a, b) for a in range(1, n) for b in range(1, n - a + 1)}
 
 
 def gg_index(g: Graph) -> float:
