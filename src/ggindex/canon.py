@@ -11,8 +11,12 @@ splitting (degree refinement and its transitive closure). If the stable
 partition still has a non-singleton cell, the first such cell is branched on:
 each vertex in it is individualized in turn and the search recurses. Among
 all complete labelings consistent with the refinement, the one encoding to
-the lexicographically smallest upper-triangle bitstring wins. Three standard
-prunes keep symmetric graphs from exploding into n! leaves:
+the lexicographically smallest upper-triangle bitstring wins. Leaves compare
+by certificate, that bitstring read as a binary number and built from the
+neighbor tuples in O(n + m); the certificates of one order all have
+n(n-1)/2 bits, so they order as the bitstrings do, and the key is spelled
+once, from the best. Three standard prunes keep symmetric graphs from
+exploding into n! leaves:
 
   * twins, vertices with equal open neighborhoods (leaves on one hub, one
     side of a K_{a,b}) or equal closed ones (a clique's vertices), are
@@ -58,97 +62,154 @@ A < B exactly when A's vector of per-color neighbor counts is
 lexicographically greater than B's. So each round signs a vertex by the
 integer with digit (n+1)**(last color - c) per neighbor of color c, ranks a
 cell's signatures in descending order, and numbers the pieces of split cells
-in place, shifting later colors. A singleton cell cannot split and is not
-signed. tests/test_canon.py keeps the round-based ranking as the reference
-and checks the two agree at the root and along chains of individualizations.
+in place, shifting later colors; the cells before the first one that splits
+keep their numbers. A singleton cell cannot split and is not signed.
+tests/test_canon.py keeps the round-based ranking as the reference and
+checks the two agree at the root and along chains of individualizations.
 
 Canonical positions ascend with degree: the root refinement numbers its
 cells by degree first, and the search only splits cells in place, so the
 canonically last vertex of degree d sits at position #{v : deg v <= d} - 1,
 in the last root cell among the vertices of degree d. canon_full(n, adj,
-last=v) returns None unless v is in that vertex's orbit for d = deg v, and
-the root coloring decides that verdict before any search where it can:
+last=v) returns None unless v is in that vertex's orbit for d = deg v. An
+automorphism keeps every vertex in its root cell, so v outside that cell is
+rejected. The refinement decides the verdict where it can before any search,
+mostly before it reaches the root coloring, by looking at v's cell first.
 
-  * v outside that cell: reject, since an automorphism keeps every vertex
-    in its root cell. The root refinement stops with this verdict after the
-    first round in which the cell after v's cell holds vertices of degree d:
-    cells only split in place, so v cannot get back into the last cell of
-    its degree;
-  * the cell is {v}, or holds only twins of v: accept. The canonically last
-    vertex of degree d is in the cell, and swapping v with a twin is an
-    automorphism, so the cell is one orbit;
-  * otherwise the search runs, and its orbits give the verdict.
+The degree round puts every vertex of degree d into v's cell, the last cell
+of that degree, and each later round keeps it so or stops. A round signs v
+and the other vertices of v's cell before any other cell:
+
+  * a vertex signs below v: reject. It takes a later piece of v's cell, and
+    cells only split in place, so it stays after v in a cell of degree d
+    and v cannot get back into the last root cell of its degree;
+  * v is alone in its cell, as after the degree round when no other vertex
+    has degree d, or no other vertex ties v: accept. v takes the last piece
+    alone, so it is the singleton root cell at position #{u : deg u <= d}
+    - 1, the canonically last vertex of degree d itself;
+  * otherwise the round signs the remaining cells as usual.
+
+If the refinement turns stable with v in a root cell of several vertices,
+that cell decides: it holds only twins of v, so the cell is one orbit
+(swapping v with a twin is an automorphism) and v is accepted, or the search
+runs and its orbits give the verdict.
 
 canon_full returns its result unsearched where the verdict needed no
-search: CanonResult runs the search from the stored root coloring the first
-time its key, labeling, orbits or generators are read, and only once. The
-enumerator reads a parent's generators only when two or more of its
-neighborhoods pass the degree test, so a class is searched only where its
-verdict, its key or such a choice needs it.
+search: CanonResult runs the search the first time its key, labeling, orbits
+or generators are read, and only once. A refinement stopped by an accept
+keeps the colors of its last complete round, the cut-off round counting for
+nothing, and the result resumes the refinement from them before searching.
+A round depends only on the colors, so the resumed refinement passes
+through the same colorings as an uninterrupted one and ends in the same root
+coloring, bit for bit. The enumerator reads a parent's generators only when
+two or more of its neighborhoods pass the degree test, so a class is
+searched, or refined past its verdict, only where its verdict, its key or
+such a choice needs it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bitset import bits
-from .formats import graph6_from_bits, upper_triangle_bits
+from .formats import graph6_from_bits
+
+
+@lru_cache(maxsize=16)
+def _powers(n: int) -> list[int]:
+    """(n+1)**e for e = n-1 down to 0: the signature digits of the colors of
+    an n-vertex coloring, read from the end (see _refine)."""
+    return [(n + 1) ** e for e in range(n - 1, -1, -1)]
+
+
+def _by_signature(
+    cell: list[int], neigh: list[tuple[int, ...]], digit: list[int], colors: list[int]
+) -> dict[int, list[int]]:
+    """The vertices of cell grouped by signature, the sum of digit[c] over
+    their neighbors' colors c, each group in cell order."""
+    by_sig: dict[int, list[int]] = {}
+    for v in cell:
+        t = 0
+        for u in neigh[v]:
+            t += digit[colors[u]]
+        if t in by_sig:
+            by_sig[t].append(v)
+        else:
+            by_sig[t] = [v]
+    return by_sig
 
 
 def _refine(
     n: int, neigh: list[tuple[int, ...]], colors: list[int], last: Optional[int] = None
-) -> Optional[list[int]]:
-    """Stable iso-invariant coloring refinement (1-WL), classes renumbered.
+) -> Optional[tuple[list[int], bool]]:
+    """Stable iso-invariant coloring refinement (1-WL), classes renumbered,
+    as (colors, True).
 
     colors is the all-zero coloring or one in which vertices of one color have
     equal degree. Each round splits every cell by the neighbor colors of its
     vertices and numbers the new cells in order, shifting later colors by the
     cells inserted before them; singleton cells are carried over unsigned.
-    With last given, return None as soon as the cell after last's cell holds
-    vertices of last's degree: cells only split in place, so last can no
-    longer end up in the last cell of its degree.
+
+    last may be given with the all-zero coloring only. Each round then signs
+    last's cell first and stops as soon as that decides canon_full's verdict
+    (module docstring): None when a vertex of the cell signs below last, and
+    (colors, False) when last is alone in its cell or no other vertex of the
+    cell ties it, with colors as after the last complete round. Refining
+    those colors again gives the stable coloring, since a round depends only
+    on the colors.
     """
-    colors = list(colors)
-    if not any(colors):
+    if any(colors):
+        colors = list(colors)
+    else:
         # the first round of the unit coloring ranks by degree, ascending
         rank = {d: i for i, d in enumerate(sorted({len(nb) for nb in neigh}))}
         colors = [rank[len(nb)] for nb in neigh]
     cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
         cells[c].append(v)
-    base = n + 1
+    if last is not None and len(cells[colors[last]]) == 1:
+        return colors, False  # no other vertex has last's degree
+    powers = _powers(n)
     while True:
-        if last is not None:
-            after = colors[last] + 1
-            if after < len(cells) and len(neigh[cells[after][0]]) == len(neigh[last]):
-                return None
         if len(cells) == n:
             break
-        # a vertex's signature has digit base**(top - c) per neighbor of
+        # a vertex's signature has digit (n+1)**(top - c) per neighbor of
         # color c, top the highest color; on equal degrees, a larger
         # signature means a smaller sorted tuple of neighbor colors, so it
         # takes the lower color
-        powers = [base ** e for e in range(len(cells) - 1, -1, -1)]
-        digit = [powers[c] for c in colors]
+        digit = powers[n - len(cells):]
+        mine = -1
+        if last is not None:
+            mine = colors[last]
+            s = 0
+            for u in neigh[last]:
+                s += digit[colors[u]]
+            signed_mine = _by_signature(cells[mine], neigh, digit, colors)
+            if min(signed_mine) < s:
+                return None  # a vertex ends in a later cell of last's degree
+            if len(signed_mine[s]) == 1:
+                return colors, False  # last ends alone, last of its degree
         split: list[list[int]] = []
-        for cell in cells:
+        first = -1  # the first cell that splits
+        for c, cell in enumerate(cells):
             if len(cell) == 1:
                 split.append(cell)
                 continue
-            by_sig: dict[int, list[int]] = {}
-            for v in cell:
-                by_sig.setdefault(sum(map(digit.__getitem__, neigh[v])), []).append(v)
+            by_sig = signed_mine if c == mine else _by_signature(cell, neigh, digit, colors)
             if len(by_sig) == 1:
                 split.append(cell)
             else:
-                split.extend(by_sig[s] for s in sorted(by_sig, reverse=True))
-        if len(split) == len(cells):
+                if first < 0:
+                    first = len(split)
+                split.extend(by_sig[t] for t in sorted(by_sig, reverse=True))
+        if first < 0:
             break
         cells = split
-        for c, cell in enumerate(cells):
-            for v in cell:
+        for c in range(first, len(cells)):
+            for v in cells[c]:
                 colors[v] = c
-    return colors
+    return colors, True
 
 
 def _individualize(colors: list[int], v: int) -> list[int]:
@@ -184,6 +245,31 @@ def _orbit_union(
     return find, join
 
 
+def _certificate(n: int, neigh: list[tuple[int, ...]], lab: Sequence[int]) -> int:
+    """The graph6 payload bits of the graph relabeled by lab (position ->
+    vertex) as one integer, column j of the upper triangle shifted in after
+    columns 1..j-1, in O(n + m). Certificates of one order compare like the
+    bitstrings they spell."""
+    pos = [0] * n
+    for i, v in enumerate(lab):
+        pos[v] = i
+    cert = 0
+    for j, v in enumerate(lab):
+        column = 0
+        top = 1 << j >> 1  # the bit of position 0 in column j
+        for u in neigh[v]:
+            i = pos[u]
+            if i < j:
+                column |= top >> i
+        cert = cert << j | column
+    return cert
+
+
+def _graph6(n: int, cert: int) -> str:
+    """The graph6 string whose payload bits spell the certificate cert."""
+    return graph6_from_bits(n, bin(cert | 1 << n * (n - 1) // 2)[3:])
+
+
 # what the search finds: key, labeling, orbits, generators
 Found = tuple[str, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
 
@@ -208,9 +294,9 @@ def _search(n: int, adj, neigh: list[tuple[int, ...]], root: list[int]) -> Found
             gens.append(tuple(swap))
     gen_seen = {identity, *gens}
 
-    best_bits: str | None = None
+    best_cert: int | None = None
     best_lab: tuple[int, ...] = identity
-    first_bits: str | None = None
+    first_cert: int | None = None
     first_lab: tuple[int, ...] = identity
 
     def record(lab_a: tuple[int, ...], lab_b: tuple[int, ...]) -> None:
@@ -223,20 +309,20 @@ def _search(n: int, adj, neigh: list[tuple[int, ...]], root: list[int]) -> Found
             gens.append(tup)
 
     def search(colors: list[int], prefix: tuple[int, ...]) -> None:
-        nonlocal best_bits, best_lab, first_bits, first_lab
+        nonlocal best_cert, best_lab, first_cert, first_lab
         # a node whose every cell is a singleton or holds twins only is a
         # leaf: its labeling is the first leaf below it (module docstring)
         cell_twin: dict[int, int] = {}
         if all(cell_twin.setdefault(c, t) == t for c, t in zip(colors, twin)):
             lab = tuple(sorted(range(n), key=colors.__getitem__))
-            bits = upper_triangle_bits(n, adj, lab)
-            if first_bits is None:
-                first_bits, first_lab = bits, lab
-            elif bits == first_bits and lab != first_lab:
+            cert = _certificate(n, neigh, lab)
+            if first_cert is None:
+                first_cert, first_lab = cert, lab
+            elif cert == first_cert and lab != first_lab:
                 record(first_lab, lab)
-            if best_bits is None or bits < best_bits:
-                best_bits, best_lab = bits, lab
-            elif bits == best_bits and lab != best_lab:
+            if best_cert is None or cert < best_cert:
+                best_cert, best_lab = cert, lab
+            elif cert == best_cert and lab != best_lab:
                 record(best_lab, lab)
             return
         ncells = max(colors) + 1
@@ -259,35 +345,42 @@ def _search(n: int, adj, neigh: list[tuple[int, ...]], root: list[int]) -> Found
                 if any(find(u) == rv for u in explored):
                     continue
             explored.append(v)
-            search(_refine(n, neigh, _individualize(colors, v)), prefix + (v,))
+            search(_refine(n, neigh, _individualize(colors, v))[0], prefix + (v,))
 
     search(root, ())
-    assert best_bits is not None
+    assert best_cert is not None
 
     find, join = _orbit_union(n)
     join(gens)
     orbits = tuple(find(v) for v in range(n))
-    return graph6_from_bits(n, best_bits), best_lab, orbits, tuple(gens)
+    return _graph6(n, best_cert), best_lab, orbits, tuple(gens)
 
 
 class CanonResult:
     """A graph's canonical key, labeling, orbits and automorphism generators.
 
-    canon_full stores the graph with its root coloring, and the search runs
-    from there the first time any of the four is read, once. A caller that
-    needs only canon_full's verdict (last=) pays for no search when the root
-    coloring decides it. Two results are equal when their four fields are.
+    canon_full stores the graph with the coloring its refinement reached,
+    stable or not, and the first time any of the four is read the refinement
+    resumes from there to the root coloring and the search runs, once. A
+    caller that needs only canon_full's verdict (last=) pays for no search,
+    and for no more refinement than the verdict took, when the refinement
+    decides it. Two results are equal when their four fields are.
     """
 
     __slots__ = ("_graph", "_found")
 
-    def __init__(self, n: int, adj, neigh: list[tuple[int, ...]], root: list[int]) -> None:
-        self._graph: Optional[tuple] = (n, adj, neigh, root)
+    def __init__(
+        self, n: int, adj, neigh: list[tuple[int, ...]], colors: list[int], stable: bool
+    ) -> None:
+        self._graph: Optional[tuple] = (n, adj, neigh, colors, stable)
         self._found: Optional[Found] = None
 
     def _searched(self) -> Found:
         if self._found is None:
-            self._found = _search(*self._graph)
+            n, adj, neigh, colors, stable = self._graph
+            if not stable:
+                colors = _refine(n, neigh, colors)[0]
+            self._found = _search(n, adj, neigh, colors)
             self._graph = None
         return self._found
 
@@ -332,26 +425,28 @@ def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResu
     then.
 
     With last given, return None unless vertex last is in the orbit of the
-    canonically last vertex of its degree. The root coloring decides that
+    canonically last vertex of its degree. The refinement decides that
     verdict unless last's root cell holds a vertex that is not its twin; only
     then does the search run here (see the module docstring).
     """
     if n < 1:
         raise ValueError("canonical form needs at least one vertex")
     neigh = [bits(adj[v]) for v in range(n)]
-    root = _refine(n, neigh, [0] * n, last)
-    if root is None:
+    refined = _refine(n, neigh, [0] * n, last)
+    if refined is None:
         return None
 
-    result = CanonResult(n, adj, neigh, root)
-    if last is not None:
-        # last's root cell is one orbit if it holds only twins of last
-        cell = root[last]
+    colors, stable = refined
+    result = CanonResult(n, adj, neigh, colors, stable)
+    if last is not None and stable:
+        # the refinement left the verdict to last's root cell, which is one
+        # orbit if it holds only twins of last
+        cell = colors[last]
         hood = adj[last]
         closed = hood | 1 << last
         if any(
             c == cell and adj[v] != hood and adj[v] | 1 << v != closed
-            for v, c in enumerate(root)
+            for v, c in enumerate(colors)
         ):
             position = sum(len(nb) <= len(neigh[last]) for nb in neigh) - 1
             orbits = result.orbits

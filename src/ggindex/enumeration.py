@@ -242,8 +242,8 @@ def _expand_parent(
 ) -> list[Child]:
     """Children of one parent class that pass the canonical-deletion test, one
     per class, each with its canon_full result: the search behind it runs when
-    a caller first reads the result, and a last level's child whose root
-    coloring decided the test has not been searched. parent is the parent's
+    a caller first reads the result, and a last level's child whose
+    refinement decided the test has not been searched. parent is the parent's
     canon_full result. The neighborhoods that pass the degree test (module
     docstring) are cut to one per orbit of the parent's group, whose
     generators are read only when two or more pass."""

@@ -72,15 +72,6 @@ def graph6_from_bits(n: int, bits: str) -> str:
     )
 
 
-def upper_triangle_bits(n: int, adj: Sequence[int], lab: Sequence[int]) -> str:
-    """graph6 payload bits (column-major, '0'/'1' characters) of the graph
-    relabeled by lab (position -> vertex). canon_full runs this at every
-    search leaf; bitstrings of one order compare like the integers they spell."""
-    return "".join(
-        ["1" if adj[lab[j]] >> lab[i] & 1 else "0" for j in range(1, n) for i in range(j)]
-    )
-
-
 def encode_graph6(n: int, adjacency_bits: Sequence[int]) -> str:
     """graph6 string of the labeled graph given by adjacency bitmasks."""
     # column j lists x(0,j) .. x(j-1,j): the low j bits of row j, lowest first

@@ -10,6 +10,10 @@ from ggindex.graphs import Graph, build_graph
 settings.register_profile(
     "ggindex", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+# --hypothesis-profile=deep runs ten times the examples of the tests that
+# scale their count with the profile's (tests/test_canon.py's _examples)
+ggindex = settings.get_profile("ggindex")
+settings.register_profile("deep", ggindex, max_examples=10 * ggindex.max_examples)
 settings.load_profile("ggindex")
 
 

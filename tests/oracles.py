@@ -12,7 +12,9 @@ enumeration, so a fault there cannot hide in the reference too:
     deduplicates the labeled trees with an AHU-style certificate;
   * canon_key_exhaustive minimizes the graph6 encoding over every
     permutation, and orbits_exhaustive checks every permutation for an
-    automorphism (n <= 8).
+    automorphism (n <= 8). upper_triangle_bits spells a labeling's graph6
+    payload bits pair by pair, for that minimum and as the reference for the
+    search's integer leaf certificates.
 
 is_bipartite is brute_force_classes's bipartite filter. It colours by
 breadth-first depth parity over the edge list, not with the bitmask
@@ -29,7 +31,7 @@ from heapq import heapify, heappop, heappush
 from itertools import permutations, product
 
 from ggindex.bitset import iter_bits, reach
-from ggindex.formats import graph6_from_bits, upper_triangle_bits
+from ggindex.formats import graph6_from_bits
 from ggindex.graphs import Graph, build_graph
 
 
@@ -225,6 +227,15 @@ def prufer_trees(n: int) -> list[Graph]:
 
 
 # ------------------------------------------------------------ oracle no. 3 ----
+
+def upper_triangle_bits(n: int, adj, lab) -> str:
+    """graph6 payload bits (column-major, '0'/'1' characters) of the graph
+    relabeled by lab (position -> vertex), read pair by pair off the masks;
+    bitstrings of one order compare like the integers they spell."""
+    return "".join(
+        ["1" if adj[lab[j]] >> lab[i] & 1 else "0" for j in range(1, n) for i in range(j)]
+    )
+
 
 def canon_key_exhaustive(n: int, adj) -> str:
     """Key minimized over every permutation (n <= 8)."""

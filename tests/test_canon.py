@@ -13,14 +13,21 @@ from collections import defaultdict
 from itertools import islice, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ggindex import canon
 from ggindex.bitset import iter_bits, mask_of
-from ggindex.canon import _individualize, _refine, canon_full
-from ggindex.formats import decode_graph6, graph6_from_bits, upper_triangle_bits
+from ggindex.canon import _certificate, _graph6, _individualize, _refine, canon_full
+from ggindex.formats import decode_graph6, graph6_from_bits
 
-from oracles import canon_key_exhaustive, orbits_exhaustive
+from oracles import canon_key_exhaustive, orbits_exhaustive, upper_triangle_bits
+
+
+def _examples(count):
+    """count hypothesis examples under the default profile, scaled with the
+    loaded profile's max_examples: the deep profile (conftest) runs ten times
+    as many."""
+    return count * settings.default.max_examples // 100
 
 
 def _random_masks(rng, n, p=0.5):
@@ -147,7 +154,7 @@ def _any_graphs(draw):
     return n, _random_masks(random.Random(seed), n, p)
 
 
-@settings(max_examples=300)
+@settings(max_examples=_examples(300))
 @given(_any_graphs())
 def test_last_vertex_has_maximum_degree_and_ends_the_root_refinement(graph):
     # the enumerator's degree pre-filter rests on both facts
@@ -155,11 +162,11 @@ def test_last_vertex_has_maximum_degree_and_ends_the_root_refinement(graph):
     last = canon_full(n, adj).labeling[n - 1]
     assert adj[last].bit_count() == max(x.bit_count() for x in adj)
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
-    root = _refine(n, neigh, [0] * n)
-    assert root[last] == max(root)
+    root, stable = _refine(n, neigh, [0] * n)
+    assert stable and root[last] == max(root)
 
 
-@settings(max_examples=200)
+@settings(max_examples=_examples(200))
 @given(_any_graphs())
 def test_last_outside_the_last_root_cell_is_rejected_before_the_search(graph):
     # canon_full(last=v) is None exactly when v is outside the orbit of the
@@ -170,7 +177,7 @@ def test_last_outside_the_last_root_cell_is_rejected_before_the_search(graph):
     n, adj = graph
     degrees = [x.bit_count() for x in adj]
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
-    root = _refine(n, neigh, [0] * n)
+    root = _refine(n, neigh, [0] * n)[0]
     plain = canon_full(n, adj)
     assert [degrees[v] for v in plain.labeling] == sorted(degrees)
     for v in range(n):
@@ -178,8 +185,13 @@ def test_last_outside_the_last_root_cell_is_rejected_before_the_search(graph):
         got = canon_full(n, adj, last=v)
         assert got == (plain if plain.orbits[v] == plain.orbits[last_of_degree] else None)
         outside = root[v] != max(root[u] for u in range(n) if degrees[u] == degrees[v])
-        # the refinement itself gives the verdict, and otherwise its colors
-        assert _refine(n, neigh, [0] * n, v) == (None if outside else root)
+        # the refinement itself rejects exactly the v outside, and otherwise
+        # its colors, refined on where it stopped early, are the root's
+        refined = _refine(n, neigh, [0] * n, v)
+        assert (refined is None) == outside
+        if refined is not None:
+            colors, stable = refined
+            assert (colors if stable else _refine(n, neigh, colors)[0]) == root
         if outside:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(canon, "_individualize", None)  # any search step fails
@@ -217,7 +229,7 @@ def _verdict_graphs(draw):
     return _circulant_unions(rng)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=_examples(300), deadline=None)
 @given(_verdict_graphs())
 def test_the_verdict_without_a_search_is_the_searched_verdict(graph):
     # with every vertex v as last: canon_full(last=v) searches only when v is
@@ -232,7 +244,7 @@ def test_the_verdict_without_a_search_is_the_searched_verdict(graph):
         for v in range(n)
     ]
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
-    root = _refine(n, neigh, [0] * n)
+    root = _refine(n, neigh, [0] * n)[0]
     searches = []
     search = canon._search
 
@@ -281,7 +293,7 @@ def _graphs_and_picks(draw):
     return n, _random_masks(random.Random(seed), n, p), random.Random(seed + 1)
 
 
-@settings(max_examples=400)
+@settings(max_examples=_examples(400))
 @given(_graphs_and_picks())
 def test_refine_matches_the_round_based_reference(graph):
     # at the root, then along a chain of individualizations of random vertices
@@ -289,12 +301,147 @@ def test_refine_matches_the_round_based_reference(graph):
     n, adj, pick = graph
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
     colors = _refine_by_rounds(n, neigh, [0] * n)
-    assert _refine(n, neigh, [0] * n) == colors
+    assert _refine(n, neigh, [0] * n) == (colors, True)
     while max(colors) + 1 < n:
         v = pick.choice([v for v in range(n) if colors.count(colors[v]) > 1])
         start = _individualize(colors, v)
         colors = _refine_by_rounds(n, neigh, start)
-        assert _refine(n, neigh, start) == colors
+        assert _refine(n, neigh, start) == (colors, True)
+
+
+def _cycle(n):
+    return _edges_to_masks(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+# regular graphs, whose degree round leaves every vertex in one cell: the
+# empty and complete graphs, a cycle, the Petersen graph and two disjoint
+# triangles beside a hexagon (one root cell, two orbits)
+_REGULAR = [
+    (6, [0] * 6),
+    (5, [31 ^ 1 << v for v in range(5)]),
+    (7, _cycle(7)),
+    (10, _edges_to_masks(10, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                         + [(i, i + 5) for i in range(5)])),
+    (12, _edges_to_masks(12, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+                         + [(6 + i, 6 + (i + 1) % 6) for i in range(6)])),
+]
+
+
+def _with_examples(graphs):
+    """Decorate a test given one graph with each of graphs as an example."""
+    def decorate(test):
+        for graph in graphs:
+            test = example(graph)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=_examples(300))
+@given(st.one_of(_verdict_graphs(), _any_graphs()))
+@_with_examples(_REGULAR)
+def test_the_refinement_verdict_matches_the_round_based_reference(graph):
+    # with every vertex v as last, against the reference root coloring: the
+    # refinement rejects exactly the v outside the last root cell of v's
+    # degree, accepts before the root exactly the v alone in that cell, and
+    # otherwise returns the root itself, leaving the verdict to the cell
+    n, adj = graph
+    degrees = [x.bit_count() for x in adj]
+    neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
+    root = _refine_by_rounds(n, neigh, [0] * n)
+    for v in range(n):
+        got = _refine(n, neigh, [0] * n, v)
+        if root[v] != max(root[u] for u in range(n) if degrees[u] == degrees[v]):
+            assert got is None
+        elif root.count(root[v]) == 1:
+            assert got is not None and got[1] is False
+        else:
+            assert got == (root, True)
+
+
+@settings(max_examples=_examples(200))
+@given(st.one_of(_verdict_graphs(), _any_graphs()))
+@_with_examples(_REGULAR)
+def test_a_resumed_refinement_is_the_full_refinement(graph):
+    # where the refinement accepted before the root coloring, refining the
+    # colors it stopped at gives the full refinement, and that is the root
+    # coloring the result's search starts from when a field is read
+    n, adj = graph
+    neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
+    root = _refine_by_rounds(n, neigh, [0] * n)
+    roots = []
+    search = canon._search
+
+    def recorded(n, adj, neigh, colors):
+        roots.append(list(colors))
+        return search(n, adj, neigh, colors)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canon, "_search", recorded)
+        for v in range(n):
+            refined = _refine(n, neigh, [0] * n, v)
+            if refined is None or refined[1]:
+                continue
+            assert _refine(n, neigh, refined[0]) == (root, True)
+            got = canon_full(n, adj, last=v)
+            assert roots == []
+            got.key
+            assert roots == [root]
+            roots.clear()
+
+
+@settings(max_examples=_examples(200))
+@given(_any_graphs(), st.integers(0, 2 ** 32 - 1))
+@example((9, _edges_to_masks(9, [(0, v) for v in range(1, 9)])), 0)
+def test_a_new_vertex_alone_in_its_degree_signs_no_round(graph, seed):
+    # grow the graph by a vertex k joined to a random set of its vertices;
+    # when k is the only vertex of its degree, canon_full(last=k) accepts
+    # after the degree round and reads no neighbor tuple to sign a round
+    n, adj = graph
+    rng = random.Random(seed)
+    hood = mask_of(v for v in range(n) if rng.random() < 0.5)
+    grown = [x | (hood >> v & 1) << n for v, x in enumerate(adj)] + [hood]
+    degrees = [x.bit_count() for x in grown]
+    if degrees.count(degrees[n]) > 1:
+        return
+    reads = []
+
+    class Watched(tuple):
+        def __iter__(self):
+            reads.append(self)
+            return super().__iter__()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canon, "bits", lambda mask: Watched(iter_bits(mask)))
+        mp.setattr(canon, "_search", None)  # the search must not run either
+        assert canon_full(n + 1, grown, last=n) is not None
+    assert reads == []
+
+
+@settings(max_examples=_examples(200))
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_certificates_order_labelings_like_their_bitstrings(n, p, seed):
+    # the search compares leaves by integer certificates: on random
+    # labelings, each also with two vertices swapped (a tie where they are
+    # twins), they order exactly as the graph6 payload bitstrings do, and
+    # the least one spells the key
+    rng = random.Random(seed)
+    adj = _random_masks(rng, n, p)
+    neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
+    labs = []
+    for _ in range(6):
+        lab = list(range(n))
+        rng.shuffle(lab)
+        labs.append(lab)
+        i, j = rng.randrange(n), rng.randrange(n)
+        labs.append(lab[:])
+        labs[-1][i], labs[-1][j] = lab[j], lab[i]
+    certs = [_certificate(n, neigh, lab) for lab in labs]
+    strings = [upper_triangle_bits(n, adj, lab) for lab in labs]
+    for a, b in zip(certs, strings):
+        for c, d in zip(certs, strings):
+            assert (a < c, a == c) == (b < d, b == d)
+    assert _graph6(n, min(certs)) == graph6_from_bits(n, min(strings))
 
 
 def test_regular_graphs_have_single_orbit():
@@ -672,13 +819,13 @@ def test_blowups_agree_with_vf2(symmetric_graphs):
 )
 def test_twin_only_root_is_the_only_leaf(monkeypatch, name, n, edges):
     # every non-singleton root cell of these graphs is one twin class, so
-    # the search encodes one labeling and no more
+    # the search certifies one labeling and no more
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return upper_triangle_bits(*args)
+        return _certificate(*args)
 
-    monkeypatch.setattr(canon, "upper_triangle_bits", counting)
+    monkeypatch.setattr(canon, "_certificate", counting)
     canon_full(n, _edges_to_masks(n, edges)).key  # the search runs when a field is read
     assert len(calls) == 1
