@@ -35,7 +35,7 @@ from .extremal import (
 from .families import FamilyError, construct, ngg_closed, parse_spec
 from .formats import read_graphs
 from .graphs import Graph, GraphError, build_graph, to_graph6
-from .indices import INDEX_FNS as _INDEX_FNS, SPLIT_SUMS, edge_splits
+from .indices import INDEX_FNS as _INDEX_FNS, TERMS, edge_splits, term_sum
 
 OK, VERIFY_FAILED, ERROR = 0, 1, 2
 
@@ -153,7 +153,7 @@ def _cmd_index(args) -> int:
         raise CliError(f"--which takes a comma subset of {_INDEX_NAMES}, got {args.which!r}")
     if args.splits and args.format == "csv":
         raise CliError("--splits is not representable in csv; use json or text")
-    need_splits = args.splits or any(w in SPLIT_SUMS for w in which)
+    need_splits = args.splits or any(TERMS[w].splits for w in which)
 
     records = []
     chunks = [_csv_line(["source", "line", "n", "m", *which])] if args.format == "csv" else []
@@ -166,9 +166,7 @@ def _cmd_index(args) -> int:
         for lineno, n, edges in read_graphs(lines, label):
             g = _build(label, lineno, n, edges)
             splits = edge_splits(g) if need_splits else ()
-            values = [
-                SPLIT_SUMS[w](splits) if w in SPLIT_SUMS else _INDEX_FNS[w](g) for w in which
-            ]
+            values = [term_sum(w, splits) if TERMS[w].splits else _INDEX_FNS[w](g) for w in which]
             if args.format == "json":
                 rec = {"source": label, "line": lineno, "n": g.n, "m": g.m}
                 rec.update(zip(which, values))

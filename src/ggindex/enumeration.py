@@ -95,7 +95,6 @@ count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, islice
 from typing import Any, Callable, Iterator, Optional, Sequence
@@ -485,10 +484,13 @@ def _shard_count(workers: int) -> int:
 def _map_shards(fn, cons: Constraints, orders: frozenset[int], workers: int) -> list:
     """fn(cons, orders, res, mod) for every shard res of mod of the classes of
     cons's class at the orders, with mod = _shard_count(workers); each shard
-    runs in its own process unless mod is 1. cons.n is not read."""
+    runs in its own process unless mod is 1, and only then is the process
+    pool imported. cons.n is not read."""
     mod = _shard_count(workers)
     if mod == 1:
         return [fn(cons, orders, 0, 1)]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=mod) as pool:
         return list(pool.map(fn, [cons] * mod, [orders] * mod, range(mod), [mod] * mod))
 

@@ -15,46 +15,48 @@ platforms.
 
 The fold holds each candidate in its stream's own form and keys none of
 them while the stream runs. When the result is taken it keys the window's
-candidates once each, with the stream's key function, and the result is
-keys and floats only: a window of several keys is re-ranked from graphs
-decoded from the keys. enumeration._classes gives a shard's classes as a
-stream of (n, candidate) together with the candidate's key and split
-functions, so only enumeration knows how a class is held: a walk class is
-its walk node, keyed from the canonical search the walk already holds, a
-tree its parent links. The splits take their values from
-indices.SPLIT_SUMS, the sums the index functions use. math.fsum rounds the
-exact sum of the terms, so the floats are the same bits in any labeling, and
-the fold builds no Graph and decodes no key. A walk class also comes with
-floors on its splits, and a class whose bound from them cannot reach any
-fold of its order is counted without its split pass (_fold_shard).
+candidates once each, with the stream's key function, and a window of
+several keys is re-ranked exactly from one candidate per key, from its own
+splits, with the stream's split function. enumeration._classes gives a
+shard's classes as a stream of (n, candidate) together with the candidate's
+key and split functions, so only enumeration knows how a class is held: a
+walk class is its walk node, keyed from the canonical search the walk
+already holds, a tree its parent links. The splits take their float and
+exact values from the index's row of indices.TERMS, the terms the index
+functions use. math.fsum rounds the exact sum of the terms, so the floats
+are the same bits in any labeling, and the fold builds no Graph and decodes
+no key. A walk class also comes with floors on its splits, and a class
+whose bound from them cannot reach any fold of its order is counted without
+its split pass (_fold_shard). Only the conjecture-1 probe decodes keys, to
+test its exact witnesses (is_almost_regular).
 
 CLAIMS is the table of the claims `ggindex verify` checks: for each, the
 class to scan and the predicted witnesses and values, or a closed-form row
 function. The predicted witnesses and values are family specs looked up in
 families.FAMILIES, built with their constructors and valued with their
-closed forms; crossover_scan takes the float and exact C' and C'' values
-from the same table. verify runs any claim and produces the
+closed forms; crossover_scan takes each order's C' and C'' split multisets
+from the same table once, and both the float columns and the exact
+comparison from them. verify runs any claim and produces the
 VerificationReport that the CLI serializes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cmp_to_key, partial
 from math import fsum
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .enumeration import Constraints, _classes, _map_shards, check_bound
 from .families import (
+    FAMILIES,
     FamilyError,
     FamilySpec,
     almost_dendrimer,
     construct,
     cycle,
     ngg_closed,
-    ngg_closed_exact,
     ngg_path_closed,
-    odd_half,
     path,
     path_ngg_limit,
     star,
@@ -63,12 +65,15 @@ from .graphs import Graph, canonical_form, from_graph6
 from .indices import (
     BOUND_RTOL,
     INDEX_FNS as _FLOAT_FN,
-    SPLIT_SUMS,
     TIE_RTOL,
-    edge_splits,
+    exact_sum,
     float_tie,
     gg_index,
+    index_pairs,
+    multiset_exact,
+    multiset_value,
     split_term_bounds,
+    term_sum,
 )
 from .radicals import RadicalSum
 
@@ -96,22 +101,9 @@ class Objective:
 
 def exact_index_value(g: Graph, index: str) -> RadicalSum:
     """The index value as an exact sum of radicals."""
-    if index not in ("abc", "gg", "ngg"):
+    if index not in _FLOAT_FN:
         raise ExtremalError(f"unknown index {index!r}")
-    total = RadicalSum.zero()
-    if index == "abc":
-        deg = g.degrees
-        for u, v in g.edges:
-            total = total + RadicalSum.sqrt_rational(deg[u] + deg[v] - 2, deg[u] * deg[v])
-        return total
-    for split in edge_splits(g):
-        if index == "gg":
-            total = total + RadicalSum.sqrt_rational(
-                split.n_u + split.n_v - 2, split.n_u * split.n_v
-            )
-        else:
-            total = total + RadicalSum.sqrt_rational(1, split.n_u * split.n_v)
-    return total
+    return exact_sum(index, index_pairs(index, g))
 
 
 @dataclass(frozen=True)
@@ -130,12 +122,20 @@ class _Extremum:
     candidate stays in its stream's own form until the result, which keys
     each one left in the window with key_of (canonical_form when None).
     Isomorphic copies therefore each hold a place in the window until then
-    and share one key in the result."""
+    and share one key in the result. pairs_of gives a candidate's pairs
+    for the objective's index, one (edge, a, b) per edge, for the exact
+    re-rank (a Graph's, indices.index_pairs, when None)."""
 
-    def __init__(self, objective: Objective, key_of: Optional[Callable[[Any], str]] = None) -> None:
+    def __init__(
+        self,
+        objective: Objective,
+        key_of: Optional[Callable] = None,
+        pairs_of: Optional[Callable] = None,
+    ) -> None:
         self.objective = objective
         self.want_min = objective.sense == "min"
         self.key_of = key_of or canonical_form
+        self.pairs_of = pairs_of or partial(index_pairs, objective.index)
         self.best: Optional[float] = None
         self.window: list[tuple[float, Any]] = []
         self.total = 0
@@ -176,32 +176,20 @@ class _Extremum:
         self.skipped += other.skipped
 
     def result(self) -> ExtremalResult:
-        """Key the window and re-rank it exactly once the stream is exhausted."""
+        """Key the window and re-rank it exactly once the stream is
+        exhausted, each key from the pairs of one of its candidates."""
         if self.best is None:
             raise ExtremalError("cannot take an extremum of an empty graph stream")
-        witnesses = tuple(sorted({self.key_of(candidate) for _, candidate in self.window}))
+        keyed = {self.key_of(candidate): candidate for _, candidate in self.window}
+        witnesses = tuple(sorted(keyed))
         if len(witnesses) == 1:
             exact_witnesses = witnesses
         else:
-            index = self.objective.index
-            exact = {key: exact_index_value(from_graph6(key), index) for key in witnesses}
-            champion: Optional[RadicalSum] = None
-            for val in exact.values():
-                if champion is None:
-                    champion = val
-                    continue
-                c = val.compare(champion)
-                if (self.want_min and c < 0) or (not self.want_min and c > 0):
-                    champion = val
+            exact = {k: exact_sum(self.objective.index, self.pairs_of(keyed[k])) for k in witnesses}
+            pick = min if self.want_min else max
+            champion = pick(exact.values(), key=cmp_to_key(RadicalSum.compare))
             exact_witnesses = tuple(k for k, val in exact.items() if val == champion)
-
-        return ExtremalResult(
-            objective=self.objective,
-            value=self.best,
-            witnesses=witnesses,
-            exact_witnesses=exact_witnesses,
-            total_classes=self.total,
-        )
+        return ExtremalResult(self.objective, self.best, witnesses, exact_witnesses, self.total)
 
 
 def find_extremal(stream: Iterable[Graph], objective: Objective) -> ExtremalResult:
@@ -293,20 +281,22 @@ class CrossoverRow(NamedTuple):
 def crossover_scan(n_values: Iterable[int]) -> list[CrossoverRow]:
     """Compare the two odd-order minimum candidates with exact arithmetic.
 
-    The float columns come from the closed forms; the comparison column is
-    decided by exact radical comparison, so the single equality (k = 7,
-    n = 15) is reported as equal rather than as a small float difference.
+    Each row takes the C' and C'' split multisets (families.FAMILIES) once
+    and both columns from them: the floats are the closed forms, and the
+    comparison column is decided by exact radical comparison, so the single
+    equality (k = 7, n = 15) is reported as equal rather than as a small
+    float difference.
     """
     rows = []
     for n in n_values:
         try:
-            k = odd_half(n, "crossover_scan")
-        except FamilyError as exc:
-            raise ExtremalError(f"{exc}, got {n}") from None
-        pendant, hook = FamilySpec("CP", (n,)), FamilySpec("CH", (n,))
-        sign = ngg_closed_exact(pendant).compare(ngg_closed_exact(hook))
+            pendant, hook = (FAMILIES[code].splits(n) for code in ("CP", "CH"))
+        except FamilyError:
+            raise ExtremalError(f"crossover_scan is defined for odd n >= 5, got {n}") from None
+        sign = multiset_exact("ngg", pendant).compare(multiset_exact("ngg", hook))
         comparison = "C' < C''" if sign < 0 else ("equal" if sign == 0 else "C'' < C'")
-        rows.append(CrossoverRow(n, k, ngg_closed(pendant), ngg_closed(hook), comparison))
+        pendant_value, hook_value = multiset_value("ngg", pendant), multiset_value("ngg", hook)
+        rows.append(CrossoverRow(n, (n - 1) // 2, pendant_value, hook_value, comparison))
     return rows
 
 
@@ -548,7 +538,7 @@ def _fold_shard(
     not change. Trees have no floors_of and are always split."""
     checks = CLAIMS[claim].checks
     stream, key_of, splits_of, floors_of = _classes(cons, orders, res, mod)
-    folds = {n: [_Extremum(check.objective, key_of) for check in checks] for n in orders}
+    folds = {n: [_Extremum(c.objective, key_of, splits_of) for c in checks] for n in orders}
     indices = tuple(dict.fromkeys(check.objective.index for check in checks))
     if floors_of is not None:
         tables = {
@@ -569,7 +559,7 @@ def _fold_shard(
                     fold.skip()
                 continue
         splits = splits_of(candidate)
-        values = {index: SPLIT_SUMS[index](splits) for index in indices}
+        values = {index: term_sum(index, splits) for index in indices}
         for fold in folds[n]:
             fold.offer(values[fold.objective.index], candidate)
     return folds

@@ -18,12 +18,14 @@ written 'CODE:params' (parse_spec, FamilySpec.text):
              root takes up to d children and every later vertex up to d-1
 
 Closed forms exist for P, even C, KB, S, CP and CH. A closed form checks its
-parameters with the same rule as its constructor. The pendant (CP) and hook
-(CH) families exist for odd order only; they are the two candidate
-minimizers of NGG among bipartite graphs of odd order, and nothing here
-needs an even variant. Their closed forms are written once, as NGG terms
-scale/sqrt(q), which give both the float value (ngg_closed) and the exact
-one (ngg_closed_exact).
+parameters with the same rule as its constructor. The path's is the fsum of
+the NGG term (indices.TERMS) at its splits (i, n - i), the same bits as
+ngg_index of the built path. The pendant (CP) and hook (CH) families exist
+for odd order only; they are the two candidate minimizers of NGG among
+bipartite graphs of odd order, and nothing here needs an even variant.
+Their closed forms are written once, as the multiset of their edge splits
+(Family.splits), which gives both the float value (ngg_closed) and the exact
+one (ngg_closed_exact) through the NGG row of indices.TERMS.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .graphs import Graph, build_graph
+from .indices import TERMS, multiset_exact, multiset_value
 from .radicals import RadicalSum
 
 
@@ -151,9 +154,10 @@ def almost_dendrimer(n: int, d: int) -> Graph:
 # ----------------------------------------------------------- closed forms ----
 
 def ngg_path_closed(n: int) -> float:
-    """NGG of the path: sum over 1 <= i <= n-1 of 1/sqrt(i(n-i))."""
+    """NGG of the path: the sum over 1 <= i <= n-1 of the NGG term at the
+    split (i, n - i)."""
     _path_rule(n)
-    return math.fsum(1.0 / math.sqrt(i * (n - i)) for i in range(1, n))
+    return math.fsum(map(TERMS["ngg"].value, range(1, n), range(n - 1, 0, -1)))
 
 
 def path_ngg_limit() -> float:
@@ -178,16 +182,17 @@ def _star_ngg(n: int) -> float:
     return math.sqrt(n - 1)
 
 
-def _pendant_terms(n: int) -> tuple[tuple[int, int], ...]:
-    """C' at n = 2k+1: 1/sqrt(2k) + 2k/sqrt(k(k+1)), as (scale, q) pairs."""
+def _pendant_splits(n: int) -> dict[tuple[int, int], int]:
+    """C' at n = 2k+1: the pendant edge splits (1, 2k), and each of the 2k
+    cycle edges (k, k+1), the pendant vertex on one side."""
     k = odd_half(n, "cycle_pendant")
-    return (1, 2 * k), (2 * k, k * (k + 1))
+    return {(1, 2 * k): 1, (k, k + 1): 2 * k}
 
 
-def _hook_terms(n: int) -> tuple[tuple[int, int], ...]:
-    """C'' at n = 2k+1: (2k+2)/sqrt(k(k+1)), as (scale, q) pairs."""
+def _hook_splits(n: int) -> dict[tuple[int, int], int]:
+    """C'' at n = 2k+1: each of its 2k+2 edges splits (k, k+1)."""
     k = odd_half(n, "cycle_hook")
-    return ((2 * k + 2, k * (k + 1)),)
+    return {(k, k + 1): 2 * k + 2}
 
 
 # ------------------------------------------------------------ the table ----
@@ -196,13 +201,13 @@ class Family(NamedTuple):
     """One family: its constructor and arity, and its NGG closed form if any.
 
     A closed form is either closed, a float function of the parameters, or
-    terms, the (scale, q) pairs of an NGG written as a sum of scale/sqrt(q).
+    splits, the multiset {(n_u, n_v): times} of the graph's edge splits.
     """
 
     build: Callable[..., Graph]
     arity: int = 1
     closed: Optional[Callable[..., float]] = None
-    terms: Optional[Callable[..., tuple[tuple[int, int], ...]]] = None
+    splits: Optional[Callable[..., dict[tuple[int, int], int]]] = None
 
 
 FAMILIES: dict[str, Family] = {
@@ -211,8 +216,8 @@ FAMILIES: dict[str, Family] = {
     "K": Family(complete),
     "KB": Family(complete_bipartite, 2, closed=_complete_bipartite_ngg),
     "S": Family(star, closed=_star_ngg),
-    "CP": Family(cycle_pendant, terms=_pendant_terms),
-    "CH": Family(cycle_hook, terms=_hook_terms),
+    "CP": Family(cycle_pendant, splits=_pendant_splits),
+    "CH": Family(cycle_hook, splits=_hook_splits),
     "TH": Family(theta, 3),
     "AD": Family(almost_dendrimer, 2),
 }
@@ -257,22 +262,18 @@ def construct(spec: FamilySpec) -> Graph:
 
 
 def ngg_closed(spec: FamilySpec) -> float:
-    """Closed-form NGG of the families that have one: P, even C, KB, S, CP, CH.
-
-    A sum of terms is taken left to right, scale / math.sqrt(q) each.
-    """
+    """Closed-form NGG of the families that have one: P, even C, KB, S, CP, CH."""
     family = FAMILIES[spec.code]
-    if family.terms is not None:
-        return sum(scale / math.sqrt(q) for scale, q in family.terms(*spec.params))
+    if family.splits is not None:
+        return multiset_value("ngg", family.splits(*spec.params))
     if family.closed is None:
         raise FamilyError(f"no closed-form NGG for family {spec.code}")
     return family.closed(*spec.params)
 
 
 def ngg_closed_exact(spec: FamilySpec) -> RadicalSum:
-    """Exact closed-form NGG of the families written as NGG terms: CP and CH."""
-    terms = FAMILIES[spec.code].terms
-    if terms is None:
+    """Exact closed-form NGG of the families written as edge splits: CP and CH."""
+    splits = FAMILIES[spec.code].splits
+    if splits is None:
         raise FamilyError(f"no exact closed-form NGG for family {spec.code}")
-    first, *rest = (RadicalSum.sqrt_rational(1, q, scale) for scale, q in terms(*spec.params))
-    return sum(rest, first)
+    return multiset_exact("ngg", splits(*spec.params))

@@ -2,11 +2,19 @@
 
 For an edge uv, n_u counts the vertices strictly closer to u than to v
 (u itself included), and symmetrically for n_v; vertices equidistant from
-both endpoints count for neither side. The three indices are edge sums:
+both endpoints count for neither side. The three indices are edge sums of a
+term of one pair (a, b) per edge:
 
-    GG  = sum sqrt((n_u + n_v - 2) / (n_u * n_v))
-    NGG = sum 1 / sqrt(n_u * n_v)
-    ABC = sum sqrt((d(u) + d(v) - 2) / (d(u) * d(v)))
+    GG  = sum g(n_u, n_v),    g(a, b) = sqrt((a + b - 2) / (a * b))
+    NGG = sum h(n_u, n_v),    h(a, b) = 1 / sqrt(a * b)
+    ABC = sum g(d(u), d(v))
+
+TERMS is the table of them, one row per index: the float and the exact term
+of a pair, and where a graph's pairs come from, its edge splits (GG, NGG) or
+the degrees of its edges' ends (ABC). The index functions, the split sums
+verify values classes with, the exact values extremal re-ranks ties by, the
+bounds on a split's term (split_term_bounds) and the families' NGG closed
+forms all read their terms from it.
 
 Sums run over edges in their stored order (smaller endpoint first, then
 lexicographic) and use math.fsum, so results do not depend on labeling or
@@ -16,15 +24,18 @@ edge order, and float_tie bounds how far one can be from its exact value.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from operator import add, or_
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import Graph
+from .radicals import RadicalSum
 
 # The float error of an index value, with u = 2**-53 the unit roundoff:
-# - each term is >= 0 and comes from two correctly rounded operations on
-#   integers below 2**53 (GG, ABC: divide then sqrt, <= 1.5u relative error;
-#   NGG: sqrt then divide, <= 2u);
+# - each term (TERMS) is >= 0 and comes from two correctly rounded
+#   operations on integers below 2**53 (GG, ABC: divide then sqrt, <= 1.5u
+#   relative error; NGG: sqrt then divide, <= 2u), and times = 1.0 adds no
+#   rounding;
 # - math.fsum rounds the sum of the terms once, so a value is within 3u*V of
 #   its exact value V, whatever the number of edges.
 # Two exactly equal values, or two whose floats are in the wrong order, thus
@@ -53,6 +64,65 @@ BOUND_RTOL = 2.0 ** -48
 def float_tie(a: float, b: float) -> bool:
     """True when the floats a and b of two index values cannot order them."""
     return abs(a - b) <= TIE_RTOL * (abs(a) + abs(b))
+
+
+# ------------------------------------------------------------ the terms ----
+
+def _gg_term(a: int, b: int, times: float = 1.0) -> float:
+    return times * math.sqrt((a + b - 2) / (a * b))
+
+
+def _ngg_term(a: int, b: int, times: float = 1.0) -> float:
+    return times / math.sqrt(a * b)
+
+
+class Term(NamedTuple):
+    """One index's term of a pair (a, b): value(a, b, times) is the float of
+    times equal terms and exact(a, b, times) their exact sum. times enters
+    the float as its last operation, so times = 1 leaves the term's bits
+    alone. splits says where a graph's pairs come from: its edge splits
+    (n_u, n_v), or else the degrees (d(u), d(v)) of each edge's ends."""
+
+    value: Callable[..., float]
+    exact: Callable[..., RadicalSum]
+    splits: bool
+
+
+# GG's term of a split is ABC's term of the end degrees (arXiv 1609.01406).
+_GG = Term(_gg_term, lambda a, b, t=1: RadicalSum.sqrt_rational(a + b - 2, a * b, t), True)
+TERMS = {
+    "gg": _GG,
+    "ngg": Term(_ngg_term, lambda a, b, t=1: RadicalSum.sqrt_rational(1, a * b, t), True),
+    "abc": _GG._replace(splits=False),
+}
+
+
+def term_sum(index: str, pairs: Iterable[tuple]) -> float:
+    """The float value of index on a graph with these pairs, one
+    (edge, a, b) per edge: the math.fsum of the terms."""
+    value = TERMS[index].value
+    return math.fsum(value(a, b) for _, a, b in pairs)
+
+
+def exact_sum(index: str, pairs: Iterable[tuple]) -> RadicalSum:
+    """The exact value of index on a graph with these pairs."""
+    return multiset_exact(index, Counter((a, b) for _, a, b in pairs))
+
+
+def multiset_value(index: str, multiset: dict[tuple[int, int], int]) -> float:
+    """The float value of index on a graph whose pairs are the multiset
+    {(a, b): times}: the math.fsum of one value(a, b, times) per entry."""
+    value = TERMS[index].value
+    return math.fsum(value(a, b, times) for (a, b), times in multiset.items())
+
+
+def multiset_exact(index: str, multiset: dict[tuple[int, int], int]) -> RadicalSum:
+    """The exact value of index on a graph whose pairs are this multiset."""
+    exact = TERMS[index].exact
+    # summed from the first term: each addition builds a RadicalSum, and a
+    # crossover row takes two of these sums
+    first, *rest = [exact(a, b, times) for (a, b), times in multiset.items()] or [RadicalSum.zero()]
+    return sum(rest, first)
 
 
 class EdgeSplit(NamedTuple):
@@ -176,14 +246,6 @@ def split_pass(n: int, edges: Sequence[tuple[int, int]]) -> tuple[EdgeSplit, ...
     return tuple(EdgeSplit(e, *s) for e, s in zip(edges, split))
 
 
-def gg_sum(splits) -> float:
-    return math.fsum(math.sqrt((nu + nv - 2) / (nu * nv)) for _, nu, nv in splits)
-
-
-def ngg_sum(splits) -> float:
-    return math.fsum(1.0 / math.sqrt(nu * nv) for _, nu, nv in splits)
-
-
 def split_term_bounds(
     n: int, index: str, sense: str, bipartite: bool
 ) -> dict[tuple[int, int], float]:
@@ -210,51 +272,48 @@ def split_term_bounds(
       * max NGG: 1/sqrt(a0 b0), and in a bipartite graph the term is
         1/sqrt(x(n - x)), largest at an end of x's interval;
       * min NGG: n_u n_v <= x(n - x), since n_v <= n - x.
-    x(n - x) is largest at the x of the interval nearest n/2. Each entry is
-    computed as a term is, within 2u of the exact bound (see BOUND_RTOL).
+    x(n - x) is largest at the x of the interval nearest n/2. Apart from the
+    constants 1 and 0, each entry is the index's term (TERMS) at one extreme
+    split: (a0, b0), (x, n - x) or an end of x's interval. Rounding keeps
+    the order of exact values, so an entry is the extreme of the float terms
+    over the splits that fit, within 2u of the exact bound (see BOUND_RTOL).
     """
-    if index not in SPLIT_SUMS or sense not in ("min", "max"):
+    if index not in TERMS or not TERMS[index].splits or sense not in ("min", "max"):
         raise ValueError(f"no split term bounds for {sense} {index}")
+    term = TERMS[index].value
 
-    def widest(a: int, b: int) -> int:
-        """The largest x(n - x) over the integers x in [a, n - b]."""
-        x = min(max(n // 2, a), n - b)
-        return x * (n - x)
+    def bound(a: int, b: int) -> float:
+        if sense == "min":
+            x = min(max(n // 2, a), n - b)  # the x in [a, n - b] nearest n/2
+            return 0.0 if index == "gg" and a == b == 1 else term(x, n - x)
+        if index == "ngg" and bipartite:
+            return max(term(a, n - a), term(n - b, b))
+        return 1.0 if index == "gg" and min(a, b) == 1 else term(a, b)
 
-    if index == "gg" and sense == "max":
-        def bound(a: int, b: int) -> float:
-            return math.sqrt((a + b - 2) / (a * b)) if a > 1 and b > 1 else 1.0
-    elif index == "gg":
-        def bound(a: int, b: int) -> float:
-            return math.sqrt((n - 2) / widest(a, b)) if a > 1 or b > 1 else 0.0
-    elif sense == "max":
-        def bound(a: int, b: int) -> float:
-            return 1.0 / math.sqrt(min(a * (n - a), b * (n - b)) if bipartite else a * b)
-    else:
-        def bound(a: int, b: int) -> float:
-            return 1.0 / math.sqrt(widest(a, b))
     return {(a, b): bound(a, b) for a in range(1, n) for b in range(1, n - a + 1)}
 
 
+def index_pairs(index: str, g: Graph) -> Sequence[tuple]:
+    """g's pairs for index, one (edge, a, b) per edge in edge order: its
+    edge splits, or (edge, d(u), d(v)), as the index's row says."""
+    if TERMS[index].splits:
+        return edge_splits(g)
+    deg = g.degrees
+    return [(e, deg[e[0]], deg[e[1]]) for e in g.edges]
+
+
 def gg_index(g: Graph) -> float:
-    return gg_sum(edge_splits(g))
+    return term_sum("gg", edge_splits(g))
 
 
 def ngg_index(g: Graph) -> float:
-    return ngg_sum(edge_splits(g))
+    return term_sum("ngg", edge_splits(g))
 
 
 def abc_index(g: Graph) -> float:
-    deg = g.degrees
-    return math.fsum(
-        math.sqrt((deg[u] + deg[v] - 2) / (deg[u] * deg[v])) for u, v in g.edges
-    )
+    return term_sum("abc", index_pairs("abc", g))
 
 
 # The index names and their float values. cli and extremal bind this dict
 # itself, so replacing an entry (as bench/spans.py does) reaches every caller.
 INDEX_FNS = {"gg": gg_index, "ngg": ngg_index, "abc": abc_index}
-
-# The indices that are edge sums over splits; a caller holding a graph's
-# splits takes these values from them without another split pass.
-SPLIT_SUMS = {"gg": gg_sum, "ngg": ngg_sum}

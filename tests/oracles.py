@@ -25,14 +25,24 @@ canon_key_exhaustive generally picks a different representative than the
 search, which only minimizes across refinement-consistent labelings; the
 properties that must agree are the isomorphism partition, the orbit
 partition and the invariance of each key under relabeling.
+
+The reference sums at the end are the index sums as ggindex wrote them
+before indices.TERMS held their terms, one expression per sum: gg_sum and
+ngg_sum over (edge, n_u, n_v) splits, abc_sum over a graph's end degrees,
+path_ngg_sum for the path's NGG, scaled_ngg_sum for the NGG closed forms
+written as scale/sqrt(q) terms, and exact_sum for the exact values. The
+table's sums are checked against them bit for bit.
 """
 
+import math
 from heapq import heapify, heappop, heappush
 from itertools import permutations, product
 
 from ggindex.bitset import iter_bits, reach
 from ggindex.formats import graph6_from_bits
 from ggindex.graphs import Graph, build_graph
+from ggindex.indices import edge_splits
+from ggindex.radicals import RadicalSum
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -262,3 +272,46 @@ def orbits_exhaustive(n: int, adj) -> tuple[int, ...]:
 
     autos = [perm for perm in permutations(range(n)) if automorphic(perm)]
     return tuple(min(perm[v] for perm in autos) for v in range(n))
+
+
+# ---------------------------------------------------------- reference sums ----
+
+def gg_sum(splits) -> float:
+    return math.fsum(math.sqrt((nu + nv - 2) / (nu * nv)) for _, nu, nv in splits)
+
+
+def ngg_sum(splits) -> float:
+    return math.fsum(1.0 / math.sqrt(nu * nv) for _, nu, nv in splits)
+
+
+def abc_sum(g: Graph) -> float:
+    deg = g.degrees
+    return math.fsum(
+        math.sqrt((deg[u] + deg[v] - 2) / (deg[u] * deg[v])) for u, v in g.edges
+    )
+
+
+def path_ngg_sum(n: int) -> float:
+    return math.fsum(1.0 / math.sqrt(i * (n - i)) for i in range(1, n))
+
+
+def scaled_ngg_sum(terms) -> float:
+    """A sum of scale/sqrt(q) over (scale, q) pairs, taken left to right."""
+    return sum(scale / math.sqrt(q) for scale, q in terms)
+
+
+def exact_sum(g: Graph, index: str) -> RadicalSum:
+    total = RadicalSum.zero()
+    if index == "abc":
+        deg = g.degrees
+        for u, v in g.edges:
+            total = total + RadicalSum.sqrt_rational(deg[u] + deg[v] - 2, deg[u] * deg[v])
+        return total
+    for split in edge_splits(g):
+        if index == "gg":
+            total = total + RadicalSum.sqrt_rational(
+                split.n_u + split.n_v - 2, split.n_u * split.n_v
+            )
+        else:
+            total = total + RadicalSum.sqrt_rational(1, split.n_u * split.n_v)
+    return total

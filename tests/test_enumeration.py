@@ -1,7 +1,12 @@
+import concurrent.futures
 import functools
+import os
 import pickle
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -659,7 +664,8 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcess)
+    # _map_shards imports the pool when it needs one, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
     cons = Constraints(8, bipartite_only=True)
     assert keys(enumerate_connected(cons, workers=64)) == keys(enumerate_connected(cons))
@@ -675,3 +681,17 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
     assert verify("max-bipartite", range(4, 9), workers=64) == report
     assert started == [3, 3]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a run with more than one shard needs the pool (_map_shards), so a
+    # fresh import of the command line leaves concurrent.futures.process out
+    probe = "import sys, ggindex.cli; print('concurrent.futures.process' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

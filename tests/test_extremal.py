@@ -33,7 +33,7 @@ from ggindex.families import (
 )
 from ggindex import enumeration, extremal, formats
 from ggindex.graphs import Graph, build_graph, canonical_form
-from ggindex.indices import INDEX_FNS, SPLIT_SUMS, edge_splits, gg_index, ngg_index
+from ggindex.indices import INDEX_FNS, TERMS, edge_splits, gg_index, ngg_index, term_sum
 
 
 
@@ -243,8 +243,8 @@ def test_subtree_splits_are_the_split_pass(max_degree):
             assert sorted(sorted(split[1:]) for split in splits) == sides
             got = sorted(((parent[v], v), n_u, n_v) for v, n_v, n_u in splits)
             assert got == [tuple(split) for split in edge_splits(g)]
-            for index, sum_splits in SPLIT_SUMS.items():
-                assert sum_splits(splits) == INDEX_FNS[index](g)
+            for index in ("gg", "ngg"):
+                assert term_sum(index, splits) == INDEX_FNS[index](g)
 
 
 def test_tree_claims_use_only_split_sums():
@@ -254,7 +254,7 @@ def test_tree_claims_use_only_split_sums():
     assert tree_claims == ["trees", "conjecture3"]
     for name in exhaustive:
         for check in CLAIMS[name].checks:
-            assert check.objective.index in SPLIT_SUMS
+            assert TERMS[check.objective.index].splits
 
 
 @pytest.mark.parametrize(
@@ -280,30 +280,28 @@ def test_tree_claims_build_no_graph_in_the_fold(monkeypatch, claim, orders, buil
     [
         ("max-bipartite", range(4, 10), []),
         ("conjecture2", range(6, 10), []),
-        # the n = 5 window's three keys re-ranked exactly, then the probe's
-        # exact witnesses decoded to test them, up to the first that fails
-        (
-            "conjecture1",
-            range(5, 9),
-            ["DFw", "Dd[", "Dr[", "DFw", "E{Sw", "FqSpW", "GsX_ok"],
-        ),
+        # the n = 5 window's three keys are re-ranked from their walk nodes'
+        # splits; only the probe's exact witnesses are decoded, to test
+        # them, up to the first that fails
+        ("conjecture1", range(5, 9), ["DFw", "E{Sw", "FqSpW", "GsX_ok"]),
     ],
 )
 def test_walk_claims_build_no_graph_and_decode_no_key_per_class(
     monkeypatch, claim, orders, decodes
 ):
     # the walk's classes reach the folds as adjacency masks with their
-    # splits: a Graph is built only for an expected witness or a key the
-    # report decodes, and a key is decoded only to re-rank a window of
-    # several keys exactly or to test a probe's exact witnesses. A Graph
-    # and a decode per class would be hundreds more
+    # splits, and a window of several keys is re-ranked exactly from them: a
+    # Graph is built only for an expected witness or a key the report
+    # decodes, and a key is decoded only to test a probe's exact witnesses.
+    # A Graph and a decode per class would be hundreds more
     built, decoded = [], []
     monkeypatch.setattr(Graph, "__post_init__", _counting(Graph.__post_init__, built))
     monkeypatch.setattr(formats, "decode_graph6", _counting(formats.decode_graph6, decoded))
     report = verify(claim, orders, max_degree=3)
-    reranked = [key for row in report.rows if len(row.witnesses) > 1 for key in row.witnesses]
-    assert decoded[:len(reranked)] == reranked
+    reranked = [row for row in report.rows if len(row.witnesses) > 1]
+    assert len(reranked) == (claim == "conjecture1")
     assert decoded == decodes
+    assert set(decoded) <= {key for row in report.rows for key in row.exact_witnesses}
     assert len(built) == sum(len(row.expected) for row in report.rows) + len(decodes)
     assert len(built) < sum(row.classes for row in report.rows) / 10
 

@@ -144,7 +144,7 @@ INVALID_SPECS = [
 
 
 def test_closed_forms_match_computed():
-    with_closed = {c for c, f in FAMILIES.items() if f.closed or f.terms}
+    with_closed = {c for c, f in FAMILIES.items() if f.closed or f.splits}
     assert with_closed == set(CLOSED_FORM_SPECS)
     for specs in CLOSED_FORM_SPECS.values():
         for text in specs:

@@ -19,7 +19,7 @@ from ggindex.indices import (
     float_tie,
     gg_index,
     ngg_index,
-    ngg_sum,
+    term_sum,
 )
 from ggindex.radicals import RadicalSum
 
@@ -137,7 +137,7 @@ def test_float_tie_holds_for_sums_equal_by_construction(pairs, data):
 
     def ngg(ps):
         exact = sum((RadicalSum.sqrt_rational(1, p * q) for p, q in ps), RadicalSum.zero())
-        return exact, ngg_sum([(None, p, q) for p, q in ps])
+        return exact, term_sum("ngg", [(None, p, q) for p, q in ps])
 
     def gg(ps):
         exact = sum((RadicalSum.sqrt_rational(p, q) for p, q in ps), RadicalSum.zero())

@@ -17,13 +17,9 @@ from ggindex import extremal
 from ggindex.enumeration import Constraints, _classes, _edges, _node_floors
 from ggindex.extremal import CLAIMS, Objective, _Extremum, _fold_shard
 from ggindex.graphs import build_graph
-from ggindex.indices import SPLIT_SUMS, TIE_RTOL, float_tie, split_term_bounds
+from ggindex.indices import TERMS, TIE_RTOL, float_tie, split_term_bounds, term_sum
 
 BOUNDS = [(index, sense) for index in ("gg", "ngg") for sense in ("max", "min")]
-
-
-def _term(index: str, n_u: int, n_v: int) -> float:
-    return SPLIT_SUMS[index]([(None, n_u, n_v)])
 
 
 def _on_its_side(sense: str, value: float, bound: float) -> bool:
@@ -45,8 +41,8 @@ def _check_floors_and_bounds(masks, splits, bipartite: bool) -> None:
         assert 1 <= a0 <= n_u and 1 <= b0 <= n_v
     for (index, sense), table in _tables(n, bipartite).items():
         for floor, (n_u, n_v) in zip(floors, splits):
-            assert _on_its_side(sense, _term(index, n_u, n_v), table[floor])
-        value = SPLIT_SUMS[index]([(None, n_u, n_v) for n_u, n_v in splits])
+            assert _on_its_side(sense, TERMS[index].value(n_u, n_v), table[floor])
+        value = term_sum(index, [(None, n_u, n_v) for n_u, n_v in splits])
         assert _on_its_side(sense, value, fsum(table[floor] for floor in floors))
 
 
@@ -175,7 +171,7 @@ def test_a_skip_leaves_no_trace(name, mod, monkeypatch):
         values = []
         for _, candidate in drawn:
             splits = splits_of(candidate)
-            values.append({index: SPLIT_SUMS[index](splits) for index in indices})
+            values.append({index: term_sum(index, splits) for index in indices})
         for n, _ in drawn:
             totals[n] += 1
         for claim, least in claims.items():
