@@ -30,28 +30,20 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def reach(adj: tuple[int, ...] | list[int], start: int) -> int:
-    """Mask of all vertices reachable from start (bitset BFS)."""
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
-
-
-def components(adj: tuple[int, ...] | list[int], n: int) -> list[int]:
-    """Connected components as vertex masks, ordered by smallest member."""
+def components(adj: tuple[int, ...] | list[int], within: int) -> list[int]:
+    """The connected components of the subgraph induced on the vertex mask
+    within, as masks, ordered by smallest member."""
     out = []
-    left = (1 << n) - 1
-    while left:
-        start = (left & -left).bit_length() - 1
-        comp = reach(adj, start)
-        out.append(comp)
-        left &= ~comp
+    while within:
+        seen = frontier = within & -within
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= adj[v]
+            frontier = nxt & within & ~seen
+            seen |= frontier
+        out.append(seen)
+        within ^= seen
     return out
 
 

@@ -68,31 +68,33 @@ tests/test_canon.py keeps the round-based ranking as the reference and
 checks the two agree at the root and along chains of individualizations.
 
 Canonical positions ascend with degree: the root refinement numbers its
-cells by degree first, and the search only splits cells in place, so the
-canonically last vertex of degree d sits at position #{v : deg v <= d} - 1,
-in the last root cell among the vertices of degree d. canon_full(n, adj,
-last=v) returns None unless v is in that vertex's orbit for d = deg v. An
-automorphism keeps every vertex in its root cell, so v outside that cell is
-rejected. The refinement decides the verdict where it can before any search,
-mostly before it reaches the root coloring, by looking at v's cell first.
+cells by degree first, and the search only splits cells in place.
+canon_full(n, adj, last=v, among=A) takes a candidate mask A: vertices of
+v's degree, v among them, that every automorphism maps onto itself (the
+enumerator passes the child's non-cut vertices of v's degree). It returns
+None unless v is in the orbit of the canonically last vertex w of A, the
+last vertex of A in the labeling. An automorphism keeps every vertex in its
+root cell, and w lies in the last root cell that holds a vertex of A, so a
+v outside that cell is rejected. The refinement decides the verdict where
+it can before any search, mostly before it reaches the root coloring, by
+looking at v's cell first.
 
-The degree round puts every vertex of degree d into v's cell, the last cell
-of that degree, and each later round keeps it so or stops. A round signs v
+The degree round puts every vertex of A into v's cell, and each later round
+keeps there only the vertices of A that have tied v so far. A round signs v
 and the other vertices of v's cell before any other cell:
 
-  * a vertex signs below v: reject. It takes a later piece of v's cell, and
-    cells only split in place, so it stays after v in a cell of degree d
-    and v cannot get back into the last root cell of its degree;
-  * v is alone in its cell, as after the degree round when no other vertex
-    has degree d, or no other vertex ties v: accept. v takes the last piece
-    alone, so it is the singleton root cell at position #{u : deg u <= d}
-    - 1, the canonically last vertex of degree d itself;
+  * a vertex of A signs below v: reject. It takes a later piece of v's
+    cell, and cells only split in place, so it stays after v and v cannot
+    get into w's root cell;
+  * v is the only vertex of A, or no other vertex of A ties v: accept.
+    Every other vertex of A has taken an earlier piece and stays before v,
+    so v is w itself;
   * otherwise the round signs the remaining cells as usual.
 
-If the refinement turns stable with v in a root cell of several vertices,
-that cell decides: it holds only twins of v, so the cell is one orbit
-(swapping v with a twin is an automorphism) and v is accepted, or the search
-runs and its orbits give the verdict.
+If the refinement turns stable with other vertices of A in v's root cell,
+w is one of them, and the cell decides: if its vertices of A are all twins
+of v, w is one (swapping v with a twin is an automorphism) and v is
+accepted; otherwise the search runs and its orbits give the verdict.
 
 canon_full returns its result unsearched where the verdict needed no
 search: CanonResult runs the search the first time its key, labeling, orbits
@@ -141,7 +143,11 @@ def _by_signature(
 
 
 def _refine(
-    n: int, neigh: list[tuple[int, ...]], colors: list[int], last: Optional[int] = None
+    n: int,
+    neigh: list[tuple[int, ...]],
+    colors: list[int],
+    last: Optional[int] = None,
+    among: int = 0,
 ) -> Optional[tuple[list[int], bool]]:
     """Stable iso-invariant coloring refinement (1-WL), classes renumbered,
     as (colors, True).
@@ -151,13 +157,14 @@ def _refine(
     vertices and numbers the new cells in order, shifting later colors by the
     cells inserted before them; singleton cells are carried over unsigned.
 
-    last may be given with the all-zero coloring only. Each round then signs
-    last's cell first and stops as soon as that decides canon_full's verdict
-    (module docstring): None when a vertex of the cell signs below last, and
-    (colors, False) when last is alone in its cell or no other vertex of the
-    cell ties it, with colors as after the last complete round. Refining
-    those colors again gives the stable coloring, since a round depends only
-    on the colors.
+    last may be given with the all-zero coloring only, with among, canon_full's
+    candidate mask. Each round then signs last's cell first and stops as soon
+    as that decides canon_full's verdict (module docstring): None when a
+    vertex of among in the cell signs below last, and (colors, False) when
+    last is the only vertex of among left or no other one in the cell ties
+    it, with colors as after the last complete round. Refining those colors
+    again gives the stable coloring, since a round depends only on the
+    colors.
     """
     if any(colors):
         colors = list(colors)
@@ -168,8 +175,8 @@ def _refine(
     cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
         cells[c].append(v)
-    if last is not None and len(cells[colors[last]]) == 1:
-        return colors, False  # no other vertex has last's degree
+    if last is not None and among == 1 << last:
+        return colors, False  # no other candidate
     powers = _powers(n)
     while True:
         if len(cells) == n:
@@ -186,10 +193,14 @@ def _refine(
             for u in neigh[last]:
                 s += digit[colors[u]]
             signed_mine = _by_signature(cells[mine], neigh, digit, colors)
-            if min(signed_mine) < s:
-                return None  # a vertex ends in a later cell of last's degree
-            if len(signed_mine[s]) == 1:
-                return colors, False  # last ends alone, last of its degree
+            rivals = [
+                t for t, group in signed_mine.items() for u in group
+                if among >> u & 1 and u != last
+            ]
+            if min(rivals) < s:
+                return None  # a candidate ends in a later cell than last
+            if s not in rivals:
+                return colors, False  # last ends after every other candidate
         split: list[list[int]] = []
         first = -1  # the first cell that splits
         for c, cell in enumerate(cells):
@@ -419,37 +430,43 @@ class CanonResult:
         )
 
 
-def canon_full(n: int, adj, *, last: Optional[int] = None) -> Optional[CanonResult]:
+def canon_full(
+    n: int, adj, *, last: Optional[int] = None, among: int = 0
+) -> Optional[CanonResult]:
     """Canonical key, labeling, orbits and automorphism generators of a graph,
     searched for when first read (CanonResult), so adj must not change until
     then.
 
     With last given, return None unless vertex last is in the orbit of the
-    canonically last vertex of its degree. The refinement decides that
-    verdict unless last's root cell holds a vertex that is not its twin; only
-    then does the search run here (see the module docstring).
+    canonically last vertex of among, a mask of vertices of last's degree
+    that holds last and that every automorphism maps onto itself. The
+    refinement decides that verdict unless last's root cell holds a vertex
+    of among that is not its twin; only then does the search run here (see
+    the module docstring).
     """
     if n < 1:
         raise ValueError("canonical form needs at least one vertex")
+    if last is not None and not among >> last & 1:
+        raise ValueError("among must hold last")
     neigh = [bits(adj[v]) for v in range(n)]
-    refined = _refine(n, neigh, [0] * n, last)
+    refined = _refine(n, neigh, [0] * n, last, among)
     if refined is None:
         return None
 
     colors, stable = refined
     result = CanonResult(n, adj, neigh, colors, stable)
     if last is not None and stable:
-        # the refinement left the verdict to last's root cell, which is one
-        # orbit if it holds only twins of last
+        # the refinement left the verdict to last's root cell, which holds
+        # the canonically last vertex of among: accept if the cell's
+        # vertices of among are all twins of last, else search
         cell = colors[last]
         hood = adj[last]
         closed = hood | 1 << last
         if any(
-            c == cell and adj[v] != hood and adj[v] | 1 << v != closed
+            c == cell and among >> v & 1 and adj[v] != hood and adj[v] | 1 << v != closed
             for v, c in enumerate(colors)
         ):
-            position = sum(len(nb) <= len(neigh[last]) for nb in neigh) - 1
-            orbits = result.orbits
-            if orbits[last] != orbits[result.labeling[position]]:
+            w = next(u for u in reversed(result.labeling) if among >> u & 1)
+            if result.orbits[last] != result.orbits[w]:
                 return None
     return result

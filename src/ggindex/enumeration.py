@@ -29,40 +29,49 @@ So a node is searched only if its canonical-deletion test needed that, its
 children needed its group, or a caller reads its key (see canon); a node of
 the largest order is never expanded.
 
-Every class grows one vertex at a time (canonical augmentation). Level k,
-the nodes at depth k of the walk, holds one representative per isomorphism
-class of k-vertex graphs in the class. A child survives only if the vertex
-just added is, up to automorphism, the canonically last vertex of its own
-degree (canon_full with last=), so every class is produced from exactly one
-parent class and exactly once overall. The deleted vertex has maximum
-degree, so a child whose new vertex has lower degree is rejected before canon
-is called. That degree test reads only the neighborhood s: with top the
-parent's maximum degree and T its vertices of that degree, the child's
-other degrees peak at top + 1 if s meets T and at top otherwise, so s passes
-iff |s| >= top + [s meets T]. It runs on the admissible neighborhoods before
-their orbits are closed. The parent's automorphisms keep |s| and permute T,
-so each orbit passes or fails whole, and the first neighborhood of each
-passing orbit is the one the closure over all of them would pick, in the
-same order. Intermediate graphs may be disconnected, and connectivity is
-enforced on the last level by requiring the new vertex to touch every
-component. Constraint classes are pruned hereditarily:
+Every class grows one vertex at a time (canonical augmentation), and every
+node of the walk is connected. A connected graph on two or more vertices
+has at least two non-cut vertices (the ends of a longest path), and the
+walk's classes (bipartite, bounded degree, cyclomatic number at most r) keep
+a connected member G in the class when a non-cut vertex v is deleted: G - v
+is connected, a subgraph of a bipartite graph is bipartite, no degree grows,
+and the cyclomatic number falls by deg v - 1 >= 0. Level k, the nodes at
+depth k of the walk, holds one representative per isomorphism class of
+connected k-vertex members. A child survives only if the vertex just added
+is, up to automorphism, the canonically last vertex among the child's
+non-cut vertices of maximum degree among them (canon_full with last= and
+among=), so every class is produced from exactly one parent class and
+exactly once overall.
 
-  * bipartite: the new neighborhood must hit only one color class per
-    component; admissible neighborhoods are generated directly from the
-    parent's two-coloring instead of filtered afterwards;
+The new vertex v is never a cut vertex of its child, since the child minus
+v is the parent P. A vertex u of P is a non-cut vertex of the child exactly
+when the neighborhood s meets every component of P - u, as v then joins
+them: a non-cut vertex of P stays one unless s = {u}, and a cut vertex c of
+P becomes one when s meets every component of P - c. So once per parent the
+walk lists every vertex's components of P - u (_cut_structure), and a
+neighborhood s passes iff |s| is at least the child degree, deg u + [u in
+s], of every vertex of P that s leaves non-cut; those of child degree |s|,
+with v, are the candidates canon_full is given. The test runs before canon
+is called and before the orbits are closed. The parent's automorphisms keep
+|s| and the cut structure, so each orbit passes or fails whole, and the
+first neighborhood of each passing orbit is the one the closure over all of
+them would pick, in the same order. Constraint classes are pruned
+hereditarily:
+
+  * bipartite: the new neighborhood lies in one color class of the parent;
+    admissible neighborhoods are generated from the parent's two-coloring
+    instead of filtered afterwards;
   * bounded degree: saturated vertices are excluded, the neighborhood size
     is capped;
-  * fixed cyclomatic number r: children whose cycle count already exceeds r
-    are dropped, and the last level keeps exact matches only.
+  * fixed cyclomatic number r: the child's is the parent's plus |s| - 1, so
+    |s| is capped at r - r_parent + 1, and the last level takes exactly
+    that size.
 
 The levels below the last do not depend on the order asked for, so one walk
-serves several orders of one class. The walk's classes (bipartite, bounded
-degree, cyclomatic number at most r) are closed under deleting a vertex, so
-level k holds every k-vertex member, disconnected ones included. Keys do not
-depend on the path that found a class. The classes of a lower order k are
-therefore the members of level k that are connected and, for cyclomatic
-number r, have exactly r; only the last level is grown with the connectivity
-and exact-r rules.
+serves several orders of one class. Keys do not depend on the path that
+found a class. The classes of a lower order k are therefore the members of
+level k that, for cyclomatic number r, have exactly r; only the last level
+is grown with the exact-r rule.
 
 The walk is depth-first. Since every class has exactly one parent class and
 comes from it once, no level is kept and nothing is deduplicated: working
@@ -100,7 +109,7 @@ from itertools import combinations, islice
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import canon as _canon
-from .bitset import bipartition, bits, components, mask_of, reach
+from .bitset import bipartition, bits, components, mask_of
 from .graphs import Graph, build_graph, from_graph6
 from .indices import split_pass
 
@@ -158,51 +167,37 @@ class Constraints:
 
 # ----------------------------------------------------------- augmentation ----
 
-def _nonempty_submasks(mask: int, cap: int) -> list[int]:
+def _submasks(mask: int, low: int, high: int) -> list[int]:
+    """The subsets of mask of low to high vertices, by size, then in
+    combinations order."""
     verts = bits(mask)
-    out = []
-    for r in range(1, min(cap, len(verts)) + 1):
-        for combo in combinations(verts, r):
-            out.append(mask_of(combo))
-    return out
-
-
-def _assemble(option_lists: list[list[int]], cap: int) -> list[int]:
-    """All unions of one option per component, capped at cap set bits."""
-    acc = [(0, 0)]
-    for opts in option_lists:
-        nxt = []
-        for m, s in acc:
-            for o in opts:
-                s2 = s + o.bit_count()
-                if s2 <= cap:
-                    nxt.append((m | o, s2))
-        acc = nxt
-    return [m for m, _ in acc]
+    return [
+        mask_of(combo)
+        for size in range(low, min(high, len(verts)) + 1)
+        for combo in combinations(verts, size)
+    ]
 
 
 def _neighborhood_options(masks, cons: Constraints, final: bool) -> list[int]:
-    """Admissible neighbor sets for the vertex about to be added: unions of
-    one option per component, each a subset of one side of it (a color class
-    if bipartite), empty only if the child may be disconnected, at most cap
-    vertices in all."""
+    """Admissible neighbor sets for the vertex about to be added to a
+    connected parent: nonempty subsets of one color class if bipartite, else
+    of all vertices, holding only unsaturated vertices and at most max_degree
+    of them. The new vertex raises the cyclomatic number by |s| - 1, so
+    under r the size is capped at r - r_parent + 1, and is exactly that on
+    the last level."""
     k = len(masks)
     allowed = (1 << k) - 1
-    cap = k
+    low, high = 1, k
     if cons.max_degree is not None:
         allowed = mask_of(v for v in range(k) if masks[v].bit_count() < cons.max_degree)
-        cap = min(cap, cons.max_degree)
-    option_lists = []
-    for comp in components(masks, k):
-        if cons.bipartite_only:
-            sides = bipartition(masks, (comp & -comp).bit_length() - 1)
-        else:
-            sides = (comp,)
-        opts = [] if final else [0]
-        for side in sides:
-            opts.extend(_nonempty_submasks(side & allowed, cap))
-        option_lists.append(opts)
-    return _assemble(option_lists, cap)
+        high = min(high, cons.max_degree)
+    if cons.cyclomatic is not None:
+        r_parent = sum(x.bit_count() for x in masks) // 2 - k + 1
+        high = min(high, cons.cyclomatic - r_parent + 1)
+        if final:
+            low = cons.cyclomatic - r_parent + 1
+    sides = bipartition(masks, 0) if cons.bipartite_only else (allowed,)
+    return [s for side in sides for s in _submasks(side & allowed, low, high)]
 
 
 def _orbit_representatives(options: list[int], generators) -> list[int]:
@@ -236,58 +231,81 @@ def _orbit_representatives(options: list[int], generators) -> list[int]:
 Child = tuple[tuple[int, ...], _canon.CanonResult]  # (masks, canonical search)
 
 
+def _cut_structure(masks) -> list[tuple[int, int, list[int]]]:
+    """(degree, u, pieces) for each vertex u of a connected graph, by degree
+    and then u, descending; pieces are the components of the graph without
+    u: none for K1, one unless u is a cut vertex."""
+    full = (1 << len(masks)) - 1
+    return sorted(
+        ((x.bit_count(), u, components(masks, full ^ 1 << u)) for u, x in enumerate(masks)),
+        reverse=True,
+    )
+
+
+def _candidates(s: int, ranked, k: int) -> Optional[int]:
+    """The non-cut vertices of degree |s| in the child that joins a new
+    vertex k to s, as a mask, or None if a non-cut vertex of the child has a
+    higher degree. ranked is the parent's _cut_structure: a parent vertex is
+    non-cut in the child iff s meets every component of the parent without
+    it, and only the vertices of parent degree >= |s| - 1 can reach |s|."""
+    m = s.bit_count()
+    among = 1 << k
+    for d, u, pieces in ranked:
+        if d < m - 1:
+            break
+        d += s >> u & 1
+        if d < m:
+            continue
+        for piece in pieces:
+            if not s & piece:
+                break  # u is a cut vertex of the child
+        else:
+            if d > m:
+                return None
+            among |= 1 << u
+    return among
+
+
 def _expand_parent(
     masks, parent: _canon.CanonResult, cons: Constraints, final: bool
 ) -> list[Child]:
-    """Children of one parent class that pass the canonical-deletion test, one
-    per class, each with its canon_full result: the search behind it runs when
-    a caller first reads the result, and a last level's child whose
-    refinement decided the test has not been searched. parent is the parent's
-    canon_full result. The neighborhoods that pass the degree test (module
-    docstring) are cut to one per orbit of the parent's group, whose
-    generators are read only when two or more pass."""
+    """Children of one connected parent class that pass the canonical-deletion
+    test, one per class, each with its canon_full result: the search behind
+    it runs when a caller first reads the result, and a last level's child
+    whose refinement decided the test has not been searched. parent is the
+    parent's canon_full result. The neighborhoods whose new vertex has the
+    child's maximum non-cut degree (module docstring) are cut to one per
+    orbit of the parent's group, whose generators are read only when two or
+    more pass."""
     k = len(masks)
-    degrees = [x.bit_count() for x in masks]
-    top = max(degrees)
-    at_top = mask_of(v for v, d in enumerate(degrees) if d == top)
-    # the deleted vertex has maximum degree
-    options = [
-        s
-        for s in _neighborhood_options(masks, cons, final)
-        if s.bit_count() >= (top + 1 if s & at_top else top)
-    ]
+    ranked = _cut_structure(masks)
+    candidates = {}
+    for s in _neighborhood_options(masks, cons, final):
+        among = _candidates(s, ranked, k)
+        if among is not None:
+            candidates[s] = among
+    options = list(candidates)
     if len(options) > 1:
         options = _orbit_representatives(options, parent.generators)
-    m_parent = sum(degrees) // 2
-    target_r = cons.cyclomatic
     out: list[Child] = []
     for s in options:
         child = list(masks)
         child.append(s)
         for u in bits(s):
             child[u] |= 1 << k
-        if target_r:
-            m_child = m_parent + s.bit_count()
-            c_child = len(components(child, k + 1))
-            r_child = m_child - (k + 1) + c_child
-            if r_child > target_r or (final and r_child != target_r):
-                continue
         child = tuple(child)
-        res = _canon.canon_full(k + 1, child, last=k)
+        res = _canon.canon_full(k + 1, child, last=k, among=candidates[s])
         if res is not None:
             out.append((child, res))
     return out
 
 
 def _emitted(masks, cons: Constraints) -> bool:
-    """Whether a member of a level is one of the classes cons asks for: the
-    levels hold every class of the hereditary class, disconnected ones and
-    those below a cyclomatic number too."""
-    k = len(masks)
-    if reach(masks, 0) != (1 << k) - 1:
-        return False
+    """Whether a connected member of a level is one of the classes cons asks
+    for: under a cyclomatic number r the levels hold the classes below r
+    too."""
     r = cons.cyclomatic
-    return r is None or sum(x.bit_count() for x in masks) // 2 - k + 1 == r
+    return r is None or sum(x.bit_count() for x in masks) // 2 - len(masks) + 1 == r
 
 
 def _walk(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> Iterator[Child]:

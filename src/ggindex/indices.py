@@ -311,7 +311,10 @@ def ngg_index(g: Graph) -> float:
 
 
 def abc_index(g: Graph) -> float:
-    return term_sum("abc", index_pairs("abc", g))
+    # term_sum over index_pairs, with no pair list built: the same terms in
+    # the same order, so the same bits
+    value, deg = TERMS["abc"].value, g.degrees
+    return math.fsum(value(deg[u], deg[v]) for u, v in g.edges)
 
 
 # The index names and their float values. cli and extremal bind this dict

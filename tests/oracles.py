@@ -18,8 +18,10 @@ enumeration, so a fault there cannot hide in the reference too:
 
 is_bipartite is brute_force_classes's bipartite filter. It colours by
 breadth-first depth parity over the edge list, not with the bitmask
-bipartition the bipartite generator uses. relabel permutes a Graph's
-vertices, for invariance checks.
+bipartition the bipartite generator uses. connected and non_cut_vertices
+read adjacency masks by plain breadth-first search, with none of the
+walk's cut structure. relabel permutes a Graph's vertices, for invariance
+checks.
 
 canon_key_exhaustive generally picks a different representative than the
 search, which only minimizes across refinement-consistent labelings; the
@@ -38,7 +40,7 @@ import math
 from heapq import heapify, heappop, heappush
 from itertools import permutations, product
 
-from ggindex.bitset import iter_bits, reach
+from ggindex.bitset import iter_bits
 from ggindex.formats import graph6_from_bits
 from ggindex.graphs import Graph, build_graph
 from ggindex.indices import edge_splits
@@ -48,6 +50,42 @@ from ggindex.radicals import RadicalSum
 def relabel(g: Graph, perm) -> Graph:
     """Image of g under the vertex permutation perm (perm[old] = new)."""
     return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def connected(adj) -> bool:
+    """Whether the graph with adjacency masks adj reaches every vertex from
+    vertex 0 (breadth-first over masks)."""
+    seen = frontier = 1
+    while frontier:
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == (1 << len(adj)) - 1
+
+
+def non_cut_vertices(adj) -> set[int]:
+    """The vertices whose removal leaves no more components than the graph
+    with adjacency masks adj has, by a breadth-first count per removal."""
+    n = len(adj)
+
+    def count(without: int) -> int:
+        left = set(range(n)) - {without}
+        comps = 0
+        while left:
+            comps += 1
+            frontier = [left.pop()]
+            while frontier:
+                v = frontier.pop()
+                for u in iter_bits(adj[v]):
+                    if u in left:
+                        left.remove(u)
+                        frontier.append(u)
+        return comps
+
+    whole = count(-1)
+    return {u for u in range(n) if count(u) <= whole}
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -153,7 +191,7 @@ def brute_force_classes(cons) -> list[Graph]:
             if (rep >> b) & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-        if reach(adj, 0) != (1 << n) - 1:
+        if not connected(adj):
             continue
         g = _graph_from_masks(adj)
         if _matches(g, cons):

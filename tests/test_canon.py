@@ -20,7 +20,7 @@ from ggindex.bitset import iter_bits, mask_of
 from ggindex.canon import _certificate, _graph6, _individualize, _refine, canon_full
 from ggindex.formats import decode_graph6, graph6_from_bits
 
-from oracles import canon_key_exhaustive, orbits_exhaustive, upper_triangle_bits
+from oracles import canon_key_exhaustive, non_cut_vertices, orbits_exhaustive, upper_triangle_bits
 
 
 def _examples(count):
@@ -157,7 +157,8 @@ def _any_graphs(draw):
 @settings(max_examples=_examples(300))
 @given(_any_graphs())
 def test_last_vertex_has_maximum_degree_and_ends_the_root_refinement(graph):
-    # the enumerator's degree pre-filter rests on both facts
+    # canonical positions ascend with the root coloring, which ranks by
+    # degree first; canon_full(last=) rests on both facts
     n, adj = graph
     last = canon_full(n, adj).labeling[n - 1]
     assert adj[last].bit_count() == max(x.bit_count() for x in adj)
@@ -166,36 +167,53 @@ def test_last_vertex_has_maximum_degree_and_ends_the_root_refinement(graph):
     assert stable and root[last] == max(root)
 
 
+def _candidate_sets(n, adj):
+    """(v, among) for every vertex v with among the vertices of v's degree,
+    and for every non-cut vertex v also with among the non-cut vertices of
+    v's degree, as the walk passes it: vertex sets that every automorphism
+    maps onto themselves."""
+    degrees = [x.bit_count() for x in adj]
+    non_cut = non_cut_vertices(adj)
+    for v in range(n):
+        yield v, mask_of(u for u in range(n) if degrees[u] == degrees[v])
+        if v in non_cut:
+            yield v, mask_of(u for u in non_cut if degrees[u] == degrees[v])
+
+
+def _last_of(plain, among):
+    """The canonically last vertex of among in the plain result's labeling."""
+    return next(u for u in reversed(plain.labeling) if among >> u & 1)
+
+
 @settings(max_examples=_examples(200))
 @given(_any_graphs())
 def test_last_outside_the_last_root_cell_is_rejected_before_the_search(graph):
-    # canon_full(last=v) is None exactly when v is outside the orbit of the
-    # canonically last vertex of v's degree, and the plain result otherwise;
-    # canonical positions ascend with degree, so that vertex is the plain
-    # labeling's entry at #{u : deg u <= deg v} - 1. A v outside the last
-    # root cell among the vertices of its degree is rejected with no search
+    # canonical positions ascend with the root coloring and the search only
+    # splits its cells, so among's last vertex lies in the last root cell
+    # that holds a vertex of among. The refinement itself rejects exactly
+    # the v outside that cell, and no search runs for them; otherwise its
+    # colors, refined on where it stopped early, are the root's
     n, adj = graph
-    degrees = [x.bit_count() for x in adj]
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
     root = _refine(n, neigh, [0] * n)[0]
-    plain = canon_full(n, adj)
-    assert [degrees[v] for v in plain.labeling] == sorted(degrees)
-    for v in range(n):
-        last_of_degree = plain.labeling[sum(d <= degrees[v] for d in degrees) - 1]
-        got = canon_full(n, adj, last=v)
-        assert got == (plain if plain.orbits[v] == plain.orbits[last_of_degree] else None)
-        outside = root[v] != max(root[u] for u in range(n) if degrees[u] == degrees[v])
-        # the refinement itself rejects exactly the v outside, and otherwise
-        # its colors, refined on where it stopped early, are the root's
-        refined = _refine(n, neigh, [0] * n, v)
+    for v, among in _candidate_sets(n, adj):
+        outside = any(root[u] > root[v] for u in iter_bits(among))
+        refined = _refine(n, neigh, [0] * n, v, among)
         assert (refined is None) == outside
         if refined is not None:
             colors, stable = refined
             assert (colors if stable else _refine(n, neigh, colors)[0]) == root
-        if outside:
+        else:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(canon, "_individualize", None)  # any search step fails
-                assert canon_full(n, adj, last=v) is None
+                assert canon_full(n, adj, last=v, among=among) is None
+
+
+def test_last_must_be_among_the_candidates():
+    with pytest.raises(ValueError, match="among"):
+        canon_full(3, [2, 5, 2], last=1, among=0b101)
+    with pytest.raises(ValueError, match="among"):
+        canon_full(3, [2, 5, 2], last=1)
 
 
 def _circulant_unions(rng, n_max=12):
@@ -232,17 +250,13 @@ def _verdict_graphs(draw):
 @settings(max_examples=_examples(300), deadline=None)
 @given(_verdict_graphs())
 def test_the_verdict_without_a_search_is_the_searched_verdict(graph):
-    # with every vertex v as last: canon_full(last=v) searches only when v is
-    # in the last root cell of its degree and that cell holds a vertex that
-    # is not v's twin. Its verdict, searched or not, is the full search's:
-    # v is in the orbit of labeling[#{u : deg u <= deg v} - 1]
+    # for every (v, among) of _candidate_sets: canon_full(last=v) searches
+    # only when v is in the last root cell holding a vertex of among and
+    # that cell holds a vertex of among that is not v's twin. Its verdict,
+    # searched or not, is the full search's: v is in the orbit of among's
+    # last vertex in the plain labeling
     n, adj = graph
-    degrees = [x.bit_count() for x in adj]
     plain = canon_full(n, adj)
-    verdicts = [
-        plain.orbits[v] == plain.orbits[plain.labeling[sum(d <= degrees[v] for d in degrees) - 1]]
-        for v in range(n)
-    ]
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
     root = _refine(n, neigh, [0] * n)[0]
     searches = []
@@ -254,17 +268,17 @@ def test_the_verdict_without_a_search_is_the_searched_verdict(graph):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(canon, "_search", counted)
-        for v in range(n):
-            last_cell = root[v] == max(root[u] for u in range(n) if degrees[u] == degrees[v])
+        for v, among in _candidate_sets(n, adj):
+            last_cell = all(root[u] <= root[v] for u in iter_bits(among))
             twins_only = all(
                 adj[u] == adj[v] or adj[u] | 1 << u == adj[v] | 1 << v
-                for u in range(n)
+                for u in iter_bits(among)
                 if root[u] == root[v]
             )
             searches.clear()
-            got = canon_full(n, adj, last=v)
+            got = canon_full(n, adj, last=v, among=among)
             assert bool(searches) == (last_cell and not twins_only)
-            assert (got is not None) == verdicts[v]
+            assert (got is not None) == (plain.orbits[v] == plain.orbits[_last_of(plain, among)])
             if got is not None:
                 assert got == plain
 
@@ -337,23 +351,45 @@ def _with_examples(graphs):
     return decorate
 
 
+@settings(max_examples=_examples(300), deadline=None)
+@given(st.one_of(_verdict_graphs(), _any_graphs()))
+@_with_examples(_REGULAR)
+def test_the_among_verdict_is_the_orbit_of_the_last_candidate(graph):
+    # both sides of the contract: canon_full(last=v, among=A) is the plain
+    # result when v is in the orbit of A's last vertex in the plain
+    # labeling, and None otherwise, for A the non-cut vertices of v's
+    # degree and for A every vertex of v's degree
+    n, adj = graph
+    plain = canon_full(n, adj)
+    accepted = rejected = 0
+    for v, among in _candidate_sets(n, adj):
+        got = canon_full(n, adj, last=v, among=among)
+        if plain.orbits[v] == plain.orbits[_last_of(plain, among)]:
+            assert got == plain
+            accepted += 1
+        else:
+            assert got is None
+            rejected += 1
+    assert accepted >= 1 and accepted + rejected >= n
+
+
 @settings(max_examples=_examples(300))
 @given(st.one_of(_verdict_graphs(), _any_graphs()))
 @_with_examples(_REGULAR)
 def test_the_refinement_verdict_matches_the_round_based_reference(graph):
-    # with every vertex v as last, against the reference root coloring: the
-    # refinement rejects exactly the v outside the last root cell of v's
-    # degree, accepts before the root exactly the v alone in that cell, and
-    # otherwise returns the root itself, leaving the verdict to the cell
+    # for every (v, among) of _candidate_sets, against the reference root
+    # coloring: the refinement rejects exactly the v outside the last root
+    # cell holding a vertex of among, accepts before the root exactly the v
+    # with no other vertex of among in that cell, and otherwise returns the
+    # root itself, leaving the verdict to the cell
     n, adj = graph
-    degrees = [x.bit_count() for x in adj]
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
     root = _refine_by_rounds(n, neigh, [0] * n)
-    for v in range(n):
-        got = _refine(n, neigh, [0] * n, v)
-        if root[v] != max(root[u] for u in range(n) if degrees[u] == degrees[v]):
+    for v, among in _candidate_sets(n, adj):
+        got = _refine(n, neigh, [0] * n, v, among)
+        if any(root[u] > root[v] for u in iter_bits(among)):
             assert got is None
-        elif root.count(root[v]) == 1:
+        elif all(root[u] != root[v] or u == v for u in iter_bits(among)):
             assert got is not None and got[1] is False
         else:
             assert got == (root, True)
@@ -378,12 +414,12 @@ def test_a_resumed_refinement_is_the_full_refinement(graph):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(canon, "_search", recorded)
-        for v in range(n):
-            refined = _refine(n, neigh, [0] * n, v)
+        for v, among in _candidate_sets(n, adj):
+            refined = _refine(n, neigh, [0] * n, v, among)
             if refined is None or refined[1]:
                 continue
             assert _refine(n, neigh, refined[0]) == (root, True)
-            got = canon_full(n, adj, last=v)
+            got = canon_full(n, adj, last=v, among=among)
             assert roots == []
             got.key
             assert roots == [root]
@@ -395,15 +431,14 @@ def test_a_resumed_refinement_is_the_full_refinement(graph):
 @example((9, _edges_to_masks(9, [(0, v) for v in range(1, 9)])), 0)
 def test_a_new_vertex_alone_in_its_degree_signs_no_round(graph, seed):
     # grow the graph by a vertex k joined to a random set of its vertices;
-    # when k is the only vertex of its degree, canon_full(last=k) accepts
-    # after the degree round and reads no neighbor tuple to sign a round
+    # when k is the only vertex of among, as the only vertex of its degree
+    # or the only non-cut one, canon_full(last=k) accepts after the degree
+    # round and reads no neighbor tuple to sign a round
     n, adj = graph
     rng = random.Random(seed)
     hood = mask_of(v for v in range(n) if rng.random() < 0.5)
     grown = [x | (hood >> v & 1) << n for v, x in enumerate(adj)] + [hood]
-    degrees = [x.bit_count() for x in grown]
-    if degrees.count(degrees[n]) > 1:
-        return
+    alone = [among for _, among in _candidate_sets(n + 1, grown) if among == 1 << n]
     reads = []
 
     class Watched(tuple):
@@ -414,7 +449,8 @@ def test_a_new_vertex_alone_in_its_degree_signs_no_round(graph, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(canon, "bits", lambda mask: Watched(iter_bits(mask)))
         mp.setattr(canon, "_search", None)  # the search must not run either
-        assert canon_full(n + 1, grown, last=n) is not None
+        for among in alone:
+            assert canon_full(n + 1, grown, last=n, among=among) is not None
     assert reads == []
 
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import functools
 import os
 import pickle
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ggindex import canon, enumeration
-from ggindex.bitset import components, iter_bits
+from ggindex.bitset import iter_bits, mask_of
 from ggindex.enumeration import (
     Constraints,
     EnumerationBoundError,
+    _cut_structure,
     _expand_parent,
     _neighborhood_options,
     check_bound,
@@ -26,7 +28,15 @@ from ggindex.enumeration import (
 from ggindex.extremal import CLAIMS, _fold_shard, verify
 from ggindex.graphs import all_pairs_distances, build_graph, canonical_form, to_graph6
 
-from oracles import ahu_certificate, brute_force_classes, is_bipartite, prufer_decode, prufer_trees
+from oracles import (
+    ahu_certificate,
+    brute_force_classes,
+    connected,
+    is_bipartite,
+    non_cut_vertices,
+    prufer_decode,
+    prufer_trees,
+)
 
 # reference counts, cross-checked against brute_force_classes below for the
 # orders the brute scan can reach
@@ -318,27 +328,80 @@ def _grown(masks, s):
     return child
 
 
+def _edges_of(masks):
+    return [(u, v) for u in range(len(masks)) for v in iter_bits(masks[u]) if u < v]
+
+
+def _deleted(child):
+    """The non-cut vertices of maximum degree among them in a connected
+    child, read off non_cut_vertices: the candidates for canonical deletion."""
+    degrees = [x.bit_count() for x in child]
+    non_cut = non_cut_vertices(child)
+    top = max(degrees[u] for u in non_cut)
+    return {u for u in non_cut if degrees[u] == top}
+
+
 def _expand_unfiltered(masks, cons, final):
-    """_expand_parent without the orbit, degree and root-cell pre-filters: the
-    canonical-deletion test alone, run on every admissible child. It deletes
-    the canonically last vertex of maximum degree d, which sits at position
-    #{v : deg v <= d} - 1 of the canonical labeling."""
+    """The canonical-deletion test alone, with no orbit, degree or
+    root-cell pre-filter and none of the walk's option lists or cut
+    structure: every nonempty neighborhood of the connected parent masks
+    whose child stays in cons's class (on the last level, at exactly its
+    cyclomatic number) is tried. A child is kept when its new vertex is in
+    the orbit, under the plain canon_full result, of the last vertex of
+    _deleted(child) in that result's labeling. Returns every kept key with
+    the set of children that give it."""
     k = len(masks)
     out = {}
-    for s in _neighborhood_options(masks, cons, final):
+    for s in range(1, 1 << k):
         child = _grown(masks, s)
-        if cons.cyclomatic:
-            edges = sum(x.bit_count() for x in child) // 2
-            r = edges - (k + 1) + len(components(child, k + 1))
+        degrees = [x.bit_count() for x in child]
+        if cons.max_degree is not None and max(degrees) > cons.max_degree:
+            continue
+        if cons.bipartite_only and not is_bipartite(build_graph(k + 1, _edges_of(child))):
+            continue
+        if cons.cyclomatic is not None:
+            r = sum(degrees) // 2 - k  # the child is connected
             if r > cons.cyclomatic or (final and r != cons.cyclomatic):
                 continue
         res = canon.canon_full(k + 1, child)
-        degrees = [x.bit_count() for x in child]
-        d = max(degrees)
-        last = res.labeling[sum(x <= d for x in degrees) - 1]
+        candidates = _deleted(child)
+        last = next(u for u in reversed(res.labeling) if u in candidates)
         if res.orbits[k] == res.orbits[last]:
-            out.setdefault(res.key, tuple(child))
+            out.setdefault(res.key, set()).add(tuple(child))
     return out
+
+
+def _check_cut_structure(nx, g):
+    """_cut_structure of g's masks against networkx: degrees in descending
+    order, the articulation points as the vertices with two pieces or more,
+    and each vertex's pieces as the components of g without it."""
+    n = g.number_of_nodes()
+    masks = [mask_of(g[u]) for u in range(n)]
+    ranked = _cut_structure(masks)
+    assert [(d, u) for d, u, _ in ranked] == sorted(((g.degree(u), u) for u in g), reverse=True)
+    assert {u for _, u, pieces in ranked if len(pieces) > 1} == set(nx.articulation_points(g))
+    for _, u, pieces in ranked:
+        rest = g.subgraph(set(g) - {u})
+        assert sorted(pieces) == sorted(mask_of(c) for c in nx.connected_components(rest))
+
+
+def test_cut_structure_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = [nx.empty_graph(1), nx.path_graph(2)]
+    graphs += [nx.cycle_graph(n) for n in range(3, 13)]
+    graphs += [nx.path_graph(n) for n in range(3, 13)] + [nx.star_graph(n) for n in range(2, 12)]
+    rng = random.Random(0xC07)
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        order = list(range(n))
+        rng.shuffle(order)
+        tree = nx.Graph((order[rng.randrange(v)], order[v]) for v in range(1, n))
+        graphs.append(tree)
+        dense = nx.gnp_random_graph(n, rng.random(), seed=rng.randrange(2 ** 32))
+        dense.add_edges_from(tree.edges)  # connected, with a tree inside
+        graphs.append(dense)
+    for g in graphs:
+        _check_cut_structure(nx, g)
 
 
 PREFILTER_CLASSES = [
@@ -353,9 +416,9 @@ PREFILTER_CLASSES = [
 def test_degree_prefilter_keeps_every_canonical_child(cons):
     # every parent class of every level up to cons.n, expanded both as an
     # inner and as a final level with its canon_full result: the filtered
-    # expansion returns the same keys and the same representatives as the
-    # unfiltered test. _expand_parent lists its children unkeyed, so the
-    # keys are read here, and no key may repeat among one parent's
+    # expansion returns the keys of the unfiltered test, once each, and a
+    # child that gives each. _expand_parent lists its children unkeyed, so
+    # the keys are read here
     level = [K1]
     for k in range(1, cons.n):
         nxt = {}
@@ -364,23 +427,33 @@ def test_degree_prefilter_keeps_every_canonical_child(cons):
                 got = _expand_parent(masks, parent, cons, final)
                 reps = {res.key: child for child, res in got}
                 assert len(reps) == len(got)
-                assert reps == _expand_unfiltered(masks, cons, final)
+                want = _expand_unfiltered(masks, cons, final)
+                assert sorted(reps) == sorted(want)
+                assert all(child in want[key] for key, child in reps.items())
                 if not final:
                     nxt.update((res.key, (child, res)) for child, res in got)
         level = [nxt[key] for key in sorted(nxt)]
 
 
-def test_canon_runs_only_on_children_whose_new_vertex_has_maximum_degree(monkeypatch):
+def test_canon_runs_only_where_the_new_vertex_has_maximum_non_cut_degree(monkeypatch):
+    # every canon_full(last=) call of a walk gets a child whose new vertex
+    # has the maximum degree of its non-cut vertices, and as among exactly
+    # those of that degree (non_cut_vertices)
     full = canon.canon_full
     calls = []
 
     def checked(n, adj, **kwargs):
-        calls.append(n)
-        assert adj[n - 1].bit_count() == max(x.bit_count() for x in adj)
+        if "last" in kwargs:
+            calls.append(n)
+            assert kwargs["last"] == n - 1
+            assert kwargs["among"] == mask_of(_deleted(adj))
+            assert adj[n - 1].bit_count() == max(adj[u].bit_count() for u in _deleted(adj))
         return full(n, adj, **kwargs)
 
     monkeypatch.setattr(canon, "canon_full", checked)
     assert len(list(enumerate_connected(Constraints(8, bipartite_only=True)))) == 182
+    assert len(list(enumerate_connected(Constraints(7)))) == 853
+    assert len(list(enumerate_connected(Constraints(8, max_degree=3, cyclomatic=2)))) > 0
     assert calls
 
 
@@ -408,6 +481,35 @@ def test_one_walk_gives_every_order_its_own_walks_keys(cls, workers):
     for g in walk:
         by_order.setdefault(g.n, []).append(to_graph6(g))
     assert [by_order.get(n, []) for n in orders] == alone
+
+
+@pytest.mark.parametrize(
+    "cons, members",
+    [
+        (Constraints(8, bipartite_only=True), CONNECTED_BIPARTITE),
+        (Constraints(7), CONNECTED),
+        (Constraints(8, cyclomatic=1), {k: TREES[k] + UNICYCLIC.get(k, 0) for k in TREES}),
+        (Constraints(8, max_degree=3), None),
+    ],
+    ids=lambda c: c.describe() if isinstance(c, Constraints) else "",
+)
+def test_the_walk_expands_and_yields_connected_graphs_only(cons, members, monkeypatch):
+    # every node the walk expands or yields is connected; where the class
+    # is closed under deleting a non-cut vertex and its connected members
+    # are counted, level k expands exactly those members of order k
+    expanded = []
+
+    def watched(masks, parent, cons, final):
+        expanded.append(masks)
+        return _expand_parent(masks, parent, cons, final)
+
+    monkeypatch.setattr(enumeration, "_expand_parent", watched)
+    yielded = [masks for masks, _ in enumeration._walk(cons, frozenset(range(1, cons.n + 1)), 0, 1)]
+    assert expanded and yielded
+    assert all(connected(masks) for masks in expanded + yielded)
+    if members is not None:
+        per_order = Counter(len(masks) for masks in expanded)
+        assert per_order == {k: members.get(k, 1) for k in range(1, cons.n)}
 
 
 def _children_per_parent(cons):
@@ -462,11 +564,10 @@ def test_every_class_comes_from_one_parent(cons, monkeypatch):
 
 def _admissible(masks, cons, final):
     """How many neighborhoods _neighborhood_options offers whose child keeps
-    the new vertex at maximum degree, read off each child built in full."""
-    return sum(
-        max(x.bit_count() for x in _grown(masks, s)) == s.bit_count()
-        for s in _neighborhood_options(masks, cons, final)
-    )
+    the new vertex at the maximum degree of its non-cut vertices, read off
+    each child built in full (_deleted)."""
+    k = len(masks)
+    return sum(k in _deleted(_grown(masks, s)) for s in _neighborhood_options(masks, cons, final))
 
 
 def _watch_searches(monkeypatch):

@@ -18,7 +18,16 @@ import oracles
 from ggindex import families
 from ggindex.extremal import crossover_scan, exact_index_value
 from ggindex.families import FAMILIES, construct, ngg_closed, ngg_path_closed, parse_spec
-from ggindex.indices import TERMS, abc_index, edge_splits, gg_index, ngg_index, split_term_bounds
+from ggindex.indices import (
+    TERMS,
+    abc_index,
+    edge_splits,
+    gg_index,
+    index_pairs,
+    ngg_index,
+    split_term_bounds,
+    term_sum,
+)
 
 U = 2.0 ** -53
 
@@ -28,6 +37,8 @@ def _same_sums(g) -> None:
     assert gg_index(g).hex() == oracles.gg_sum(splits).hex()
     assert ngg_index(g).hex() == oracles.ngg_sum(splits).hex()
     assert abc_index(g).hex() == oracles.abc_sum(g).hex()
+    # abc_index sums in place what the exact re-rank reads as pairs
+    assert abc_index(g).hex() == term_sum("abc", index_pairs("abc", g)).hex()
 
 
 @given(connected_graphs(min_n=1, max_n=24))
