@@ -71,7 +71,7 @@ Canonical positions ascend with degree: the root refinement numbers its
 cells by degree first, and the search only splits cells in place.
 canon_full(n, adj, last=v, among=A) takes a candidate mask A: vertices of
 v's degree, v among them, that every automorphism maps onto itself (the
-enumerator passes the child's non-cut vertices of v's degree). It returns
+enumerator passes the child's rarest non-cut degree class). It returns
 None unless v is in the orbit of the canonically last vertex w of A, the
 last vertex of A in the labeling. An automorphism keeps every vertex in its
 root cell, and w lies in the last root cell that holds a vertex of A, so a

@@ -18,6 +18,7 @@ Exit status: 0 on success, 1 when a verification claim fails, 2 on any error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -345,7 +346,10 @@ def _cmd_verify(args) -> int:
 
 # ------------------------------------------------------------------ parser ----
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one and by main: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="ggindex",
         description="Distance-based graph indices: compute, construct, enumerate, verify.",

@@ -38,24 +38,36 @@ is connected, a subgraph of a bipartite graph is bipartite, no degree grows,
 and the cyclomatic number falls by deg v - 1 >= 0. Level k, the nodes at
 depth k of the walk, holds one representative per isomorphism class of
 connected k-vertex members. A child survives only if the vertex just added
-is, up to automorphism, the canonically last vertex among the child's
-non-cut vertices of maximum degree among them (canon_full with last= and
-among=), so every class is produced from exactly one parent class and
-exactly once overall.
+is, up to automorphism, the canonically last vertex of the child's rarest
+non-cut degree class: its non-cut vertices of the degree that the fewest of
+them have, ties going to the larger degree (canon_full with last= and
+among=). Canonical augmentation admits any choice of deleted vertex that
+every isomorphism keeps, and this class holds only non-cut vertices, so
+deleting any of them leaves a connected member of the class: every class is
+produced from exactly one parent class and exactly once overall. The rarest
+class is chosen for its size. On the near-regular graphs of the
+degree-capped walks the maximum degree takes most of the graph, while the
+rarest class is small, so fewer children reach canon_full, and the
+refinement settles more of those without a search.
 
 The new vertex v is never a cut vertex of its child, since the child minus
 v is the parent P. A vertex u of P is a non-cut vertex of the child exactly
 when the neighborhood s meets every component of P - u, as v then joins
-them: a non-cut vertex of P stays one unless s = {u}, and a cut vertex c of
-P becomes one when s meets every component of P - c. So once per parent the
-walk lists every vertex's components of P - u (_cut_structure), and a
-neighborhood s passes iff |s| is at least the child degree, deg u + [u in
-s], of every vertex of P that s leaves non-cut; those of child degree |s|,
-with v, are the candidates canon_full is given. The test runs before canon
-is called and before the orbits are closed. The parent's automorphisms keep
-|s| and the cut structure, so each orbit passes or fails whole, and the
-first neighborhood of each passing orbit is the one the closure over all of
-them would pick, in the same order. Constraint classes are pruned
+them: a non-cut vertex of P stays one unless s = {u} (u then is a cut
+vertex of the child, save in K1, whose one vertex has no component to
+meet), and a cut vertex c of P becomes one when s meets every component of
+P - c. So once per parent the walk lists the non-cut vertices of P by
+degree, as masks M_d, and the cut vertices with the components of P - c
+(_cut_structure). The child's non-cut vertices of degree d are then
+(M_d & ~s) | (M_{d-1} & s), a vertex of s moving one degree up, with the
+cut vertices s promotes to degree d, v if d = |s|, and less u if s = {u}:
+each option's class sizes are a few counts (_candidates). A neighborhood s
+passes iff the class of degree |s| is the rarest, and that class is the
+among canon_full is given. The test runs before canon is called and before
+the orbits are closed. The parent's automorphisms keep |s| and the cut
+structure, so each orbit passes or fails whole, and the first neighborhood
+of each passing orbit is the one the closure over all of them would pick,
+in the same order. Constraint classes are pruned
 hereditarily:
 
   * bipartite: the new neighborhood lies in one color class of the parent;
@@ -231,39 +243,69 @@ def _orbit_representatives(options: list[int], generators) -> list[int]:
 Child = tuple[tuple[int, ...], _canon.CanonResult]  # (masks, canonical search)
 
 
-def _cut_structure(masks) -> list[tuple[int, int, list[int]]]:
-    """(degree, u, pieces) for each vertex u of a connected graph, by degree
-    and then u, descending; pieces are the components of the graph without
-    u: none for K1, one unless u is a cut vertex."""
+def _cut_structure(masks) -> tuple[list[int], list[tuple[int, int, list[int]]]]:
+    """(layers, cuts) of a connected graph: layers[d] is the mask of its
+    non-cut vertices of degree d, for d from 0 to one above the maximum
+    degree, and cuts lists each cut vertex as (u, degree, pieces), its
+    pieces being the components of the graph without it. K1's one vertex has
+    no pieces and is non-cut."""
     full = (1 << len(masks)) - 1
-    return sorted(
-        ((x.bit_count(), u, components(masks, full ^ 1 << u)) for u, x in enumerate(masks)),
-        reverse=True,
-    )
-
-
-def _candidates(s: int, ranked, k: int) -> Optional[int]:
-    """The non-cut vertices of degree |s| in the child that joins a new
-    vertex k to s, as a mask, or None if a non-cut vertex of the child has a
-    higher degree. ranked is the parent's _cut_structure: a parent vertex is
-    non-cut in the child iff s meets every component of the parent without
-    it, and only the vertices of parent degree >= |s| - 1 can reach |s|."""
-    m = s.bit_count()
-    among = 1 << k
-    for d, u, pieces in ranked:
-        if d < m - 1:
-            break
-        d += s >> u & 1
-        if d < m:
-            continue
-        for piece in pieces:
-            if not s & piece:
-                break  # u is a cut vertex of the child
+    layers = [0] * (max(x.bit_count() for x in masks) + 2)
+    cuts = []
+    for u, x in enumerate(masks):
+        pieces = components(masks, full ^ 1 << u)
+        if len(pieces) > 1:
+            cuts.append((u, x.bit_count(), pieces))
         else:
-            if d > m:
-                return None
-            among |= 1 << u
-    return among
+            layers[x.bit_count()] |= 1 << u
+    return layers, cuts
+
+
+def _candidates(masks, options) -> dict[int, int]:
+    """The options s whose child, the connected parent masks with a new
+    vertex k joined to s, has the new vertex's degree |s| as its rarest
+    non-cut degree (ties to the larger degree), each mapped to that class as
+    a mask, k included. The class sizes come from the parent's
+    _cut_structure and a few counts per option (module docstring)."""
+    k = len(masks)
+    layers, cuts = _cut_structure(masks)
+    top = len(layers)  # every parent vertex has child degree below top
+    base = [x.bit_count() for x in layers]
+    degree = [x.bit_count() for x in masks]
+    non_cut = (1 << k) - 1 ^ mask_of(u for u, _, _ in cuts)
+    out = {}
+    for s in options:
+        m = s.bit_count()
+        if m >= top:  # the new vertex alone has the largest degree
+            out[s] = 1 << k
+            continue
+        counts = base.copy()
+        counts[m] += 1
+        promoted = 0
+        if m == 1 and k > 1:
+            # s = {u}: u is a cut vertex of the child, the rest keep their degree
+            if s & non_cut:
+                counts[degree[s.bit_length() - 1]] -= 1
+        else:
+            for u in bits(s & non_cut):
+                counts[degree[u]] -= 1
+                counts[degree[u] + 1] += 1
+            for u, d, pieces in cuts:
+                for piece in pieces:
+                    if not s & piece:
+                        break
+                else:  # s meets every piece: u is non-cut in the child
+                    d += s >> u & 1
+                    counts[d] += 1
+                    if d == m:
+                        promoted |= 1 << u
+        mine = counts[m]
+        for d, c in enumerate(counts):
+            if c and (c < mine or c == mine and d > m):
+                break
+        else:
+            out[s] = (layers[m] & ~s) | (layers[m - 1] & s) | promoted | 1 << k
+    return out
 
 
 def _expand_parent(
@@ -273,17 +315,16 @@ def _expand_parent(
     test, one per class, each with its canon_full result: the search behind
     it runs when a caller first reads the result, and a last level's child
     whose refinement decided the test has not been searched. parent is the
-    parent's canon_full result. The neighborhoods whose new vertex has the
-    child's maximum non-cut degree (module docstring) are cut to one per
-    orbit of the parent's group, whose generators are read only when two or
-    more pass."""
+    parent's canon_full result. The neighborhoods whose new vertex lies in
+    the child's rarest non-cut degree class are cut to one per orbit of the
+    parent's group, whose generators are read only when two or more pass.
+    That class holds only non-cut vertices, so the child minus any of them
+    is a connected member of the class, and it is kept by every isomorphism,
+    as canon_full's among must be. _candidates reads its size and members
+    for each neighborhood off the parent's cut structure, taken once (module
+    docstring)."""
     k = len(masks)
-    ranked = _cut_structure(masks)
-    candidates = {}
-    for s in _neighborhood_options(masks, cons, final):
-        among = _candidates(s, ranked, k)
-        if among is not None:
-            candidates[s] = among
+    candidates = _candidates(masks, _neighborhood_options(masks, cons, final))
     options = list(candidates)
     if len(options) > 1:
         options = _orbit_representatives(options, parent.generators)

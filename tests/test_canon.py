@@ -169,15 +169,23 @@ def test_last_vertex_has_maximum_degree_and_ends_the_root_refinement(graph):
 
 def _candidate_sets(n, adj):
     """(v, among) for every vertex v with among the vertices of v's degree,
-    and for every non-cut vertex v also with among the non-cut vertices of
-    v's degree, as the walk passes it: vertex sets that every automorphism
-    maps onto themselves."""
+    for every non-cut vertex v also with among the non-cut vertices of v's
+    degree, and for every v of the rarest non-cut degree (ties to the larger
+    degree) with among that class, as the walk passes it: vertex sets that
+    every automorphism maps onto themselves."""
     degrees = [x.bit_count() for x in adj]
     non_cut = non_cut_vertices(adj)
     for v in range(n):
         yield v, mask_of(u for u in range(n) if degrees[u] == degrees[v])
         if v in non_cut:
             yield v, mask_of(u for u in non_cut if degrees[u] == degrees[v])
+    by_degree = {}
+    for u in non_cut:
+        by_degree.setdefault(degrees[u], []).append(u)
+    if by_degree:
+        rarest = min(by_degree.items(), key=lambda item: (len(item[1]), -item[0]))[1]
+        for v in rarest:
+            yield v, mask_of(rarest)
 
 
 def _last_of(plain, among):

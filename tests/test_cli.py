@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -588,6 +589,54 @@ def test_bad_flags_exit_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["enumerate", "--n", "5", "--workers", "0"])
     capsys.readouterr()
+
+
+def test_main_parses_with_one_parser_per_process(capsys, monkeypatch):
+    # the parser is built once and shared: every main call parses with the
+    # object build_parser returns
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert run(capsys, "family", "P:4")[0] == 0
+    assert run(capsys, "enumerate", "--n", "4")[0] == 0
+    assert len(parsers) == 2
+    assert parsers[0] is parsers[1] is ggindex.cli.build_parser()
+
+
+def test_the_shared_parser_keeps_help_errors_and_exit_codes(capsys, monkeypatch):
+    # each outcome twice over one parser: help and argparse errors exit
+    # through SystemExit with 0 and 2, the --workers check through
+    # parser.error, and a parsed run's options do not leak into the next
+    monkeypatch.setenv("COLUMNS", "80")
+    help_text = (GOLDEN / "help.text").read_bytes().decode("ascii")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == help_text
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "5", "--workers", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "usage: ggindex [-h] {index,family,enumerate,verify} ...\n"
+            "ggindex: error: --workers must be at least 1\n"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "not-a-claim"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'not-a-claim'" in capsys.readouterr().err
+        code, out, _ = run(capsys, "enumerate", "--n", "4", "--bipartite")
+        assert (code, len(out.split())) == (0, 3)
+        code, out, _ = run(capsys, "enumerate", "--n", "4")
+        assert (code, len(out.split())) == (0, 6)
+        assert run(capsys, "verify", "conjecture2", "--n", "6")[0] == 1
+        assert run(capsys, "enumerate", "--n", "99")[0] == 2
 
 
 def test_module_entry_point(tmp_path):

@@ -17,6 +17,7 @@ from ggindex.bitset import iter_bits, mask_of
 from ggindex.enumeration import (
     Constraints,
     EnumerationBoundError,
+    _candidates,
     _cut_structure,
     _expand_parent,
     _neighborhood_options,
@@ -333,12 +334,13 @@ def _edges_of(masks):
 
 
 def _deleted(child):
-    """The non-cut vertices of maximum degree among them in a connected
-    child, read off non_cut_vertices: the candidates for canonical deletion."""
-    degrees = [x.bit_count() for x in child]
-    non_cut = non_cut_vertices(child)
-    top = max(degrees[u] for u in non_cut)
-    return {u for u in non_cut if degrees[u] == top}
+    """The non-cut vertices of the rarest degree among them in a connected
+    child, ties to the larger degree, read off non_cut_vertices: the
+    candidates for canonical deletion."""
+    by_degree = {}
+    for u in non_cut_vertices(child):
+        by_degree.setdefault(child[u].bit_count(), set()).add(u)
+    return min(by_degree.items(), key=lambda item: (len(item[1]), -item[0]))[1]
 
 
 def _expand_unfiltered(masks, cons, final):
@@ -372,17 +374,22 @@ def _expand_unfiltered(masks, cons, final):
 
 
 def _check_cut_structure(nx, g):
-    """_cut_structure of g's masks against networkx: degrees in descending
-    order, the articulation points as the vertices with two pieces or more,
-    and each vertex's pieces as the components of g without it."""
+    """_cut_structure of g's masks against networkx: the cut vertices are
+    the articulation points, each with its degree and the components of g
+    without it as pieces, and layers[d] holds the other vertices of degree
+    d, for d up to one above the maximum degree."""
     n = g.number_of_nodes()
     masks = [mask_of(g[u]) for u in range(n)]
-    ranked = _cut_structure(masks)
-    assert [(d, u) for d, u, _ in ranked] == sorted(((g.degree(u), u) for u in g), reverse=True)
-    assert {u for _, u, pieces in ranked if len(pieces) > 1} == set(nx.articulation_points(g))
-    for _, u, pieces in ranked:
+    layers, cuts = _cut_structure(masks)
+    cut = set(nx.articulation_points(g))
+    assert [u for u, _, _ in cuts] == sorted(cut)
+    for u, d, pieces in cuts:
+        assert d == g.degree(u)
         rest = g.subgraph(set(g) - {u})
         assert sorted(pieces) == sorted(mask_of(c) for c in nx.connected_components(rest))
+    assert len(layers) == max(d for _, d in g.degree) + 2
+    for d, layer in enumerate(layers):
+        assert layer == mask_of(u for u in g if g.degree(u) == d and u not in cut)
 
 
 def test_cut_structure_agrees_with_networkx():
@@ -435,10 +442,10 @@ def test_degree_prefilter_keeps_every_canonical_child(cons):
         level = [nxt[key] for key in sorted(nxt)]
 
 
-def test_canon_runs_only_where_the_new_vertex_has_maximum_non_cut_degree(monkeypatch):
+def test_canon_runs_only_where_the_new_vertex_has_the_rarest_non_cut_degree(monkeypatch):
     # every canon_full(last=) call of a walk gets a child whose new vertex
-    # has the maximum degree of its non-cut vertices, and as among exactly
-    # those of that degree (non_cut_vertices)
+    # lies in the rarest degree class of its non-cut vertices, ties to the
+    # larger degree, and as among exactly that class (_deleted)
     full = canon.canon_full
     calls = []
 
@@ -446,8 +453,8 @@ def test_canon_runs_only_where_the_new_vertex_has_maximum_non_cut_degree(monkeyp
         if "last" in kwargs:
             calls.append(n)
             assert kwargs["last"] == n - 1
+            assert n - 1 in _deleted(adj)
             assert kwargs["among"] == mask_of(_deleted(adj))
-            assert adj[n - 1].bit_count() == max(adj[u].bit_count() for u in _deleted(adj))
         return full(n, adj, **kwargs)
 
     monkeypatch.setattr(canon, "canon_full", checked)
@@ -455,6 +462,58 @@ def test_canon_runs_only_where_the_new_vertex_has_maximum_non_cut_degree(monkeyp
     assert len(list(enumerate_connected(Constraints(7)))) == 853
     assert len(list(enumerate_connected(Constraints(8, max_degree=3, cyclomatic=2)))) > 0
     assert calls
+
+
+CANDIDATE_CLASSES = [
+    Constraints(8, bipartite_only=True),
+    Constraints(8, max_degree=3),
+    Constraints(7),
+    Constraints(8, cyclomatic=2),
+]
+
+
+@pytest.mark.parametrize("cons", CANDIDATE_CLASSES, ids=lambda c: c.describe() + f" n<={c.n}")
+def test_candidates_are_the_rarest_non_cut_degree_class(cons, monkeypatch):
+    # every option of every parent the walk expands, inner and last level
+    # alike: _candidates keeps exactly the options whose new vertex lies in
+    # the child's rarest non-cut degree class (_deleted, from a breadth-first
+    # count per removal), and gives that class
+    parents = []
+
+    def watched(masks, parent, cons, final):
+        parents.append(masks)
+        return _expand_parent(masks, parent, cons, final)
+
+    monkeypatch.setattr(enumeration, "_expand_parent", watched)
+    assert list(enumerate_keys(cons))
+    assert parents[0] == (0,)
+    tried = 0
+    for masks in parents:
+        k = len(masks)
+        options = sorted(
+            set(_neighborhood_options(masks, cons, False) + _neighborhood_options(masks, cons, True))
+        )
+        got = _candidates(masks, options)
+        for s in options:
+            deleted = _deleted(_grown(masks, s))
+            assert got.get(s) == (mask_of(deleted) if k in deleted else None), (masks, s)
+        tried += len(options)
+    assert tried > len(parents)
+
+
+def test_candidates_of_k1_a_demoted_leaf_and_a_promoted_cut_vertex():
+    # K1 grows into K2, whose two vertices are non-cut; the path 0-1-2 with a
+    # new vertex on the leaf 0 makes 0 a cut vertex, which leaves the ends 2
+    # and 3 alone as non-cut (without the demotion 0 would be the rarer
+    # class); joining the new vertex to both leaves promotes the cut vertex 1
+    # into the 4-cycle's one class
+    assert _candidates((0,), [0b1]) == {0b1: 0b11}
+    path = (0b010, 0b101, 0b010)
+    assert _candidates(path, [0b001]) == {0b001: 0b1100}
+    assert _candidates(path, [0b101]) == {0b101: 0b1111}
+    # the new vertex on the middle vertex makes a star: its three leaves
+    # form the one non-cut class, of degree 1, so the new vertex is one
+    assert _candidates(path, [0b010]) == {0b010: 0b1101}
 
 
 WALK_CLASSES = [
@@ -564,8 +623,8 @@ def test_every_class_comes_from_one_parent(cons, monkeypatch):
 
 def _admissible(masks, cons, final):
     """How many neighborhoods _neighborhood_options offers whose child keeps
-    the new vertex at the maximum degree of its non-cut vertices, read off
-    each child built in full (_deleted)."""
+    the new vertex in the rarest degree class of its non-cut vertices, read
+    off each child built in full (_deleted)."""
     k = len(masks)
     return sum(k in _deleted(_grown(masks, s)) for s in _neighborhood_options(masks, cons, final))
 
