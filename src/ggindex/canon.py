@@ -74,38 +74,24 @@ v's degree, v among them, that every automorphism maps onto itself (the
 enumerator passes the child's rarest non-cut degree class). It returns
 None unless v is in the orbit of the canonically last vertex w of A, the
 last vertex of A in the labeling. An automorphism keeps every vertex in its
-root cell, and w lies in the last root cell that holds a vertex of A, so a
-v outside that cell is rejected. The refinement decides the verdict where
-it can before any search, mostly before it reaches the root coloring, by
-looking at v's cell first.
+root cell, and w lies in the last root cell that holds a vertex of A. The
+verdict takes three steps:
 
-The degree round puts every vertex of A into v's cell, and each later round
-keeps there only the vertices of A that have tied v so far. A round signs v
-and the other vertices of v's cell before any other cell:
-
-  * a vertex of A signs below v: reject. It takes a later piece of v's
-    cell, and cells only split in place, so it stays after v and v cannot
-    get into w's root cell;
-  * v is the only vertex of A, or no other vertex of A ties v: accept.
-    Every other vertex of A has taken an earlier piece and stays before v,
-    so v is w itself;
-  * otherwise the round signs the remaining cells as usual.
-
-If the refinement turns stable with other vertices of A in v's root cell,
-w is one of them, and the cell decides: if its vertices of A are all twins
-of v, w is one (swapping v with a twin is an automorphism) and v is
-accepted; otherwise the search runs and its orbits give the verdict.
+  * A = {v}: accept at once, with nothing refined, since v is w;
+  * reject as soon as a round of the refinement leaves a vertex of A in a
+    later cell than v. Cells only split in place, so it stays after v, and
+    v cannot get into w's root cell;
+  * otherwise v's root cell is the last one holding a vertex of A, and w
+    is in it. If the cell's vertices of A are all twins of v, w is one
+    (swapping v with a twin is an automorphism) and v is accepted;
+    otherwise the search runs and its orbits give the verdict.
 
 canon_full returns its result unsearched where the verdict needed no
 search: CanonResult runs the search the first time its key, labeling, orbits
-or generators are read, and only once. A refinement stopped by an accept
-keeps the colors of its last complete round, the cut-off round counting for
-nothing, and the result resumes the refinement from them before searching.
-A round depends only on the colors, so the resumed refinement passes
-through the same colorings as an uninterrupted one and ends in the same root
-coloring, bit for bit. The enumerator reads a parent's generators only when
-two or more of its neighborhoods pass the degree test, so a class is
-searched, or refined past its verdict, only where its verdict, its key or
+or generators are read, and only once, refining the unit coloring first
+where canon_full did not (no last given, or A = {v}). The enumerator reads
+a parent's generators only when two or more of its neighborhoods pass the
+degree test, so a class is searched only where its verdict, its key or
 such a choice needs it.
 """
 
@@ -125,46 +111,24 @@ def _powers(n: int) -> list[int]:
     return [(n + 1) ** e for e in range(n - 1, -1, -1)]
 
 
-def _by_signature(
-    cell: list[int], neigh: list[tuple[int, ...]], digit: list[int], colors: list[int]
-) -> dict[int, list[int]]:
-    """The vertices of cell grouped by signature, the sum of digit[c] over
-    their neighbors' colors c, each group in cell order."""
-    by_sig: dict[int, list[int]] = {}
-    for v in cell:
-        t = 0
-        for u in neigh[v]:
-            t += digit[colors[u]]
-        if t in by_sig:
-            by_sig[t].append(v)
-        else:
-            by_sig[t] = [v]
-    return by_sig
-
-
 def _refine(
     n: int,
     neigh: list[tuple[int, ...]],
     colors: list[int],
     last: Optional[int] = None,
-    among: int = 0,
-) -> Optional[tuple[list[int], bool]]:
-    """Stable iso-invariant coloring refinement (1-WL), classes renumbered,
-    as (colors, True).
+    rivals: int = 0,
+) -> Optional[list[int]]:
+    """Stable iso-invariant coloring refinement (1-WL), classes renumbered.
 
     colors is the all-zero coloring or one in which vertices of one color have
     equal degree. Each round splits every cell by the neighbor colors of its
     vertices and numbers the new cells in order, shifting later colors by the
     cells inserted before them; singleton cells are carried over unsigned.
 
-    last may be given with the all-zero coloring only, with among, canon_full's
-    candidate mask. Each round then signs last's cell first and stops as soon
-    as that decides canon_full's verdict (module docstring): None when a
-    vertex of among in the cell signs below last, and (colors, False) when
-    last is the only vertex of among left or no other one in the cell ties
-    it, with colors as after the last complete round. Refining those colors
-    again gives the stable coloring, since a round depends only on the
-    colors.
+    With last given and rivals a mask of vertices of last's degree, return
+    None as soon as a round leaves one of them in a later cell than last:
+    cells only split in place, so that order is final (canon_full's reject,
+    module docstring). colors must then be all zero.
     """
     if any(colors):
         colors = list(colors)
@@ -175,39 +139,28 @@ def _refine(
     cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
         cells[c].append(v)
-    if last is not None and among == 1 << last:
-        return colors, False  # no other candidate
     powers = _powers(n)
-    while True:
-        if len(cells) == n:
-            break
+    while len(cells) < n:
         # a vertex's signature has digit (n+1)**(top - c) per neighbor of
         # color c, top the highest color; on equal degrees, a larger
         # signature means a smaller sorted tuple of neighbor colors, so it
         # takes the lower color
         digit = powers[n - len(cells):]
-        mine = -1
-        if last is not None:
-            mine = colors[last]
-            s = 0
-            for u in neigh[last]:
-                s += digit[colors[u]]
-            signed_mine = _by_signature(cells[mine], neigh, digit, colors)
-            rivals = [
-                t for t, group in signed_mine.items() for u in group
-                if among >> u & 1 and u != last
-            ]
-            if min(rivals) < s:
-                return None  # a candidate ends in a later cell than last
-            if s not in rivals:
-                return colors, False  # last ends after every other candidate
         split: list[list[int]] = []
         first = -1  # the first cell that splits
-        for c, cell in enumerate(cells):
+        for cell in cells:
             if len(cell) == 1:
                 split.append(cell)
                 continue
-            by_sig = signed_mine if c == mine else _by_signature(cell, neigh, digit, colors)
+            by_sig: dict[int, list[int]] = {}
+            for v in cell:
+                t = 0
+                for u in neigh[v]:
+                    t += digit[colors[u]]
+                if t in by_sig:
+                    by_sig[t].append(v)
+                else:
+                    by_sig[t] = [v]
             if len(by_sig) == 1:
                 split.append(cell)
             else:
@@ -220,7 +173,9 @@ def _refine(
         for c in range(first, len(cells)):
             for v in cells[c]:
                 colors[v] = c
-    return colors, True
+        if last is not None and any(colors[u] > colors[last] for u in bits(rivals)):
+            return None  # a rival ends in a later cell than last
+    return colors
 
 
 def _individualize(colors: list[int], v: int) -> list[int]:
@@ -356,7 +311,7 @@ def _search(n: int, adj, neigh: list[tuple[int, ...]], root: list[int]) -> Found
                 if any(find(u) == rv for u in explored):
                     continue
             explored.append(v)
-            search(_refine(n, neigh, _individualize(colors, v))[0], prefix + (v,))
+            search(_refine(n, neigh, _individualize(colors, v)), prefix + (v,))
 
     search(root, ())
     assert best_cert is not None
@@ -370,28 +325,33 @@ def _search(n: int, adj, neigh: list[tuple[int, ...]], root: list[int]) -> Found
 class CanonResult:
     """A graph's canonical key, labeling, orbits and automorphism generators.
 
-    canon_full stores the graph with the coloring its refinement reached,
-    stable or not, and the first time any of the four is read the refinement
-    resumes from there to the root coloring and the search runs, once. A
-    caller that needs only canon_full's verdict (last=) pays for no search,
-    and for no more refinement than the verdict took, when the refinement
-    decides it. Two results are equal when their four fields are.
+    canon_full stores the graph with its root coloring, or with None where
+    it refined nothing, and the first time any of the four is read the
+    search runs, once, refining the unit coloring first if no root is held.
+    A caller that needs only canon_full's verdict (last=) pays for no
+    search when the refinement decides it. Two results are equal when their
+    four fields are.
     """
 
     __slots__ = ("_graph", "_found")
 
     def __init__(
-        self, n: int, adj, neigh: list[tuple[int, ...]], colors: list[int], stable: bool
+        self,
+        n: int,
+        adj,
+        neigh: Optional[list[tuple[int, ...]]] = None,
+        root: Optional[list[int]] = None,
     ) -> None:
-        self._graph: Optional[tuple] = (n, adj, neigh, colors, stable)
+        self._graph: Optional[tuple] = (n, adj, neigh, root)
         self._found: Optional[Found] = None
 
     def _searched(self) -> Found:
         if self._found is None:
-            n, adj, neigh, colors, stable = self._graph
-            if not stable:
-                colors = _refine(n, neigh, colors)[0]
-            self._found = _search(n, adj, neigh, colors)
+            n, adj, neigh, root = self._graph
+            if root is None:
+                neigh = [bits(adj[v]) for v in range(n)]
+                root = _refine(n, neigh, [0] * n)
+            self._found = _search(n, adj, neigh, root)
             self._graph = None
         return self._found
 
@@ -439,34 +399,34 @@ def canon_full(
 
     With last given, return None unless vertex last is in the orbit of the
     canonically last vertex of among, a mask of vertices of last's degree
-    that holds last and that every automorphism maps onto itself. The
-    refinement decides that verdict unless last's root cell holds a vertex
-    of among that is not its twin; only then does the search run here (see
-    the module docstring).
+    that holds last and that every automorphism maps onto itself. Nothing
+    is refined when among is last alone. Otherwise the refinement rejects
+    between its rounds, and on the stable coloring last's root cell
+    decides: it accepts when the cell's vertices of among are all twins of
+    last, and otherwise the search runs here and its orbits decide (see the
+    module docstring).
     """
     if n < 1:
         raise ValueError("canonical form needs at least one vertex")
     if last is not None and not among >> last & 1:
         raise ValueError("among must hold last")
+    if last is None or among == 1 << last:
+        return CanonResult(n, adj)  # no verdict, or last has no rival
     neigh = [bits(adj[v]) for v in range(n)]
-    refined = _refine(n, neigh, [0] * n, last, among)
-    if refined is None:
+    root = _refine(n, neigh, [0] * n, last, among)
+    if root is None:
         return None
-
-    colors, stable = refined
-    result = CanonResult(n, adj, neigh, colors, stable)
-    if last is not None and stable:
-        # the refinement left the verdict to last's root cell, which holds
-        # the canonically last vertex of among: accept if the cell's
-        # vertices of among are all twins of last, else search
-        cell = colors[last]
-        hood = adj[last]
-        closed = hood | 1 << last
-        if any(
-            c == cell and among >> v & 1 and adj[v] != hood and adj[v] | 1 << v != closed
-            for v, c in enumerate(colors)
-        ):
-            w = next(u for u in reversed(result.labeling) if among >> u & 1)
-            if result.orbits[last] != result.orbits[w]:
-                return None
+    result = CanonResult(n, adj, neigh, root)
+    # last's root cell holds the canonically last vertex of among: accept if
+    # the cell's vertices of among are all twins of last, else search
+    cell = root[last]
+    hood = adj[last]
+    closed = hood | 1 << last
+    if any(
+        c == cell and among >> v & 1 and adj[v] != hood and adj[v] | 1 << v != closed
+        for v, c in enumerate(root)
+    ):
+        w = next(u for u in reversed(result.labeling) if among >> u & 1)
+        if result.orbits[last] != result.orbits[w]:
+            return None
     return result

@@ -117,6 +117,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, islice
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -314,15 +315,16 @@ def _expand_parent(
     """Children of one connected parent class that pass the canonical-deletion
     test, one per class, each with its canon_full result: the search behind
     it runs when a caller first reads the result, and a last level's child
-    whose refinement decided the test has not been searched. parent is the
-    parent's canon_full result. The neighborhoods whose new vertex lies in
-    the child's rarest non-cut degree class are cut to one per orbit of the
-    parent's group, whose generators are read only when two or more pass.
-    That class holds only non-cut vertices, so the child minus any of them
-    is a connected member of the class, and it is kept by every isomorphism,
-    as canon_full's among must be. _candidates reads its size and members
-    for each neighborhood off the parent's cut structure, taken once (module
-    docstring)."""
+    whose test needed no search (the new vertex alone in its class, or its
+    root cell's members of the class all twins of it) has not been
+    searched. parent is the parent's canon_full result. The neighborhoods
+    whose new vertex lies in the child's rarest non-cut degree class are cut
+    to one per orbit of the parent's group, whose generators are read only
+    when two or more pass. That class holds only non-cut vertices, so the
+    child minus any of them is a connected member of the class, and it is
+    kept by every isomorphism, as canon_full's among must be. _candidates
+    reads its size and members for each neighborhood off the parent's cut
+    structure, taken once (module docstring)."""
     k = len(masks)
     candidates = _candidates(masks, _neighborhood_options(masks, cons, final))
     options = list(candidates)
@@ -377,8 +379,12 @@ def _walk(cons: Constraints, orders: frozenset[int], res: int, mod: int) -> Iter
             stack.extend(reversed(children))
 
 
-def _edges(masks) -> list[tuple[int, int]]:
-    """The edges (u, v), u < v, of the graph with these adjacency masks, sorted."""
+@lru_cache(maxsize=1)
+def _edges(masks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, of the graph with these adjacency masks,
+    sorted. The list of the last masks asked is kept: verify floors a walk
+    class and then splits it, and both read one list, which callers must
+    not change."""
     return [(u, v) for u, m in enumerate(masks) for v in bits(m >> u + 1 << u + 1)]
 
 

@@ -606,17 +606,18 @@ def verify(
         return VerificationReport(claim=claim, rows=rows, passed=spec.pattern(rows))
     if not spec.theorem and max_degree < 2:
         raise ExtremalError("a degree bound below 2 leaves nothing to scan")
-    # every order's class, cap and place in the claim's domain are checked,
-    # in the order given, before one enumeration covers them all; a repeated
-    # order repeats its rows
+    # one walk of the claim's class, built once at the largest order, covers
+    # every order; each order's cap and place in the claim's domain are
+    # checked, in the order given, before it starts. A repeated order
+    # repeats its rows
+    walk = spec.graph_class(max(orders), max_degree)
     least = spec.least(max_degree)
     at_bound = "" if spec.theorem else f" at max degree {max_degree}"
     for n in orders:
-        cons = spec.graph_class(n, max_degree)
-        check_bound(cons, max_n)
+        check_bound(spec.graph_class(n, max_degree), max_n)
         if n < least:
             raise ExtremalError(f"claim {claim} starts at n = {least}{at_bound}, got n = {n}")
-    folds, *others = _map_shards(partial(_fold_shard, claim), cons, frozenset(orders), workers)
+    folds, *others = _map_shards(partial(_fold_shard, claim), walk, frozenset(orders), workers)
     for shard in others:
         for n, shard_folds in shard.items():
             for fold, other in zip(folds[n], shard_folds):

@@ -163,8 +163,8 @@ def test_last_vertex_has_maximum_degree_and_ends_the_root_refinement(graph):
     last = canon_full(n, adj).labeling[n - 1]
     assert adj[last].bit_count() == max(x.bit_count() for x in adj)
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
-    root, stable = _refine(n, neigh, [0] * n)
-    assert stable and root[last] == max(root)
+    root = _refine(n, neigh, [0] * n)
+    assert _refine(n, neigh, root) == root and root[last] == max(root)
 
 
 def _candidate_sets(n, adj):
@@ -191,30 +191,6 @@ def _candidate_sets(n, adj):
 def _last_of(plain, among):
     """The canonically last vertex of among in the plain result's labeling."""
     return next(u for u in reversed(plain.labeling) if among >> u & 1)
-
-
-@settings(max_examples=_examples(200))
-@given(_any_graphs())
-def test_last_outside_the_last_root_cell_is_rejected_before_the_search(graph):
-    # canonical positions ascend with the root coloring and the search only
-    # splits its cells, so among's last vertex lies in the last root cell
-    # that holds a vertex of among. The refinement itself rejects exactly
-    # the v outside that cell, and no search runs for them; otherwise its
-    # colors, refined on where it stopped early, are the root's
-    n, adj = graph
-    neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
-    root = _refine(n, neigh, [0] * n)[0]
-    for v, among in _candidate_sets(n, adj):
-        outside = any(root[u] > root[v] for u in iter_bits(among))
-        refined = _refine(n, neigh, [0] * n, v, among)
-        assert (refined is None) == outside
-        if refined is not None:
-            colors, stable = refined
-            assert (colors if stable else _refine(n, neigh, colors)[0]) == root
-        else:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(canon, "_individualize", None)  # any search step fails
-                assert canon_full(n, adj, last=v, among=among) is None
 
 
 def test_last_must_be_among_the_candidates():
@@ -266,7 +242,7 @@ def test_the_verdict_without_a_search_is_the_searched_verdict(graph):
     n, adj = graph
     plain = canon_full(n, adj)
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
-    root = _refine(n, neigh, [0] * n)[0]
+    root = _refine(n, neigh, [0] * n)
     searches = []
     search = canon._search
 
@@ -323,12 +299,12 @@ def test_refine_matches_the_round_based_reference(graph):
     n, adj, pick = graph
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
     colors = _refine_by_rounds(n, neigh, [0] * n)
-    assert _refine(n, neigh, [0] * n) == (colors, True)
+    assert _refine(n, neigh, [0] * n) == colors
     while max(colors) + 1 < n:
         v = pick.choice([v for v in range(n) if colors.count(colors[v]) > 1])
         start = _individualize(colors, v)
         colors = _refine_by_rounds(n, neigh, start)
-        assert _refine(n, neigh, start) == (colors, True)
+        assert _refine(n, neigh, start) == colors
 
 
 def _cycle(n):
@@ -384,54 +360,63 @@ def test_the_among_verdict_is_the_orbit_of_the_last_candidate(graph):
 @settings(max_examples=_examples(300))
 @given(st.one_of(_verdict_graphs(), _any_graphs()))
 @_with_examples(_REGULAR)
-def test_the_refinement_verdict_matches_the_round_based_reference(graph):
-    # for every (v, among) of _candidate_sets, against the reference root
-    # coloring: the refinement rejects exactly the v outside the last root
-    # cell holding a vertex of among, accepts before the root exactly the v
-    # with no other vertex of among in that cell, and otherwise returns the
-    # root itself, leaving the verdict to the cell
+def test_last_outside_the_last_root_cell_is_rejected_before_the_search(graph):
+    # canonical positions ascend with the root coloring and the search only
+    # splits its cells, so among's last vertex lies in the last root cell
+    # that holds a vertex of among. The refinement itself rejects exactly
+    # the v outside that cell, and no search runs for them; for every other
+    # v it returns the root coloring, the round-based reference's
     n, adj = graph
     neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
     root = _refine_by_rounds(n, neigh, [0] * n)
     for v, among in _candidate_sets(n, adj):
-        got = _refine(n, neigh, [0] * n, v, among)
-        if any(root[u] > root[v] for u in iter_bits(among)):
-            assert got is None
-        elif all(root[u] != root[v] or u == v for u in iter_bits(among)):
-            assert got is not None and got[1] is False
-        else:
-            assert got == (root, True)
+        outside = any(root[u] > root[v] for u in iter_bits(among))
+        refined = _refine(n, neigh, [0] * n, v, among)
+        assert refined == (None if outside else root)
+        if outside:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(canon, "_individualize", None)  # any search step fails
+                assert canon_full(n, adj, last=v, among=among) is None
 
 
-@settings(max_examples=_examples(200))
+@settings(max_examples=_examples(200), deadline=None)
 @given(st.one_of(_verdict_graphs(), _any_graphs()))
 @_with_examples(_REGULAR)
-def test_a_resumed_refinement_is_the_full_refinement(graph):
-    # where the refinement accepted before the root coloring, refining the
-    # colors it stopped at gives the full refinement, and that is the root
-    # coloring the result's search starts from when a field is read
+def test_a_verdict_without_rivals_refines_and_searches_only_when_read(graph):
+    # canon_full(last=v, among={v}) accepts with nothing refined or
+    # searched. The first field read refines the unit coloring once and
+    # searches once, later reads neither, and the result is the plain one.
+    # The search's own refinements start from individualized colorings, so
+    # only refinements of the unit coloring are counted
     n, adj = graph
-    neigh = [tuple(iter_bits(adj[v])) for v in range(n)]
-    root = _refine_by_rounds(n, neigh, [0] * n)
-    roots = []
-    search = canon._search
+    plain = canon_full(n, adj)
+    plain.key
+    calls = []
+    refine, search = canon._refine, canon._search
 
-    def recorded(n, adj, neigh, colors):
-        roots.append(list(colors))
-        return search(n, adj, neigh, colors)
+    def counted_refine(n, neigh, colors, *args):
+        if not any(colors):
+            calls.append("refine")
+        return refine(n, neigh, colors, *args)
+
+    def counted_search(*args):
+        calls.append("search")
+        return search(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(canon, "_search", recorded)
-        for v, among in _candidate_sets(n, adj):
-            refined = _refine(n, neigh, [0] * n, v, among)
-            if refined is None or refined[1]:
-                continue
-            assert _refine(n, neigh, refined[0]) == (root, True)
-            got = canon_full(n, adj, last=v, among=among)
-            assert roots == []
-            got.key
-            assert roots == [root]
-            roots.clear()
+        mp.setattr(canon, "_refine", counted_refine)
+        mp.setattr(canon, "_search", counted_search)
+        for v in range(n):
+            got = canon_full(n, adj, last=v, among=1 << v)
+            assert calls == []
+            got.orbits
+            assert calls == ["refine", "search"]
+            assert (got.key, got.labeling, got.generators) == (
+                plain.key, plain.labeling, plain.generators
+            )
+            assert got == plain
+            assert calls == ["refine", "search"]
+            calls.clear()
 
 
 @settings(max_examples=_examples(200))
@@ -440,8 +425,8 @@ def test_a_resumed_refinement_is_the_full_refinement(graph):
 def test_a_new_vertex_alone_in_its_degree_signs_no_round(graph, seed):
     # grow the graph by a vertex k joined to a random set of its vertices;
     # when k is the only vertex of among, as the only vertex of its degree
-    # or the only non-cut one, canon_full(last=k) accepts after the degree
-    # round and reads no neighbor tuple to sign a round
+    # or the only non-cut one, canon_full(last=k) accepts with nothing
+    # refined and reads no neighbor tuple to sign a round
     n, adj = graph
     rng = random.Random(seed)
     hood = mask_of(v for v in range(n) if rng.random() < 0.5)

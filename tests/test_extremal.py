@@ -212,6 +212,22 @@ def test_verify_canonicalizes_only_the_expected_graphs(monkeypatch):
     assert len(tree_keys) == sum(len(row.witnesses) for row in report.rows) == 10
 
 
+def test_one_walk_of_the_largest_orders_class_serves_every_order(monkeypatch):
+    # orders given largest first: the walk still gets the class built at the
+    # largest order, not the class of the order the loop checked last
+    walked = []
+    shards = extremal._map_shards
+
+    def recorded(fn, cons, orders, workers):
+        walked.append((cons, orders))
+        return shards(fn, cons, orders, workers)
+
+    monkeypatch.setattr(extremal, "_map_shards", recorded)
+    report = verify("conjecture1", [8, 5], max_degree=3)
+    assert walked == [(Constraints(8, max_degree=3), frozenset({5, 8}))]
+    assert [row.n for row in report.rows] == [8, 5]
+
+
 def test_window_keys_isomorphic_copies_once(monkeypatch):
     # nothing is keyed while the stream runs; the result keys each copy in
     # the window, and two isomorphic copies are one witness

@@ -13,7 +13,7 @@ from conftest import connected_graphs
 from hypothesis import given, strategies as st
 from oracles import is_bipartite
 
-from ggindex import extremal
+from ggindex import enumeration, extremal
 from ggindex.enumeration import Constraints, _classes, _edges, _node_floors
 from ggindex.extremal import CLAIMS, Objective, _Extremum, _fold_shard
 from ggindex.graphs import build_graph
@@ -61,6 +61,24 @@ def test_floors_and_bounds_hold_on_every_walk_class(cons):
         _check_floors_and_bounds(masks, [split[1:] for split in splits], cons.bipartite_only)
 
 
+def test_verify_builds_each_walk_classs_edge_list_once():
+    # the three verify-graphs bench commands stream 2 096 walk classes; the
+    # floors of each class and, unless its bound skips it, its split pass
+    # read one edge list, built once. The only other builds are conjecture
+    # 1's three-key tie window at n = 5, re-ranked exactly from one held
+    # candidate per key after the stream
+    per_claim = []
+    for claim, orders in [
+        ("max-bipartite", range(4, 10)), ("conjecture1", range(5, 9)), ("conjecture2", range(6, 10))
+    ]:
+        enumeration._edges.cache_clear()
+        report = extremal.verify(claim, orders, max_degree=3)
+        classes = sum({row.n: row.classes for row in report.rows}.values())
+        per_claim.append((classes, enumeration._edges.cache_info().misses))
+    assert per_claim == [(981, 981), (297, 300), (818, 818)]
+    assert sum(classes for classes, _ in per_claim) == 2096
+
+
 def _bfs_splits(masks) -> list[tuple[int, int]]:
     """(n_u, n_v) of every edge in _edges order, from one breadth-first
     search per vertex."""
@@ -101,7 +119,7 @@ def graphs_with_closed_twins(draw):
         for y in range(w):
             if twin >> y & 1:
                 masks[y] |= 1 << w
-    return masks
+    return tuple(masks)
 
 
 @given(graphs_with_closed_twins())
@@ -116,7 +134,7 @@ def test_closed_twins_alone_floor_the_min_gg_term_at_zero():
     for n in range(2, 13):
         for (a0, b0), bound in split_term_bounds(n, "gg", "min", False).items():
             assert (bound == 0.0) == (a0 == b0 == 1)
-    triangle = [0b110, 0b101, 0b011]
+    triangle = (0b110, 0b101, 0b011)
     assert _node_floors((triangle, None)) == [(1, 1)] * 3
     assert _bfs_splits(triangle) == [(1, 1)] * 3
 
