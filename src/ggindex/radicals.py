@@ -5,10 +5,12 @@ sqrt(p/q) with small nonnegative integers p, q. Such a sum has a unique
 normal form sum_r c_r * sqrt(r) over squarefree integers r with rational
 coefficients c_r, because square roots of distinct squarefree numbers are
 linearly independent over the rationals. Equality of two sums is therefore
-an exact coefficient comparison, no numerics involved. The sign of a
-nonzero sum is settled by evaluating with mpmath at increasing precision
+an exact coefficient comparison, no numerics involved. The sign of a sum
+whose coefficients all share one sign is read off them. The sign of a
+mixed-sign sum is settled by evaluating with mpmath at increasing precision
 until the value clears its own error bound, which terminates because the
-value is a nonzero algebraic number.
+value is a nonzero algebraic number. mpmath is imported only there and in
+to_float, so a process that signs no mixed-sign sum never loads it.
 
 This is what lets tie handling distinguish a genuine coincidence of two
 index values from a float artifact.
@@ -18,8 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, Union
-
-import mpmath
 
 Rational = Union[int, Fraction]
 
@@ -43,6 +43,13 @@ def sqrt_decompose(k: int) -> tuple[int, int]:
     return a, r * k
 
 
+def _rational(c: Rational) -> Rational:
+    """c unchanged if it is an int or a Fraction, else Fraction(c): a
+    Fraction times either is a Fraction, and re-wrapping one costs more
+    than the product."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+
 class RadicalSum:
     """Immutable sum of c_r * sqrt(r) terms, keyed by squarefree r."""
 
@@ -52,7 +59,9 @@ class RadicalSum:
         clean = {}
         if terms:
             for r, c in terms.items():
-                c = Fraction(c)
+                # the sums and products below build Fractions already
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     clean[r] = c
         self._terms = clean
@@ -63,7 +72,7 @@ class RadicalSum:
 
     @classmethod
     def from_rational(cls, c: Rational) -> "RadicalSum":
-        return cls({1: Fraction(c)})
+        return cls({1: c})
 
     @classmethod
     def sqrt_rational(cls, p: int, q: int, scale: Rational = 1) -> "RadicalSum":
@@ -73,7 +82,7 @@ class RadicalSum:
         if p == 0 or scale == 0:
             return cls()
         a, r = sqrt_decompose(p * q)
-        return cls({r: Fraction(a, q) * Fraction(scale)})
+        return cls({r: Fraction(a, q) * _rational(scale)})
 
     @property
     def terms(self) -> Dict[int, Fraction]:
@@ -82,20 +91,20 @@ class RadicalSum:
     def __add__(self, other: "RadicalSum") -> "RadicalSum":
         out = dict(self._terms)
         for r, c in other._terms.items():
-            out[r] = out.get(r, Fraction(0)) + c
+            out[r] = out.get(r, 0) + c
         return RadicalSum(out)
 
     def __sub__(self, other: "RadicalSum") -> "RadicalSum":
         out = dict(self._terms)
         for r, c in other._terms.items():
-            out[r] = out.get(r, Fraction(0)) - c
+            out[r] = out.get(r, 0) - c
         return RadicalSum(out)
 
     def __neg__(self) -> "RadicalSum":
         return RadicalSum({r: -c for r, c in self._terms.items()})
 
     def scaled(self, c: Rational) -> "RadicalSum":
-        c = Fraction(c)
+        c = _rational(c)
         return RadicalSum({r: coeff * c for r, coeff in self._terms.items()})
 
     def is_zero(self) -> bool:
@@ -118,6 +127,8 @@ class RadicalSum:
             return 1
         if all(c < 0 for _, c in items):
             return -1
+        import mpmath
+
         dps = 60
         while dps <= 2000:
             with mpmath.workdps(dps):
@@ -139,6 +150,8 @@ class RadicalSum:
         return (self - other).sign()
 
     def to_float(self) -> float:
+        import mpmath
+
         with mpmath.workdps(50):
             total = mpmath.mpf(0)
             for r, c in sorted(self._terms.items()):

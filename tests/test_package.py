@@ -1,4 +1,11 @@
-"""The package exports what the program runs, and keys are graph6 text."""
+"""The package exports what the program runs, keys are graph6 text, and
+start-up leaves mpmath unloaded."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import ggindex
 from ggindex.canon import canon_full
@@ -27,3 +34,45 @@ def test_public_surface_and_key_type():
     key = ggindex.canonical_form(g)
     assert type(key) is str and type(canon_full(g.n, g.adjacency_bits).key) is str
     assert ggindex.from_graph6(key).n == 9
+
+
+# Runs in a fresh interpreter: after each step, whether mpmath is loaded and
+# the step's exit status. The commands' own output goes to a buffer.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+import ggindex, ggindex.cli
+ggindex.cli.build_parser()
+steps = [["import and build_parser", None, "mpmath" in sys.modules]]
+for argv in (
+    ["verify", "max-bipartite", "--n", "4..6"],
+    ["verify", "conjecture1", "--n", "5..6", "--max-degree", "3"],
+    ["index", sys.argv[1]],
+    ["verify", "crossover", "--n", "5..9"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ggindex.cli.main(argv)
+    steps.append([" ".join(argv), code, "mpmath" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_mpmath_is_loaded_only_by_a_mixed_sign_sign(tmp_path):
+    # the start-up path and the commands that sign no mixed-sign radical sum
+    # never import mpmath; crossover's first mixed-sign sign does
+    edge_list = tmp_path / "p4.txt"
+    edge_list.write_text("4 3\n0 1\n1 2\n2 3\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(edge_list)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [
+        ["import and build_parser", None, False],
+        ["verify max-bipartite --n 4..6", 0, False],
+        # n = 5 has a counterexample, which the exit status reports
+        ["verify conjecture1 --n 5..6 --max-degree 3", 1, False],
+        [f"index {edge_list}", 0, False],
+        ["verify crossover --n 5..9", 0, True],
+    ]
