@@ -116,10 +116,9 @@ count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, islice
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import canon as _canon
 from .bitset import bipartition, bits, components, mask_of
@@ -142,23 +141,32 @@ class EnumerationBoundError(ValueError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class Constraints:
-    """Isomorphism-invariant restrictions on the generated class; trees are
-    the connected graphs of cyclomatic number 0."""
-
+class _ConstraintFields(NamedTuple):
     n: int
-    bipartite_only: bool = False
-    max_degree: Optional[int] = None
-    cyclomatic: Optional[int] = None
+    bipartite_only: bool
+    max_degree: Optional[int]
+    cyclomatic: Optional[int]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+
+class Constraints(_ConstraintFields):
+    """Isomorphism-invariant restrictions on the generated class; trees are
+    the connected graphs of cyclomatic number 0. A NamedTuple whose every
+    construction, _make and _replace included, is validated."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, bipartite_only=False, max_degree=None, cyclomatic=None) -> Constraints:
+        if n < 1:
             raise ValueError("Constraints.n must be at least 1")
-        if self.max_degree is not None and self.max_degree < 1:
+        if max_degree is not None and max_degree < 1:
             raise ValueError("max_degree must be at least 1")
-        if self.cyclomatic is not None and self.cyclomatic < 0:
+        if cyclomatic is not None and cyclomatic < 0:
             raise ValueError("cyclomatic number cannot be negative")
+        return super().__new__(cls, n, bipartite_only, max_degree, cyclomatic)
+
+    @classmethod
+    def _make(cls, iterable) -> Constraints:
+        return cls(*iterable)
 
     @property
     def tree_class(self) -> bool:
@@ -596,7 +604,7 @@ def enumerate_keys(
         check_bound(c, max_n)
     if not cons:
         return iter(())
-    if len({replace(c, n=1) for c in cons}) > 1:
+    if len({c._replace(n=1) for c in cons}) > 1:
         raise ValueError("one walk serves constraints that differ only in n")
     shards = _map_shards(_shard, cons[0], frozenset(c.n for c in cons), workers)
     keys = {k: sorted(key for shard in shards for key in shard[k]) for k in shards[0]}

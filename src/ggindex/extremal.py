@@ -42,7 +42,6 @@ VerificationReport that the CLI serializes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key, partial
 from math import fsum
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
@@ -86,17 +85,28 @@ class ExtremalError(ValueError):
     """Raised for empty streams and malformed objectives."""
 
 
-@dataclass(frozen=True)
-class Objective:
+class _ObjectiveFields(NamedTuple):
     sense: str
     index: str
 
-    def __post_init__(self) -> None:
-        if self.sense not in ("min", "max"):
-            raise ExtremalError(f"objective sense must be min or max, got {self.sense!r}")
-        if self.index not in _FLOAT_FN:
+
+class Objective(_ObjectiveFields):
+    """What a scan looks for: the min or max of one index. A NamedTuple
+    whose every construction, _make and _replace included, is validated."""
+
+    __slots__ = ()
+
+    def __new__(cls, sense: str, index: str) -> Objective:
+        if sense not in ("min", "max"):
+            raise ExtremalError(f"objective sense must be min or max, got {sense!r}")
+        if index not in _FLOAT_FN:
             names = ", ".join(_FLOAT_FN)
-            raise ExtremalError(f"objective index must be one of {names}, got {self.index!r}")
+            raise ExtremalError(f"objective index must be one of {names}, got {index!r}")
+        return super().__new__(cls, sense, index)
+
+    @classmethod
+    def _make(cls, iterable) -> Objective:
+        return cls(*iterable)
 
 
 def exact_index_value(g: Graph, index: str) -> RadicalSum:
@@ -106,8 +116,7 @@ def exact_index_value(g: Graph, index: str) -> RadicalSum:
     return exact_sum(index, index_pairs(index, g))
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(NamedTuple):
     objective: Objective
     value: float
     witnesses: tuple[str, ...]
@@ -222,8 +231,7 @@ class CheckRow(NamedTuple):
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     claim: str
     rows: tuple[CheckRow | CrossoverRow | AsymptoticRow, ...]
     passed: bool
@@ -352,8 +360,7 @@ def is_almost_regular(g: Graph, k: int) -> bool:
 
 # ------------------------------------------------------------- claim table ----
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One extremal scan per order: the objective and what it should find.
 
     expected(n, max_degree) gives the predicted exact witnesses. A check with
@@ -368,8 +375,7 @@ class Check:
     note: Callable[[int], str] = lambda n: ""
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One verify claim: an exhaustive scan or a closed-form row function.
 
     An exhaustive claim enumerates graph_class(n, max_degree) at each order

@@ -31,7 +31,6 @@ one (ngg_closed_exact) through the NGG row of indices.TERMS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .graphs import Graph, build_graph
@@ -223,20 +222,29 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _FamilySpecFields(NamedTuple):
     code: str
     params: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.code not in FAMILIES:
-            raise FamilyError(f"unknown family code {self.code!r}")
-        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-        want = FAMILIES[self.code].arity
-        if len(self.params) != want:
-            raise FamilyError(
-                f"family {self.code} takes {want} parameter(s), got {len(self.params)}"
-            )
+
+class FamilySpec(_FamilySpecFields):
+    """A family code and its parameters, each made an int. A NamedTuple whose
+    every construction, _make and _replace included, is validated."""
+
+    __slots__ = ()
+
+    def __new__(cls, code: str, params: tuple[int, ...]) -> FamilySpec:
+        if code not in FAMILIES:
+            raise FamilyError(f"unknown family code {code!r}")
+        params = tuple(int(p) for p in params)
+        want = FAMILIES[code].arity
+        if len(params) != want:
+            raise FamilyError(f"family {code} takes {want} parameter(s), got {len(params)}")
+        return super().__new__(cls, code, params)
+
+    @classmethod
+    def _make(cls, iterable) -> FamilySpec:
+        return cls(*iterable)
 
     @property
     def text(self) -> str:

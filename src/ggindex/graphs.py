@@ -9,7 +9,6 @@ graph6; they hold about n^2 / 2 bits in all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from typing import Iterable
@@ -26,23 +25,23 @@ class GraphError(ValueError):
     """Invalid graph construction input."""
 
 
-@dataclass(frozen=True)
 class Graph:
     """Connected simple undirected graph.
 
     Edges are stored deduplicated and sorted with the smaller endpoint
     first, so two Graphs over the same labeled edge set compare and hash
-    equal regardless of how the edges were supplied.
+    equal regardless of how the edges were supplied. A Graph is not a
+    tuple: it never equals its (n, edges) pair. Assigning or deleting any
+    attribute raises AttributeError.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __match_args__ = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
+        if not isinstance(n, int) or n < 1:
+            raise GraphError(f"vertex count must be a positive integer, got {n!r}")
         normalized = []
-        for e in self.edges:
+        for e in edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
@@ -51,17 +50,34 @@ class Graph:
                 raise GraphError(f"edge {e!r} has non-integer endpoints")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge {e!r} out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge {e!r} out of range for n={n}")
             normalized.append((u, v) if u < v else (v, u))
         normalized.sort()
         edges = tuple(e for e, _ in groupby(normalized))
-        object.__setattr__(self, "edges", edges)
         # one walk over the touched vertices only: with too few edges to
         # connect n vertices it stops before any n-sized table
         missing = _first_unreachable(edges)
-        if missing < self.n:
+        if missing < n:
             raise GraphError(f"graph is disconnected: vertex {missing} is unreachable from vertex 0")
+        self.__dict__.update(n=n, edges=edges)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(n={self.n!r}, edges={self.edges!r})"
 
     @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -254,10 +253,10 @@ def test_bounds_override_and_env(monkeypatch):
     ]:
         check_bound(cons)
         with pytest.raises(EnumerationBoundError, match=f"n <= {default};") as exc:
-            check_bound(replace(cons, n=default + 1))
+            check_bound(cons._replace(n=default + 1))
         assert (exc.value.n, exc.value.limit) == (default + 1, default)
         # max_n replaces the default, in either direction
-        check_bound(replace(cons, n=default + 1), max_n=default + 1)
+        check_bound(cons._replace(n=default + 1), max_n=default + 1)
         with pytest.raises(EnumerationBoundError, match="n <= 5;"):
             check_bound(cons, max_n=5)
 
@@ -532,7 +531,7 @@ def test_one_walk_gives_every_order_its_own_walks_keys(cls, workers):
     # the connected members of an intermediate level are exactly the classes
     # of that order, so one walk to n = 8 serves orders 1..8, in any order
     orders = [3, 8, 1, 5, 2, 7, 4, 6]
-    conses = [replace(cls, n=n) for n in orders]
+    conses = [cls._replace(n=n) for n in orders]
     alone = [keys(enumerate_connected(c, workers=workers)) for c in conses]
     walk = list(enumerate_connected(*conses, workers=workers))
     assert keys(walk) == [key for order_keys in alone for key in order_keys]
@@ -607,7 +606,7 @@ def _count_searched(monkeypatch):
 
 @pytest.mark.parametrize(
     "cons",
-    [replace(c, n=8) for c in WALK_CLASSES if not c.tree_class],
+    [c._replace(n=8) for c in WALK_CLASSES if not c.tree_class],
     ids=lambda c: c.describe() + f" n<={c.n}",
 )
 def test_every_class_comes_from_one_parent(cons, monkeypatch):
@@ -737,7 +736,7 @@ def test_verify_walks_the_levels_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "cons",
-    [replace(c, n=8) for c in WALK_CLASSES] + [Constraints(11, cyclomatic=0)],
+    [c._replace(n=8) for c in WALK_CLASSES] + [Constraints(11, cyclomatic=0)],
     ids=lambda c: c.describe() + f" n<={c.n}",
 )
 def test_shards_partition_the_classes(cons):

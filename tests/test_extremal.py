@@ -190,9 +190,9 @@ def test_verify_tree_extremals_small():
 def _counting(fn, calls: list):
     """fn, appending its first argument to calls on every call."""
 
-    def counted(arg):
+    def counted(arg, *rest):
         calls.append(arg)
-        return fn(arg)
+        return fn(arg, *rest)
 
     return counted
 
@@ -282,7 +282,7 @@ def test_tree_claims_build_no_graph_in_the_fold(monkeypatch, claim, orders, buil
     # the folds value and key each tree from its parent links, and a Graph
     # per tree would be hundreds more
     built = []
-    monkeypatch.setattr(Graph, "__post_init__", _counting(Graph.__post_init__, built))
+    monkeypatch.setattr(Graph, "__init__", _counting(Graph.__init__, built))
     report = verify(claim, orders, max_degree=3)
     assert report.passed
     expected = sum(len(row.expected) for row in report.rows)
@@ -311,7 +311,7 @@ def test_walk_claims_build_no_graph_and_decode_no_key_per_class(
     # decodes, and a key is decoded only to test a probe's exact witnesses.
     # A Graph and a decode per class would be hundreds more
     built, decoded = [], []
-    monkeypatch.setattr(Graph, "__post_init__", _counting(Graph.__post_init__, built))
+    monkeypatch.setattr(Graph, "__init__", _counting(Graph.__init__, built))
     monkeypatch.setattr(formats, "decode_graph6", _counting(formats.decode_graph6, decoded))
     report = verify(claim, orders, max_degree=3)
     reranked = [row for row in report.rows if len(row.witnesses) > 1]
