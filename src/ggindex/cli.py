@@ -11,6 +11,12 @@ render floats with 10 significant digits, text mode with 4 decimals. A given
 command line produces byte-identical stdout across runs and worker counts;
 nothing time- or host-dependent is serialized.
 
+`--out FILE` means one of two things. For `index` and `verify` the file takes
+the formatted output in place of stdout, and `-` names stdout. For `family`
+and `enumerate` it takes the graph6 lines, whatever the format, and stdout
+keeps the formatted report; `enumerate` then reports the count in place of
+the list.
+
 Exit status: 0 on success, 1 when a verification claim fails, 2 on any error
 (bad arguments, malformed input, refused enumeration bounds).
 """
@@ -195,6 +201,11 @@ def _cmd_index(args) -> int:
     return OK
 
 
+def _write_graph6(out_path: str, lines: Sequence[str]) -> None:
+    with open(out_path, "w", encoding="ascii") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _cmd_family(args) -> int:
     spec = parse_spec(args.spec)
     g = construct(spec)
@@ -202,29 +213,21 @@ def _cmd_family(args) -> int:
         closed = ngg_closed(spec)
     except FamilyError:
         closed = None
-    line = to_graph6(g)
+    rec = {"spec": spec.text, "n": g.n, "m": g.m, "graph6": to_graph6(g), "ngg_closed": closed}
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(line + "\n")
+        _write_graph6(args.out, [rec["graph6"]])
     if args.format == "json":
-        payload = {
-            "command": "family",
-            "spec": spec.text,
-            "n": g.n,
-            "m": g.m,
-            "graph6": line,
-            "ngg_closed": closed,
-        }
-        sys.stdout.write(dump_json(payload))
+        text = dump_json({"command": "family", **rec})
     elif args.format == "csv":
-        sys.stdout.write(_csv_line(["spec", "n", "m", "graph6", "ngg_closed"]))
-        sys.stdout.write(
-            _csv_line([spec.text, g.n, g.m, line, "" if closed is None else closed])
-        )
+        text = _csv_line(rec) + _csv_line("" if v is None else v for v in rec.values())
     else:
-        sys.stdout.write(f"spec {spec.text}\nn {g.n}\nm {g.m}\ngraph6 {line}\n")
-        if closed is not None:
-            sys.stdout.write(f"ngg-closed {_fmt(closed)}\n")
+        # a missing closed form drops its line
+        text = "".join(
+            f"{k.replace('_', '-')} {_fmt(v) if isinstance(v, float) else v}\n"
+            for k, v in rec.items()
+            if v is not None
+        )
+    sys.stdout.write(text)
     return OK
 
 
@@ -237,14 +240,10 @@ def _cmd_enumerate(args) -> int:
         max_degree=args.max_degree,
         cyclomatic=0 if args.trees else args.cyclomatic,
     )
-    lines = list(enumerate_keys(cons, max_n=args.max_n, workers=args.workers))
+    keys = list(enumerate_keys(cons, max_n=args.max_n, workers=args.workers))
+    # with --out the file takes the keys and stdout reports only their count
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.writelines(line + "\n" for line in lines)
-        body = None
-    else:
-        body = "".join(line + "\n" for line in lines)
-
+        _write_graph6(args.out, keys)
     if args.format == "json":
         payload = {
             "command": "enumerate",
@@ -256,23 +255,17 @@ def _cmd_enumerate(args) -> int:
                 "max_degree": args.max_degree,
                 "cyclomatic": args.cyclomatic,
             },
-            "count": len(lines),
+            "count": len(keys),
         }
-        if args.out:
-            payload["out"] = args.out
-        else:
-            payload["graphs"] = lines
+        payload.update({"out": args.out} if args.out else {"graphs": keys})
         sys.stdout.write(dump_json(payload))
     elif args.format == "csv":
-        text = _csv_line(["graph6"]) + "".join(_csv_line([line]) for line in lines)
-        if args.out:
-            sys.stdout.write(_csv_line(["count"]) + _csv_line([len(lines)]))
-        else:
-            sys.stdout.write(text)
+        column = ("count", len(keys)) if args.out else ("graph6", *keys)
+        sys.stdout.write("".join(_csv_line([cell]) for cell in column))
     else:
-        if body is not None:
-            sys.stdout.write(body)
-        print(f"count {len(lines)}", file=sys.stderr)
+        if not args.out:
+            sys.stdout.write("".join(key + "\n" for key in keys))
+        print(f"count {len(keys)}", file=sys.stderr)
     return OK
 
 

@@ -155,11 +155,13 @@ def test_family_bad_spec(capsys):
 
 FAMILY_GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "family"
 
-# One spec per family code, the odd cycle too, in every output format, and two
+# One spec per family code, the odd cycle too, in every output format, and
 # refused specs. A golden file is named after the spec with ':' and ',' as
 # '-'. <name>.<fmt> holds the stdout of
 # `PYTHONPATH=src python -m ggindex family <spec> --format <fmt>`, exit 0;
 # <name>.stderr the stderr of `... family <spec>`, exit 2 with no stdout.
+# `--out FILE` changes no byte of either: it adds FILE, holding the graph6
+# line of <name>.json, and a refused spec writes no FILE.
 FAMILY_GOLDEN_SPECS = (
     "P:7", "C:8", "C:7", "K:5", "KB:3,4", "S:9", "CP:9", "CH:9", "TH:4,2,2", "AD:41,3",
 )
@@ -171,19 +173,28 @@ FAMILY_GOLDEN_RUNS = [
     ),
     pytest.param("CP:4", "text", 2, id="CP:4-refused"),
     pytest.param("Z:4", "text", 2, id="Z:4-refused"),
+    pytest.param("K:0", "text", 2, id="K:0-refused"),
+    pytest.param("TH:2,1,1", "text", 2, id="TH:2,1,1-refused"),
+    pytest.param("AD:1,3", "text", 2, id="AD:1,3-refused"),
 ]
 
 
 @pytest.mark.parametrize("spec, fmt, exit_code", FAMILY_GOLDEN_RUNS)
-def test_family_golden_bytes(capsys, spec, fmt, exit_code):
-    code, out, err = run(capsys, "family", spec, "--format", fmt)
+def test_family_golden_bytes(capsys, tmp_path, spec, fmt, exit_code):
     name = spec.replace(":", "-").replace(",", "-")
-    assert code == exit_code
     if exit_code == 0:
-        assert out == (FAMILY_GOLDEN_DIR / f"{name}.{fmt}").read_bytes().decode("ascii")
+        want = ((FAMILY_GOLDEN_DIR / f"{name}.{fmt}").read_bytes().decode("ascii"), "")
+        graph6 = json.loads((FAMILY_GOLDEN_DIR / f"{name}.json").read_bytes())["graph6"]
     else:
-        assert out == ""
-        assert err == (FAMILY_GOLDEN_DIR / f"{name}.stderr").read_bytes().decode("ascii")
+        want = ("", (FAMILY_GOLDEN_DIR / f"{name}.stderr").read_bytes().decode("ascii"))
+    dest = tmp_path / "family.g6"
+    for out_args in ((), ("--out", str(dest))):
+        code, out, err = run(capsys, "family", spec, "--format", fmt, *out_args)
+        assert (code, out, err) == (exit_code, *want)
+    if exit_code == 0:
+        assert dest.read_bytes() == graph6.encode("ascii") + b"\n"
+    else:
+        assert not dest.exists()
 
 
 def test_enumerate_text(capsys):
@@ -295,7 +306,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "verify"
 # (claim, orders, exit code), each run in every output format. The orders
 # cover the exact ties (crossover n = 15, conjecture 1 n = 5) and the
 # conjecture-2 counterexamples at n = 6, 7. A golden file holds the stdout of
-# `PYTHONPATH=src python -m ggindex verify <claim> --n <orders> --format <fmt>`.
+# `PYTHONPATH=src python -m ggindex verify <claim> --n <orders> --format <fmt>`,
+# and `--out FILE` writes the same bytes to FILE in place of stdout, a failed
+# claim's included; `--out -` names stdout.
 VERIFY_GOLDEN = [
     ("max-bipartite", "4..7", 0),
     ("min-bipartite", "4..8", 0),
@@ -310,10 +323,17 @@ VERIFY_GOLDEN = [
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("claim, orders, exit_code", VERIFY_GOLDEN)
-def test_verify_golden_bytes(capsys, claim, orders, exit_code, fmt):
-    code, out, _ = run(capsys, "verify", claim, "--n", orders, "--format", fmt)
-    assert code == exit_code
-    assert out == (GOLDEN / f"{claim}.{fmt}").read_bytes().decode("ascii")
+def test_verify_golden_bytes(capsys, tmp_path, claim, orders, exit_code, fmt):
+    args = ("verify", claim, "--n", orders, "--format", fmt)
+    want = (GOLDEN / f"{claim}.{fmt}").read_bytes().decode("ascii")
+    for out_args in ((), ("--out", "-")):
+        code, out, _ = run(capsys, *args, *out_args)
+        assert (code, out) == (exit_code, want)
+    dest = tmp_path / "verify.out"
+    code, out, err = run(capsys, *args, "--out", str(dest))
+    assert (code, out) == (exit_code, "")
+    assert err.startswith(f"verify {claim}: ")
+    assert dest.read_bytes().decode("ascii") == want
 
 
 def test_verify_help_golden(capsys, monkeypatch):
@@ -438,12 +458,37 @@ def test_enumerate_golden_bytes(capsys, name, args):
     assert out == (ENUMERATE_GOLDEN_DIR / name).read_bytes().decode("ascii")
 
 
+# `enumerate --bipartite --n 6` in every output format, with and without
+# `--out out.g6`. bipartite-6.<fmt> holds the stdout without --out. With it,
+# run in an empty directory, out.g6 holds the graph6 lines of bipartite-6.text
+# whatever the format, and stdout is bipartite-6-out.<fmt>: the count in csv,
+# the path in place of the graphs in json, nothing in text. Text mode writes
+# the count to stderr either way.
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_enumerate_formats_with_and_without_out(capsys, monkeypatch, tmp_path, fmt):
+    args = ("enumerate", "--bipartite", "--n", "6", "--format", fmt)
+    keys = (ENUMERATE_GOLDEN_DIR / "bipartite-6.text").read_bytes().decode("ascii")
+    want_err = "count 17\n" if fmt == "text" else ""
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, want_err)
+    assert out == (ENUMERATE_GOLDEN_DIR / f"bipartite-6.{fmt}").read_bytes().decode("ascii")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *args, "--out", "out.g6")
+    assert (code, err) == (0, want_err)
+    want_out = "" if fmt == "text" else (
+        (ENUMERATE_GOLDEN_DIR / f"bipartite-6-out.{fmt}").read_bytes().decode("ascii")
+    )
+    assert out == want_out
+    assert (tmp_path / "out.g6").read_bytes().decode("ascii") == keys
+
+
 INDEX_GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "index"
 
 # (name, arguments, file fed to stdin). Each case runs in every output format
 # but csv for --splits, which csv cannot carry. It runs from INDEX_GOLDEN_DIR,
 # so the source labels are the relative names; a golden file holds the stdout
-# of `ggindex index <arguments> --format <fmt>` run there. The inputs hold
+# of `ggindex index <arguments> --format <fmt>` run there, which `--out FILE`
+# writes to FILE in place of stdout (`--out -` names stdout). The inputs hold
 # graph6 and edge-list graphs, n = 1 and a four-byte graph6 size header.
 INDEX_GOLDEN = [
     ("default", ("graphs.g6", "graphs.edges"), None),
@@ -461,13 +506,45 @@ INDEX_GOLDEN_RUNS = [
 
 
 @pytest.mark.parametrize("args, stdin, fmt", INDEX_GOLDEN_RUNS)
-def test_index_golden_bytes(capsys, monkeypatch, request, args, stdin, fmt):
+def test_index_golden_bytes(capsys, monkeypatch, request, tmp_path, args, stdin, fmt):
     monkeypatch.chdir(INDEX_GOLDEN_DIR)
-    if stdin is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO((INDEX_GOLDEN_DIR / stdin).read_text()))
-    code, out, _ = run(capsys, "index", *args, "--format", fmt)
+    want = (INDEX_GOLDEN_DIR / request.node.callspec.id).read_bytes().decode("ascii")
+    dest = tmp_path / "index.out"
+    for out_args, want_out in (((), want), (("--out", "-"), want), (("--out", str(dest)), "")):
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO((INDEX_GOLDEN_DIR / stdin).read_text()))
+        code, out, err = run(capsys, "index", *args, "--format", fmt, *out_args)
+        assert (code, out, err) == (0, want_out, "")
+    assert dest.read_bytes().decode("ascii") == want
+
+
+# Inputs the readers refuse, each with the message main prints: the file name
+# and, where the reader knows it, the line.
+INDEX_REFUSALS = [
+    ("big.g6", "~~??????\n", "big.g6:1: graph6 orders above 258047 are not supported"),
+    ("short.g6", "~?\n", "short.g6:1: truncated graph6 size header"),
+    ("low.g6", "~?!?\n", "low.g6:1: invalid graph6 size header"),
+    ("high.g6", "~??\x7f\n", "high.g6:1: invalid graph6 size header"),
+    ("three.edges", "3 2\n0 1\n1 2 3\n", "three.edges:1: expected edge 'u v', got '1 2 3'"),
+    ("blank.g6", "\n  \n\n", "blank.g6: no graphs in input"),
+    ("gap.g6", "Ch\n\n!!\n", "gap.g6:3: invalid graph6 size byte '!'"),
+]
+
+
+@pytest.mark.parametrize("name, text, message", INDEX_REFUSALS, ids=[r[0] for r in INDEX_REFUSALS])
+def test_index_refuses_malformed_input(capsys, monkeypatch, tmp_path, name, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(text.encode("ascii"))
+    code, out, err = run(capsys, "index", name)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_index_graph6_lines_keep_their_numbers_across_blank_lines(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gap.g6").write_bytes(b"Ch\n\nDhc\n")
+    code, out, _ = run(capsys, "index", "gap.g6", "--which", "ngg")
     assert code == 0
-    assert out == (INDEX_GOLDEN_DIR / request.node.callspec.id).read_bytes().decode("ascii")
+    assert [line.split()[0] for line in out.splitlines()] == ["gap.g6:1", "gap.g6:3"]
 
 
 @pytest.mark.parametrize(
