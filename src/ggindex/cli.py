@@ -11,11 +11,15 @@ render floats with 10 significant digits, text mode with 4 decimals. A given
 command line produces byte-identical stdout across runs and worker counts;
 nothing time- or host-dependent is serialized.
 
-`--out FILE` means one of two things. For `index` and `verify` the file takes
-the formatted output in place of stdout, and `-` names stdout. For `family`
-and `enumerate` it takes the graph6 lines, whatever the format, and stdout
-keeps the formatted report; `enumerate` then reports the count in place of
-the list.
+`--out FILE` means one of two things, and `-` names stdout for every command.
+For `index` and `verify` the file takes the formatted output in place of
+stdout. For `family` and `enumerate` it takes the graph6 lines, whatever the
+format, and stdout keeps the formatted report; `enumerate` then reports the
+count in place of the list. With `--out -` those graph6 lines go to stdout
+ahead of the report.
+
+Input files are read by graphs.read_graphs, which names the file and line
+of the first graph it cannot decode or build.
 
 Exit status: 0 on success, 1 when a verification claim fails, 2 on any error
 (bad arguments, malformed input, refused enumeration bounds).
@@ -40,8 +44,7 @@ from .extremal import (
     verify,
 )
 from .families import FamilyError, construct, ngg_closed, parse_spec
-from .formats import read_graphs
-from .graphs import Graph, GraphError, build_graph, to_graph6
+from .graphs import read_graphs, to_graph6
 from .indices import INDEX_FNS as _INDEX_FNS, TERMS, edge_splits, term_sum
 
 OK, VERIFY_FAILED, ERROR = 0, 1, 2
@@ -116,14 +119,7 @@ def _write_output(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-# ------------------------------------------------------------ input files ----
-
-def _build(label: str, lineno: int, n: int, edges) -> Graph:
-    try:
-        return build_graph(n, edges)
-    except GraphError as exc:
-        raise GraphError(f"{label}:{lineno}: {exc}") from None
-
+# ------------------------------------------------------------------ orders ----
 
 def parse_n_values(text: str) -> list[int]:
     """Accept N, A..B (inclusive), or a comma list of those."""
@@ -170,8 +166,7 @@ def _cmd_index(args) -> int:
         else:
             with open(path, encoding="ascii") as fh:
                 label, lines = path, fh.read().splitlines()
-        for lineno, n, edges in read_graphs(lines, label):
-            g = _build(label, lineno, n, edges)
+        for lineno, g in read_graphs(lines, label):
             splits = edge_splits(g) if need_splits else ()
             values = [term_sum(w, splits) if TERMS[w].splits else _INDEX_FNS[w](g) for w in which]
             if args.format == "json":
@@ -201,11 +196,6 @@ def _cmd_index(args) -> int:
     return OK
 
 
-def _write_graph6(out_path: str, lines: Sequence[str]) -> None:
-    with open(out_path, "w", encoding="ascii") as fh:
-        fh.writelines(line + "\n" for line in lines)
-
-
 def _cmd_family(args) -> int:
     spec = parse_spec(args.spec)
     g = construct(spec)
@@ -215,7 +205,7 @@ def _cmd_family(args) -> int:
         closed = None
     rec = {"spec": spec.text, "n": g.n, "m": g.m, "graph6": to_graph6(g), "ngg_closed": closed}
     if args.out:
-        _write_graph6(args.out, [rec["graph6"]])
+        _write_output(rec["graph6"] + "\n", args.out)
     if args.format == "json":
         text = dump_json({"command": "family", **rec})
     elif args.format == "csv":
@@ -241,9 +231,10 @@ def _cmd_enumerate(args) -> int:
         cyclomatic=0 if args.trees else args.cyclomatic,
     )
     keys = list(enumerate_keys(cons, max_n=args.max_n, workers=args.workers))
-    # with --out the file takes the keys and stdout reports only their count
-    if args.out:
-        _write_graph6(args.out, keys)
+    # with --out the file takes the keys and stdout reports only their count;
+    # text mode without --out prints the keys themselves as its report
+    if args.out or args.format == "text":
+        _write_output("".join(key + "\n" for key in keys), args.out)
     if args.format == "json":
         payload = {
             "command": "enumerate",
@@ -263,8 +254,6 @@ def _cmd_enumerate(args) -> int:
         column = ("count", len(keys)) if args.out else ("graph6", *keys)
         sys.stdout.write("".join(_csv_line([cell]) for cell in column))
     else:
-        if not args.out:
-            sys.stdout.write("".join(key + "\n" for key in keys))
         print(f"count {len(keys)}", file=sys.stderr)
     return OK
 

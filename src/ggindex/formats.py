@@ -8,17 +8,17 @@ N(n) is the single byte n+63 for n <= 62 and '~' followed by three bytes
 holding n as an 18-bit big-endian value (6 bits per byte, +63) for
 63 <= n <= 258047. Larger orders are out of scope here and rejected.
 
-The edge-list text format is: first line "n m", then m lines "u v". Files may
-hold several graphs: one graph6 string per line, or blank-line-separated
-edge-list blocks; read_graphs tells the two apart.
+The edge-list text format is: first line "n m", then m lines "u v".
 
-This module works on (n, edges) pairs and adjacency bitmasks so it has no
-dependency on the Graph type; graph-level wrappers live in graphs.py.
+This module holds the single-graph codecs only. It works on (n, edges) pairs
+and adjacency bitmasks so it has no dependency on the Graph type; the input
+file reader (graphs.read_graphs) and the graph-level wrappers live in
+graphs.py.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 GRAPH6_HEADER = ">>graph6<<"
 _MAX_N = 258047
@@ -112,65 +112,24 @@ def decode_graph6(line: str) -> tuple[int, list[tuple[int, int]]]:
 
 # ------------------------------------------------------------- edge lists ----
 
-def parse_edge_list_block(lines: Sequence[str], where: str = "") -> tuple[int, list[tuple[int, int]]]:
+def parse_edge_list_block(lines: Sequence[str]) -> tuple[int, list[tuple[int, int]]]:
+    """Parse one edge-list block, its lines stripped and nonblank, into (n, edge list)."""
     head = lines[0].split()
     if len(head) != 2:
-        raise FormatError(f"{where}expected header 'n m', got {lines[0]!r}")
+        raise FormatError(f"expected header 'n m', got {lines[0]!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise FormatError(f"{where}expected integer header 'n m', got {lines[0]!r}") from None
+        raise FormatError(f"expected integer header 'n m', got {lines[0]!r}") from None
     if len(lines) - 1 != m:
-        raise FormatError(f"{where}header says m={m} but block has {len(lines) - 1} edge lines")
+        raise FormatError(f"header says m={m} but block has {len(lines) - 1} edge lines")
     edges = []
     for text in lines[1:]:
         parts = text.split()
         if len(parts) != 2:
-            raise FormatError(f"{where}expected edge 'u v', got {text!r}")
+            raise FormatError(f"expected edge 'u v', got {text!r}")
         try:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
-            raise FormatError(f"{where}expected integer edge 'u v', got {text!r}") from None
+            raise FormatError(f"expected integer edge 'u v', got {text!r}") from None
     return n, edges
-
-
-# ---------------------------------------------------------------- reading ----
-
-def read_graphs(
-    lines: Sequence[str], label: str
-) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
-    """Yield (line, n, edges) for each graph in the lines of one input file.
-
-    Sniffing rule: a first nonblank line starting with a digit means
-    edge-list blocks (header "n m"), anything else means one graph6 string
-    per line. graph6 size bytes are always at or above '?' (63), so the two
-    are never ambiguous. line is where the graph starts; errors are prefixed
-    with "label:line: ".
-    """
-    first = next((ln for ln in lines if ln.strip()), None)
-    if first is None:
-        raise FormatError(f"{label}: no graphs in input")
-    if not first.strip()[0].isdigit():
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                n, edges = decode_graph6(line)
-            except FormatError as exc:
-                raise FormatError(f"{label}:{lineno}: {exc}") from None
-            yield lineno, n, edges
-        return
-    block: list[str] = []
-    start = 1
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line:
-            if not block:
-                start = lineno
-            block.append(line)
-        elif block:
-            yield (start, *parse_edge_list_block(block, where=f"{label}:{start}: "))
-            block = []
-    if block:
-        yield (start, *parse_edge_list_block(block, where=f"{label}:{start}: "))

@@ -1,17 +1,21 @@
-"""Immutable connected simple graphs on vertices 0..n-1.
+"""Immutable connected simple graphs on vertices 0..n-1, and the input reader.
 
 The constructor validates and normalizes its input once; after that a Graph
 is hashable, comparable and safe to share. Building one takes O(n + m) time
 and memory. Per-vertex adjacency bitmasks (arbitrary-size Python ints, so
 nothing breaks past 64 vertices) are made on first use, by canon and
 graph6; they hold about n^2 / 2 bits in all.
+
+read_graphs is the one reader of input files: it turns the lines of a
+graph6 or edge-list file into Graphs, and names the file and line of the
+first one it cannot decode or build.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from . import canon as _canon
 from . import formats as _formats
@@ -124,7 +128,41 @@ def _first_unreachable(edges: Iterable[tuple[int, int]]) -> int:
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Validating constructor; rejects self-loops, bad labels, disconnected input."""
-    return Graph(n, tuple(tuple(e) for e in edges))
+    return Graph(n, edges)
+
+
+def read_graphs(lines: Sequence[str], label: str) -> Iterator[tuple[int, Graph]]:
+    """Yield (line, Graph) for each graph in the lines of one input file.
+
+    Sniffing rule: a first nonblank line starting with a digit means
+    blank-line-separated edge-list blocks (header "n m"), anything else
+    means one graph6 string per line. graph6 size bytes are always at or
+    above '?' (63), so the two are never ambiguous. line is where the graph
+    starts. A FormatError or GraphError is raised again as the same class,
+    its message prefixed with "label:line: ".
+    """
+    first = next((ln for ln in lines if ln.strip()), None)
+    if first is None:
+        raise _formats.FormatError(f"{label}: no graphs in input")
+    numbered = enumerate(map(str.strip, lines), start=1)
+    if first.strip()[0].isdigit():
+        decode = _formats.parse_edge_list_block
+        # one block per run of nonblank lines, numbered by its first line
+        chunks = (
+            (start, [text, *(line for _, line in rest)])
+            for nonblank, rest in groupby(numbered, key=lambda item: bool(item[1]))
+            if nonblank
+            for start, text in [next(rest)]
+        )
+    else:
+        decode = _formats.decode_graph6
+        chunks = ((lineno, line) for lineno, line in numbered if line)
+    for start, chunk in chunks:
+        try:
+            g = build_graph(*decode(chunk))
+        except (_formats.FormatError, GraphError) as exc:
+            raise type(exc)(f"{label}:{start}: {exc}") from None
+        yield start, g
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:

@@ -482,6 +482,26 @@ def test_enumerate_formats_with_and_without_out(capsys, monkeypatch, tmp_path, f
     assert (tmp_path / "out.g6").read_bytes().decode("ascii") == keys
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_enumerate_and_family_out_dash_is_stdout(capsys, monkeypatch, tmp_path, fmt):
+    # `--out -` puts the graph6 lines on stdout ahead of the report that
+    # `--out FILE` prints, and creates no file named '-'
+    monkeypatch.chdir(tmp_path)
+    keys = (ENUMERATE_GOLDEN_DIR / "bipartite-6.text").read_bytes().decode("ascii")
+    report = "" if fmt == "text" else (
+        (ENUMERATE_GOLDEN_DIR / f"bipartite-6-out.{fmt}").read_bytes().decode("ascii")
+    )
+    if fmt == "json":
+        report = report.replace('"out": "out.g6"', '"out": "-"')
+    code, out, err = run(capsys, "enumerate", "--bipartite", "--n", "6", "--format", fmt, "--out", "-")
+    assert (code, out, err) == (0, keys + report, "count 17\n" if fmt == "text" else "")
+    want = (FAMILY_GOLDEN_DIR / f"KB-3-4.{fmt}").read_bytes().decode("ascii")
+    graph6 = json.loads((FAMILY_GOLDEN_DIR / "KB-3-4.json").read_bytes())["graph6"]
+    code, out, err = run(capsys, "family", "KB:3,4", "--format", fmt, "--out", "-")
+    assert (code, out, err) == (0, graph6 + "\n" + want, "")
+    assert list(tmp_path.iterdir()) == []
+
+
 INDEX_GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "index"
 
 # (name, arguments, file fed to stdin). Each case runs in every output format
@@ -528,6 +548,12 @@ INDEX_REFUSALS = [
     ("three.edges", "3 2\n0 1\n1 2 3\n", "three.edges:1: expected edge 'u v', got '1 2 3'"),
     ("blank.g6", "\n  \n\n", "blank.g6: no graphs in input"),
     ("gap.g6", "Ch\n\n!!\n", "gap.g6:3: invalid graph6 size byte '!'"),
+    (
+        "split.edges", "2 1\n0 1\n\n4 2\n0 1\n2 3\n",
+        "split.edges:4: graph is disconnected: vertex 2 is unreachable from vertex 0",
+    ),
+    ("range.edges", "3 2\n0 1\n1 3\n", "range.edges:1: edge (1, 3) out of range for n=3"),
+    ("loop.edges", "2 2\n0 1\n1 1\n", "loop.edges:1: self-loop at vertex 1"),
 ]
 
 

@@ -9,8 +9,8 @@ from ggindex.formats import (
     decode_graph6,
     encode_graph6,
     parse_edge_list_block,
-    read_graphs,
 )
+from ggindex.graphs import read_graphs
 
 from conftest import connected_graphs
 
@@ -109,7 +109,7 @@ def test_decode_rejects_garbage():
 
 
 def read_file(p):
-    return [(n, edges) for _, n, edges in read_graphs(p.read_text().splitlines(), str(p))]
+    return [(g.n, list(g.edges)) for _, g in read_graphs(p.read_text().splitlines(), str(p))]
 
 
 def test_graph6_file_round_trip(tmp_path):

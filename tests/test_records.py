@@ -108,8 +108,10 @@ def test_graph_pickles_with_its_cached_properties():
     ],
 )
 def test_graph_validation_messages(n, edges, message):
-    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
-        Graph(n, edges)
+    # build_graph hands the edges to Graph as they are, so it refuses alike
+    for build in (Graph, build_graph):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            build(n, edges)
 
 
 def test_graph_repr():
