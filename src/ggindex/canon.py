@@ -14,9 +14,10 @@ all complete labelings consistent with the refinement, the one encoding to
 the lexicographically smallest upper-triangle bitstring wins. Leaves compare
 by certificate, that bitstring read as a binary number and built from the
 neighbor tuples in O(n + m); the certificates of one order all have
-n(n-1)/2 bits, so they order as the bitstrings do, and the key is spelled
-once, from the best. Three standard prunes keep symmetric graphs from
-exploding into n! leaves:
+n(n-1)/2 bits, so they order as the bitstrings do. The search keeps the
+best certificate, and CanonResult spells the key from it each time the key
+is read, so a result read only for its orbits or generators spells none.
+Three standard prunes keep symmetric graphs from exploding into n! leaves:
 
   * twins, vertices with equal open neighborhoods (leaves on one hub, one
     side of a K_{a,b}) or equal closed ones (a clique's vertices), are
@@ -236,13 +237,13 @@ def _graph6(n: int, cert: int) -> str:
     return graph6_from_bits(n, bin(cert | 1 << n * (n - 1) // 2)[3:])
 
 
-# what the search finds: key, labeling, orbits, generators
-Found = tuple[str, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
+# what the search finds: the key's certificate, labeling, orbits, generators
+Found = tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 def _search(n: int, adj, neigh: list[tuple[int, ...]], root: list[int]) -> Found:
-    """The key, labeling, orbits and generators the search finds below the
-    root coloring root."""
+    """The certificate of the key, and the labeling, orbits and generators,
+    that the search finds below the root coloring root."""
     # twin[v] is the smallest vertex with v's open (adj[v]) or closed
     # (adj[v] | 1 << v) neighborhood; no open key equals a closed key, so one
     # dict groups both, and swapping a vertex with its twin is an automorphism
@@ -319,7 +320,7 @@ def _search(n: int, adj, neigh: list[tuple[int, ...]], root: list[int]) -> Found
     find, join = _orbit_union(n)
     join(gens)
     orbits = tuple(find(v) for v in range(n))
-    return _graph6(n, best_cert), best_lab, orbits, tuple(gens)
+    return best_cert, best_lab, orbits, tuple(gens)
 
 
 class CanonResult:
@@ -330,7 +331,7 @@ class CanonResult:
     search runs, once, refining the unit coloring first if no root is held.
     A caller that needs only canon_full's verdict (last=) pays for no
     search when the refinement decides it. Two results are equal when their
-    four fields are.
+    four fields are; the search holds the key as its certificate.
     """
 
     __slots__ = ("_graph", "_found")
@@ -357,8 +358,9 @@ class CanonResult:
 
     @property
     def key(self) -> str:
-        """graph6 of the canonically relabeled graph."""
-        return self._searched()[0]
+        """graph6 of the canonically relabeled graph, spelled from the
+        certificate at each read."""
+        return _graph6(len(self.labeling), self._searched()[0])
 
     @property
     def labeling(self) -> tuple[int, ...]:
@@ -383,9 +385,9 @@ class CanonResult:
     __hash__ = None  # equality reads the search, so a result is no dict key
 
     def __repr__(self) -> str:
-        key, labeling, orbits, generators = self._searched()
+        _, labeling, orbits, generators = self._searched()
         return (
-            f"CanonResult(key={key!r}, labeling={labeling!r}, orbits={orbits!r},"
+            f"CanonResult(key={self.key!r}, labeling={labeling!r}, orbits={orbits!r},"
             f" generators={generators!r})"
         )
 

@@ -17,15 +17,18 @@ written 'CODE:params' (parse_spec, FamilySpec.text):
     AD:n,d   almost dendrimer tree: breadth-first greedy filling where the
              root takes up to d children and every later vertex up to d-1
 
-Closed forms exist for P, even C, KB, S, CP and CH. A closed form checks its
-parameters with the same rule as its constructor. The path's is the fsum of
-the NGG term (indices.TERMS) at its splits (i, n - i), the same bits as
-ngg_index of the built path. The pendant (CP) and hook (CH) families exist
-for odd order only; they are the two candidate minimizers of NGG among
-bipartite graphs of odd order, and nothing here needs an even variant.
-Their closed forms are written once, as the multiset of their edge splits
-(Family.splits), which gives both the float value (ngg_closed) and the exact
-one (ngg_closed_exact) through the NGG row of indices.TERMS.
+Closed forms exist for P, even C, KB, S, CP and CH. Each is written once, as
+the multiset of the graph's edge splits (Family.splits): its
+((n_u, n_v), times) entries, each pair sorted and listed once. The NGG row of
+indices.TERMS turns the entries into the float value (ngg_closed) and the
+exact one (ngg_closed_exact), so every closed form has both. A closed form
+checks its parameters with the same rule as its constructor. The path's
+entries pair the splits (i, n - i) and (n - i, i); a term taken twice is
+doubled exactly and math.fsum rounds the same exact sum once, so its value
+has the bits of ngg_index of the built path. The pendant (CP) and hook (CH)
+families exist for odd order only; they are the two candidate minimizers of
+NGG among bipartite graphs of odd order, and nothing here needs an even
+variant.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 from typing import Callable, NamedTuple, Optional
 
 from .graphs import Graph, build_graph
-from .indices import TERMS, multiset_exact, multiset_value
+from .indices import Entries, multiset_exact, multiset_value
 from .radicals import RadicalSum
 
 
@@ -151,12 +154,53 @@ def almost_dendrimer(n: int, d: int) -> Graph:
 
 
 # ----------------------------------------------------------- closed forms ----
+# the edge-split multisets (module docstring), as ((a, b), times), a <= b
+
+def _path_splits(n: int) -> Entries:
+    """P_n: its edges split (i, n - i) for 1 <= i <= n - 1, so every pair
+    with 2i < n comes twice and, at even n, (n/2, n/2) once. A generator:
+    the path's sum builds no list of its terms."""
+    _path_rule(n)
+    return (((i, n - i), 2 if 2 * i < n else 1) for i in range(1, n // 2 + 1))
+
+
+def _even_cycle_splits(n: int) -> Entries:
+    _cycle_rule(n)
+    if n % 2:
+        raise FamilyError("closed-form NGG for cycles covers even n only")
+    return [((n // 2, n // 2), n)]
+
+
+def _complete_bipartite_splits(a: int, b: int) -> Entries:
+    """K_{a,b}: each of its ab edges splits (b, a), its end on the a side
+    closer to that end and to the b - 1 other vertices of the b side; the
+    entry lists the smaller side first."""
+    _sides_rule(a, b)
+    return [((min(a, b), max(a, b)), a * b)]
+
+
+def _star_splits(n: int) -> Entries:
+    _star_rule(n)
+    return [((1, n - 1), n - 1)]
+
+
+def _pendant_splits(n: int) -> Entries:
+    """C' at n = 2k+1: the pendant edge splits (1, 2k), and each of the 2k
+    cycle edges (k, k+1), the pendant vertex on one side."""
+    k = odd_half(n, "cycle_pendant")
+    return [((1, 2 * k), 1), ((k, k + 1), 2 * k)]
+
+
+def _hook_splits(n: int) -> Entries:
+    """C'' at n = 2k+1: each of its 2k+2 edges splits (k, k+1)."""
+    k = odd_half(n, "cycle_hook")
+    return [((k, k + 1), 2 * k + 2)]
+
 
 def ngg_path_closed(n: int) -> float:
     """NGG of the path: the sum over 1 <= i <= n-1 of the NGG term at the
-    split (i, n - i)."""
-    _path_rule(n)
-    return math.fsum(map(TERMS["ngg"].value, range(1, n), range(n - 1, 0, -1)))
+    split (i, n - i), taken pair by pair with the same bits."""
+    return multiset_value("ngg", _path_splits(n))
 
 
 def path_ngg_limit() -> float:
@@ -164,57 +208,23 @@ def path_ngg_limit() -> float:
     return math.pi
 
 
-def _even_cycle_ngg(n: int) -> float:
-    _cycle_rule(n)
-    if n % 2:
-        raise FamilyError("closed-form NGG for cycles covers even n only")
-    return 2.0
-
-
-def _complete_bipartite_ngg(a: int, b: int) -> float:
-    _sides_rule(a, b)
-    return math.sqrt(a * b)
-
-
-def _star_ngg(n: int) -> float:
-    _star_rule(n)
-    return math.sqrt(n - 1)
-
-
-def _pendant_splits(n: int) -> dict[tuple[int, int], int]:
-    """C' at n = 2k+1: the pendant edge splits (1, 2k), and each of the 2k
-    cycle edges (k, k+1), the pendant vertex on one side."""
-    k = odd_half(n, "cycle_pendant")
-    return {(1, 2 * k): 1, (k, k + 1): 2 * k}
-
-
-def _hook_splits(n: int) -> dict[tuple[int, int], int]:
-    """C'' at n = 2k+1: each of its 2k+2 edges splits (k, k+1)."""
-    k = odd_half(n, "cycle_hook")
-    return {(k, k + 1): 2 * k + 2}
-
-
 # ------------------------------------------------------------ the table ----
 
 class Family(NamedTuple):
-    """One family: its constructor and arity, and its NGG closed form if any.
-
-    A closed form is either closed, a float function of the parameters, or
-    splits, the multiset {(n_u, n_v): times} of the graph's edge splits.
-    """
+    """One family: its constructor and arity, and splits, its NGG closed form
+    as the edge-split multiset of the graph with these parameters, if any."""
 
     build: Callable[..., Graph]
     arity: int = 1
-    closed: Optional[Callable[..., float]] = None
-    splits: Optional[Callable[..., dict[tuple[int, int], int]]] = None
+    splits: Optional[Callable[..., Entries]] = None
 
 
 FAMILIES: dict[str, Family] = {
-    "P": Family(path, closed=ngg_path_closed),
-    "C": Family(cycle, closed=_even_cycle_ngg),
+    "P": Family(path, splits=_path_splits),
+    "C": Family(cycle, splits=_even_cycle_splits),
     "K": Family(complete),
-    "KB": Family(complete_bipartite, 2, closed=_complete_bipartite_ngg),
-    "S": Family(star, closed=_star_ngg),
+    "KB": Family(complete_bipartite, 2, splits=_complete_bipartite_splits),
+    "S": Family(star, splits=_star_splits),
     "CP": Family(cycle_pendant, splits=_pendant_splits),
     "CH": Family(cycle_hook, splits=_hook_splits),
     "TH": Family(theta, 3),
@@ -269,19 +279,18 @@ def construct(spec: FamilySpec) -> Graph:
     return FAMILIES[spec.code].build(*spec.params)
 
 
+def _closed_splits(spec: FamilySpec) -> Entries:
+    splits = FAMILIES[spec.code].splits
+    if splits is None:
+        raise FamilyError(f"no closed-form NGG for family {spec.code}")
+    return splits(*spec.params)
+
+
 def ngg_closed(spec: FamilySpec) -> float:
     """Closed-form NGG of the families that have one: P, even C, KB, S, CP, CH."""
-    family = FAMILIES[spec.code]
-    if family.splits is not None:
-        return multiset_value("ngg", family.splits(*spec.params))
-    if family.closed is None:
-        raise FamilyError(f"no closed-form NGG for family {spec.code}")
-    return family.closed(*spec.params)
+    return multiset_value("ngg", _closed_splits(spec))
 
 
 def ngg_closed_exact(spec: FamilySpec) -> RadicalSum:
-    """Exact closed-form NGG of the families written as edge splits: CP and CH."""
-    splits = FAMILIES[spec.code].splits
-    if splits is None:
-        raise FamilyError(f"no exact closed-form NGG for family {spec.code}")
-    return multiset_exact("ngg", splits(*spec.params))
+    """The exact value of ngg_closed."""
+    return multiset_exact("ngg", _closed_splits(spec))

@@ -16,6 +16,11 @@ verify values classes with, the exact values extremal re-ranks ties by, the
 bounds on a split's term (split_term_bounds) and the families' NGG closed
 forms all read their terms from it.
 
+multiset_value and multiset_exact sum a multiset of pairs given as its
+((a, b), times) entries, one term per entry. Every family's closed form is
+such a multiset, its graph's edge splits, and exact_sum counts a graph's
+pairs into one.
+
 Sums run over edges in their stored order (smaller endpoint first, then
 lexicographic) and use math.fsum, so results do not depend on labeling or
 edge order, and float_tie bounds how far one can be from its exact value.
@@ -97,6 +102,10 @@ TERMS = {
 }
 
 
+# a multiset of pairs as its ((a, b), times) entries
+Entries = Iterable[tuple[tuple[int, int], int]]
+
+
 def term_sum(index: str, pairs: Iterable[tuple]) -> float:
     """The float value of index on a graph with these pairs, one
     (edge, a, b) per edge: the math.fsum of the terms."""
@@ -106,22 +115,23 @@ def term_sum(index: str, pairs: Iterable[tuple]) -> float:
 
 def exact_sum(index: str, pairs: Iterable[tuple]) -> RadicalSum:
     """The exact value of index on a graph with these pairs."""
-    return multiset_exact(index, Counter((a, b) for _, a, b in pairs))
+    return multiset_exact(index, Counter((a, b) for _, a, b in pairs).items())
 
 
-def multiset_value(index: str, multiset: dict[tuple[int, int], int]) -> float:
-    """The float value of index on a graph whose pairs are the multiset
-    {(a, b): times}: the math.fsum of one value(a, b, times) per entry."""
+def multiset_value(index: str, entries: Entries) -> float:
+    """The float value of index on a graph whose pairs are the multiset with
+    these ((a, b), times) entries: the math.fsum of one value(a, b, times)
+    per entry."""
     value = TERMS[index].value
-    return math.fsum(value(a, b, times) for (a, b), times in multiset.items())
+    return math.fsum(value(a, b, times) for (a, b), times in entries)
 
 
-def multiset_exact(index: str, multiset: dict[tuple[int, int], int]) -> RadicalSum:
+def multiset_exact(index: str, entries: Entries) -> RadicalSum:
     """The exact value of index on a graph whose pairs are this multiset."""
     exact = TERMS[index].exact
     # summed from the first term: each addition builds a RadicalSum, and a
     # crossover row takes two of these sums
-    first, *rest = [exact(a, b, times) for (a, b), times in multiset.items()] or [RadicalSum.zero()]
+    first, *rest = [exact(a, b, times) for (a, b), times in entries] or [RadicalSum.zero()]
     return sum(rest, first)
 
 

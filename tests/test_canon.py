@@ -10,7 +10,7 @@ compare partitions and invariants, never the raw byte choice.
 import math
 import random
 from collections import defaultdict
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -473,6 +473,27 @@ def test_certificates_order_labelings_like_their_bitstrings(n, p, seed):
     assert _graph6(n, min(certs)) == graph6_from_bits(n, min(strings))
 
 
+def test_a_key_is_spelled_only_when_read(capsys, monkeypatch):
+    # the search keeps the best certificate and CanonResult.key spells it,
+    # so a walk spells graph6 once per key read, not once per search
+    from ggindex.cli import main
+
+    spelled, read = [], []
+    graph6, key = canon._graph6, canon.CanonResult.key
+    monkeypatch.setattr(canon, "_graph6", lambda n, cert: spelled.append(n) or graph6(n, cert))
+    monkeypatch.setattr(
+        canon.CanonResult, "key", property(lambda result: read.append(1) or key.fget(result))
+    )
+    for argv in (
+        ("verify", "max-bipartite", "--n", "4..7"),
+        ("verify", "conjecture1", "--n", "5..7", "--max-degree", "3"),
+        ("enumerate", "--n", "6", "--max-degree", "3"),
+    ):
+        main(list(argv))
+    capsys.readouterr()
+    assert read and len(spelled) == len(read)
+
+
 def test_regular_graphs_have_single_orbit():
     # the 5-cycle and the complete graph are vertex-transitive
     c5 = [0] * 5
@@ -573,10 +594,31 @@ CIRCULANTS = [
 ]
 
 
+def _cfi(nx, base, twisted):
+    """The Cai-Fuerer-Immerman graph of base: per base vertex v, a middle
+    vertex per even subset S of v's edges and two ends (v, e, 0), (v, e, 1)
+    per edge e, S joined to (v, e, [e in S]); each base edge joins its two
+    ends of equal bit, crossed on the first edge when twisted."""
+    g = nx.Graph()
+    edges = [frozenset(e) for e in base.edges()]
+    for v in base:
+        mine = [e for e in edges if v in e]
+        for r in range(0, len(mine) + 1, 2):
+            for subset in combinations(mine, r):
+                g.add_edges_from((("m", v, subset), ("a", v, e, int(e in subset))) for e in mine)
+    for e in edges:
+        u, w = sorted(e)
+        cross = twisted and e == edges[0]
+        g.add_edges_from((("a", u, e, i), ("a", w, e, i ^ cross)) for i in (0, 1))
+    return g
+
+
 def _symmetric_graphs(nx):
-    """networkx's symmetric named graphs and circulants (n <= 20), each also
-    with one pendant leaf, which leaves an automorphism group with several
-    orbits."""
+    """Symmetric graphs: networkx's named ones, Paley graphs, the Clebsch
+    graph, the cospectral strongly regular pair Shrikhande / 4x4 rook's
+    graph, a CFI pair over K_4 (40 vertices) and circulants (n <= 20), each
+    also with one pendant leaf, which leaves an automorphism group with
+    several orbits."""
     named = {
         "petersen": nx.petersen_graph(),
         "heawood": nx.heawood_graph(),
@@ -585,7 +627,20 @@ def _symmetric_graphs(nx):
         "moebius_kantor": nx.moebius_kantor_graph(),
         "dodecahedral": nx.dodecahedral_graph(),
         "hypercube4": nx.hypercube_graph(4),
+        # Paley 9 is K_3 x K_3; nx.paley_graph takes a prime, not a prime power
+        "paley9": nx.cartesian_product(nx.complete_graph(3), nx.complete_graph(3)),
         "paley13": nx.paley_graph(13).to_undirected(),
+        "paley17": nx.paley_graph(17).to_undirected(),
+        # the folded 5-cube: 4-bit words one bit or all four bits apart
+        "clebsch": nx.Graph((u, u ^ d) for u in range(16) for d in (1, 2, 4, 8, 15)),
+        # srg(16, 6, 2, 2) twice: a Cayley graph of Z_4 x Z_4, and K_4 x K_4
+        "shrikhande": nx.Graph(
+            ((x, y), ((x + dx) % 4, (y + dy) % 4))
+            for x in range(4) for y in range(4) for dx, dy in ((1, 0), (0, 1), (1, 1))
+        ),
+        "rook4x4": nx.cartesian_product(nx.complete_graph(4), nx.complete_graph(4)),
+        "cfi_k4": _cfi(nx, nx.complete_graph(4), twisted=False),
+        "cfi_k4_twisted": _cfi(nx, nx.complete_graph(4), twisted=True),
     }
     for n, offsets in CIRCULANTS:
         named[f"circulant{n}_{'_'.join(map(str, offsets))}"] = nx.circulant_graph(n, offsets)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -195,6 +196,24 @@ def test_family_golden_bytes(capsys, tmp_path, spec, fmt, exit_code):
         assert dest.read_bytes() == graph6.encode("ascii") + b"\n"
     else:
         assert not dest.exists()
+
+
+# The stdout of `family` over KB:a,b (1 <= a, b <= 12) and S:n (2 <= n <= 150)
+# in text, json and csv, concatenated in that order: its sha256 as the
+# float closed forms sqrt(ab) and sqrt(n - 1) rendered it
+FAMILY_SQRT_SWEEP_SHA256 = "3f7b838491dbbf427e5ee2854d3a0329307eda0c4a131a5ba278b4413d64c422"
+
+
+def test_family_complete_bipartite_and_star_bytes_do_not_drift(capsys):
+    specs = [f"KB:{a},{b}" for a in range(1, 13) for b in range(1, 13)]
+    specs += [f"S:{n}" for n in range(2, 151)]
+    digest = hashlib.sha256()
+    for fmt in ("text", "json", "csv"):
+        for spec in specs:
+            code, out, err = run(capsys, "family", spec, "--format", fmt)
+            assert (code, err) == (0, ""), spec
+            digest.update(out.encode("ascii"))
+    assert digest.hexdigest() == FAMILY_SQRT_SWEEP_SHA256
 
 
 def test_enumerate_text(capsys):

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,8 +25,10 @@ from ggindex.families import (
     star,
     theta,
 )
+from ggindex.extremal import exact_index_value
 from ggindex.graphs import canonical_form
-from ggindex.indices import gg_index, ngg_index
+from ggindex.indices import edge_splits, gg_index, ngg_index
+from ggindex.radicals import RadicalSum
 
 from oracles import is_bipartite
 
@@ -144,7 +148,7 @@ INVALID_SPECS = [
 
 
 def test_closed_forms_match_computed():
-    with_closed = {c for c, f in FAMILIES.items() if f.closed or f.splits}
+    with_closed = {c for c, f in FAMILIES.items() if f.splits}
     assert with_closed == set(CLOSED_FORM_SPECS)
     for specs in CLOSED_FORM_SPECS.values():
         for text in specs:
@@ -152,29 +156,93 @@ def test_closed_forms_match_computed():
             assert ngg_closed(spec) == pytest.approx(
                 ngg_index(construct(spec)), abs=1e-10
             ), text
-    # a constructor and its closed form refuse the same parameters
+    # a constructor and its closed forms refuse the same parameters
     for text in INVALID_SPECS:
         spec = parse_spec(text)
         with pytest.raises(FamilyError):
             construct(spec)
         with pytest.raises(FamilyError):
             ngg_closed(spec)
+        with pytest.raises(FamilyError):
+            ngg_closed_exact(spec)
     # families without a closed form, and odd cycles, build but have no value
     for text in ("K:5", "TH:4,2,2", "AD:41,3", "C:3", "C:7"):
         spec = parse_spec(text)
         construct(spec)
         with pytest.raises(FamilyError):
             ngg_closed(spec)
-    # the exact C' and C'' forms: the float forms' values, and equal only at n = 15
+        with pytest.raises(FamilyError):
+            ngg_closed_exact(spec)
+    # every exact closed form is the exact NGG of the built graph, and the
+    # float form is within a few roundings of it
+    for specs in CLOSED_FORM_SPECS.values():
+        for text in specs:
+            spec = parse_spec(text)
+            exact = ngg_closed_exact(spec)
+            assert exact == exact_index_value(construct(spec), "ngg"), text
+            assert exact.to_float() == pytest.approx(ngg_closed(spec), rel=1e-14), text
+    # C' and C'' are equal only at n = 15
     for n in range(5, 200, 2):
         pendant, hook = parse_spec(f"CP:{n}"), parse_spec(f"CH:{n}")
         exact = ngg_closed_exact(pendant), ngg_closed_exact(hook)
         assert exact[0].to_float() == pytest.approx(ngg_closed(pendant), abs=1e-12), n
         assert exact[1].to_float() == pytest.approx(ngg_closed(hook), abs=1e-12), n
         assert (exact[0].compare(exact[1]) == 0) == (n == 15), n
-    for text in ("P:9", "C:8", "KB:3,4", "S:7"):
-        with pytest.raises(FamilyError):
-            ngg_closed_exact(parse_spec(text))
+    # the exact forms of P, even C, KB and S, written out
+    assert ngg_closed_exact(parse_spec("C:8")) == RadicalSum.from_rational(2)
+    assert ngg_closed_exact(parse_spec("KB:3,3")) == RadicalSum.from_rational(3)
+    assert ngg_closed_exact(parse_spec("S:10")) == RadicalSum.from_rational(3)
+    assert ngg_closed_exact(parse_spec("KB:2,3")) == RadicalSum.sqrt_rational(6, 1)
+    assert ngg_closed_exact(parse_spec("P:4")) == (
+        RadicalSum.sqrt_rational(1, 3, 2) + RadicalSum.from_rational(Fraction(1, 2))
+    )
+
+
+def test_closed_forms_are_the_edge_split_multisets():
+    # a structural oracle: a family's entries are the multiset of sorted
+    # (n_u, n_v) over the built graph's edge splits, one entry per pair
+    for code, specs in CLOSED_FORM_SPECS.items():
+        for text in specs:
+            spec = parse_spec(text)
+            entries = list(FAMILIES[code].splits(*spec.params))
+            want = Counter(
+                tuple(sorted((s.n_u, s.n_v))) for s in edge_splits(construct(spec))
+            )
+            assert len(entries) == len(dict(entries)), text
+            assert dict(entries) == want, text
+
+
+# ngg_path_closed(n).hex() as the scalar sum over 1 <= i <= n - 1 gave it
+PATH_HEX = {
+    1: "0x0.0p+0",
+    2: "0x1.0000000000000p+0",
+    3: "0x1.6a09e667f3bccp+0",
+    4: "0x1.a79a74590331dp+0",
+    999: "0x1.864b7eb9d2555p+1",
+    1000: "0x1.864d027d42b1cp+1",
+    12345: "0x1.8ec253c8a6f45p+1",
+    10**5: "0x1.90f10f3fb750cp+1",
+    10**6: "0x1.91c00094f56bap+1",
+}
+
+
+def test_path_closed_form_keeps_its_bits():
+    for n, want in PATH_HEX.items():
+        assert ngg_path_closed(n).hex() == want, n
+
+
+def test_sqrt_closed_forms_render_as_sqrt():
+    # KB:a,b and S:q+1 sum q equal terms 1/sqrt(q) as q/sqrt(q), which may
+    # differ from sqrt(q) in the last bit; the 4-decimal text and the
+    # 10-digit JSON renderings of the two agree
+    for q in range(1, 100_001):
+        got = ngg_closed(parse_spec(f"S:{q + 1}"))
+        want = math.sqrt(q)
+        assert format(got, ".4f") == format(want, ".4f"), q
+        assert format(got, ".10g") == format(want, ".10g"), q
+    for a, b in ((1, 1), (3, 4), (7, 9), (250, 4000)):
+        got = ngg_closed(parse_spec(f"KB:{a},{b}"))
+        assert got == ngg_closed(parse_spec(f"S:{a * b + 1}")), (a, b)
 
 
 def test_closed_form_spot_values():
